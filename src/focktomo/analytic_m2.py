@@ -60,12 +60,15 @@ def _half_integer_units(value: float, name: str) -> int:
     return int(rounded)
 
 
-def wigner_small_d(spin: float, m_out: float, m_in: float, angle: float) -> float:
+def wigner_small_d(
+    spin: float, m_out: float, m_in: float, angle: float | np.ndarray
+) -> float | np.ndarray:
     """Matrix element <spin, m_out| exp(-i angle J_y) |spin, m_in>.
 
     Evaluated with the standard explicit finite sum; exact at special angles
     up to roundoff.  ``spin`` may be integer or half-integer, and m_out, m_in
-    must differ from it by integers.
+    must differ from it by integers.  An array of angles is evaluated
+    elementwise, each term of the sum on all angles at once.
     """
     two_s = _half_integer_units(spin, "spin")
     two_mo = _half_integer_units(m_out, "m_out")
@@ -92,8 +95,8 @@ def wigner_small_d(spin: float, m_out: float, m_in: float, angle: float) -> floa
         * math.factorial(s_plus_mi)
         * math.factorial(s_minus_mi)
     )
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0)
 
     total = 0.0
     for k in range(max(0, -mo_minus_mi), min(s_plus_mi, s_minus_mo) + 1):
@@ -136,19 +139,19 @@ def beamsplitter(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
-def admissibility_margin(photons: int, theta: float) -> float:
+def admissibility_margin(photons: int, theta: float | np.ndarray) -> float | np.ndarray:
     """Smallest |d^l_{m,0}| over the levels l = 1..N probed by the protocol.
 
     All harmonic systems are invertible when this margin is bounded away from
     zero; it vanishes at swap-like and balanced angles that hide populations
-    or coherences.
+    or coherences.  An array of angles gives the margin of each.
     """
-    angle = BS_SPIN_ANGLE_FACTOR * theta
-    margin = math.inf
+    angle = BS_SPIN_ANGLE_FACTOR * np.asarray(theta, dtype=float)
+    margin = np.full(angle.shape, math.inf)
     for level in range(1, photons + 1):
         for m in range(-level, level + 1):
-            margin = min(margin, abs(wigner_small_d(level, m, 0, angle)))
-    return margin
+            margin = np.minimum(margin, np.abs(wigner_small_d(level, m, 0, angle)))
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def choose_theta(
@@ -164,7 +167,7 @@ def choose_theta(
     if photons < 1:
         raise ValueError(f"photon number must be at least 1, got {photons}")
     grid = np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
-    margins = [admissibility_margin(photons, theta) for theta in grid]
+    margins = admissibility_margin(photons, grid)
     best = int(np.argmax(margins))
     if margins[best] < floor:
         raise RuntimeError(

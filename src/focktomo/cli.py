@@ -52,7 +52,6 @@ from .tomography import (
     find_min_configs,
     find_min_modes,
     gramian_rank,
-    outcome_probabilities,
     random_density_matrix,
     reconstruct,
     sample_shots,
@@ -385,39 +384,45 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
     return [generator(meas_modes, int(rng.integers(2**63))) for _ in range(count)]
 
 
+def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
+    """Each setting's exact outcome law, behind the detectors when they are modelled.
+
+    Read off the measurement map itself, once per run, so no setting is
+    lifted again for any shot count.
+    """
+    laws = list(superop.apply(truth).reshape(superop.n_configs, -1))
+    if spec.efficiency is None:
+        return laws, None
+    model = DetectorModel.uniform(spec.efficiency, superop.meas_modes)
+    basis = truncated_basis(truth.photons, superop.meas_modes)
+    detected = [
+        detector_response(embed_sector(p, truth.photons, basis), basis, model)
+        for p in laws
+    ]
+    return detected, (basis, model)
+
+
 def _simulate_reconstruction(
-    spec: ExperimentSpec,
-    truth: DensityMatrix,
-    superop,
-    shots: int,
-    seed: int,
+    spec: ExperimentSpec, superop, laws, detectors, shots: int, seed: int
 ):
     """One reconstruction pass; returns (result, sector_masses or None)."""
-    photons = truth.photons
-    configs = superop.configs
-    meas_modes = superop.meas_modes
-    if spec.efficiency is not None:
-        model = DetectorModel.uniform(spec.efficiency, meas_modes)
-        basis = truncated_basis(photons, meas_modes)
+    if detectors is not None:
+        basis, model = detectors
         masses = []
         conditionals = []
-        for j, config in enumerate(configs):
-            p = outcome_probabilities(truth, config)
-            detected = detector_response(embed_sector(p, photons, basis), basis, model)
+        for j, detected in enumerate(laws):
             if shots > 0:
-                counts = sample_shots(detected, shots, seed + j)
-                detected = counts / shots
+                detected = sample_shots(detected, shots, seed + j) / shots
             if spec.invert_detector:
                 detected = invert_detector_response(detected, basis, model)
-            conditional, mass = postselect_total(detected, basis, photons)
+            conditional, mass = postselect_total(detected, basis, superop.photons)
             masses.append(mass)
             conditionals.append(conditional)
         # Noisy inversion can leave slightly negative entries; feed them to the
         # least-squares solver as-is rather than clipping.
         return reconstruct(superop, np.concatenate(conditionals)), masses
     records = []
-    for j, config in enumerate(configs):
-        p = outcome_probabilities(truth, config)
+    for j, p in enumerate(laws):
         if shots > 0:
             counts = sample_shots(p, shots, seed + j)
             records.append(MeasurementRecord.sampled(j, counts, shots))
@@ -443,11 +448,12 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
     if report.rank < required:
         raise IncompleteConfigurationsError(report.rank, required)
 
+    laws, detectors = _exact_laws(spec, truth, superop)
     sweep = []
     final = None
     for shots in spec.shots:
         result, masses = _simulate_reconstruction(
-            spec, truth, superop, shots, spec.seed
+            spec, superop, laws, detectors, shots, spec.seed
         )
         distance = trace_distance(result.projected, truth)
         entry = {

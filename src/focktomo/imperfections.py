@@ -243,12 +243,14 @@ def _binomial_thinning(eta: float, max_total: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
 def response_matrix(basis: TruncatedBasis, model: DetectorModel) -> np.ndarray:
     """Detection map on the truncated space: entry (k, n) is prod_j P_{eta_j}(k_j|n_j).
 
     Upper triangular in the basis order because detection can only remove
     photons (componentwise k <= n), with strictly positive diagonal
-    prod_j eta_j^{k_j}.
+    prod_j eta_j^{k_j}.  Memoised on its (frozen) arguments, so the array
+    returned is read-only.
     """
     if model.modes != basis.modes:
         raise ValueError(
@@ -260,6 +262,7 @@ def response_matrix(basis: TruncatedBasis, model: DetectorModel) -> np.ndarray:
     for j in range(basis.modes):
         table = _binomial_thinning(float(etas[j]), basis.max_total)
         out *= table[occupations[:, None, j], occupations[None, :, j]]
+    out.flags.writeable = False
     return out
 
 

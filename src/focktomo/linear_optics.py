@@ -2,9 +2,11 @@
 
 A configuration is an M'xM' unitary acting on mode operators.  Its action on
 the N-photon sector is a D_{N,M'} x D_{N,M'} unitary whose entries are matrix
-permanents of row/column-repeated submatrices.  Configurations can be drawn
-Haar-randomly, built from a rectangular beamsplitter mesh, or given
-explicitly; they serialize to JSON with a bit-exact round trip.
+permanents of row/column-repeated submatrices; ``lift_unitary`` builds it by
+creation operators, and ``fock_amplitude`` gives single entries as an
+independent cross-check.  Configurations can be drawn Haar-randomly, built
+from a rectangular beamsplitter mesh, or given explicitly; they serialize to
+JSON with a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import FockBasis, enumerate_fock_basis
+from .combinatorics import FockBasis, enumerate_fock_basis, fock_dimension
 
 UNITARITY_TOL = 1e-12
 LIFT_UNITARITY_TOL = 1e-9
@@ -24,10 +26,6 @@ PERMANENT_SIZE_CAP = 24
 # Switch the permanent accumulator to compensated summation once cancellation
 # across 2^(n-1) terms can eat into the 1e-12 accuracy target.
 _COMPENSATED_MIN_SIZE = 12
-# Cache full subset tables only while they stay small; beyond that they are
-# regenerated chunk by chunk.  Work buffers are kept near this many elements.
-_SUBSET_TABLE_MAX_BITS = 16
-_WORK_BUFFER_ELEMENTS = 1 << 21
 
 PROVENANCE_KINDS = ("haar", "mesh", "newton_young", "explicit")
 
@@ -311,20 +309,28 @@ def fock_amplitude(
 
 @dataclass
 class FockUnitary:
-    """The N-photon action of a mode unitary, in the canonical Fock order."""
+    """The N-photon action of a mode unitary, in the canonical Fock order.
+
+    With ``in_modes`` set, ``matrix`` holds only the columns of the input
+    states on the first ``in_modes`` modes (vacuum elsewhere), in the order
+    of their own canonical basis.  The columns must be orthonormal.
+    """
 
     basis: FockBasis
     matrix: np.ndarray
+    in_modes: int | None = None
 
     def __post_init__(self) -> None:
         u = np.asarray(self.matrix, dtype=complex)
         d = self.basis.dimension
-        if u.shape != (d, d):
-            raise ValueError(f"matrix shape {u.shape} does not match dimension {d}")
-        residual = np.abs(u.conj().T @ u - np.eye(d)).max()
+        inputs = self.basis.modes if self.in_modes is None else self.in_modes
+        columns = fock_dimension(self.basis.photons, inputs)
+        if u.shape != (d, columns):
+            raise ValueError(f"matrix shape {u.shape}, expected {(d, columns)}")
+        residual = np.abs(u.conj().T @ u - np.eye(columns)).max()
         if residual > LIFT_UNITARITY_TOL * max(d, 1):
             raise ValueError(
-                f"lifted matrix is not unitary (residual {residual:.3e})"
+                f"lifted columns are not orthonormal (residual {residual:.3e})"
             )
         self.matrix = u
 
@@ -333,80 +339,69 @@ class FockUnitary:
         return self.basis.dimension
 
 
-def _subset_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    # Column-subset indicators (rows = subsets start..stop) and the matching
-    # inclusion-exclusion signs (-1)^(n - |S|); the empty subset contributes
-    # a zero product for n >= 1 so it needs no special casing.
-    subsets = np.arange(start, stop, dtype=np.int64)
-    bits = ((subsets[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    signs = np.where((n - bits.sum(axis=1).astype(np.int64)) % 2, -1.0, 1.0)
-    return bits, signs
-
-
-@lru_cache(maxsize=32)
-def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _subset_block(n, 0, 1 << n)
-
-
 @lru_cache(maxsize=64)
-def _expanded_mode_indices(photons: int, modes: int) -> np.ndarray:
-    # Row alpha lists the mode index of each of the N photons in state alpha.
-    basis = enumerate_fock_basis(photons, modes)
-    out = np.empty((basis.dimension, photons), dtype=np.intp)
-    arange = np.arange(modes)
-    for i, state in enumerate(basis):
-        out[i] = np.repeat(arange, state)
-    return out
+def _sector_tables(photons: int, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # For state t of the N-photon sector: lower[t, i] is the index of t - e_i
+    # in the (N-1)-photon sector (0 where t_i = 0, which root[t, i] = sqrt(t_i)
+    # masks) and last[t] is t's last occupied mode.
+    states = enumerate_fock_basis(photons, modes).states
+    below = enumerate_fock_basis(photons - 1, modes)
+    lower = np.zeros((len(states), modes), dtype=np.intp)
+    for t, state in enumerate(states):
+        for i, count in enumerate(state):
+            if count:
+                lower[t, i] = below.index_of(state[:i] + (count - 1,) + state[i + 1 :])
+    occupations = np.array(states)
+    last = modes - 1 - np.argmax(occupations[:, ::-1] > 0, axis=1)
+    return lower, np.sqrt(occupations), last
+
+
+def _lift_columns(g: np.ndarray, photons: int, in_modes: int) -> np.ndarray:
+    # One photon per sector: the column of beta is the column of beta - e_j
+    # (j its last occupied mode) raised by sum_i g_ij a_i^dag and divided by
+    # sqrt(beta_j).  Every column of sector k - 1 this needs is itself an
+    # input column of that sector.
+    modes = g.shape[0]
+    columns = np.ones((1, 1), dtype=complex)
+    for k in range(1, photons + 1):
+        lower, root, _ = _sector_tables(k, modes)
+        in_lower, in_root, last = _sector_tables(k, in_modes)
+        inputs = np.arange(len(last))
+        previous = columns[:, in_lower[inputs, last]]
+        raise_by = g[:, last] / in_root[inputs, last]  # (M', C_k)
+        columns = np.zeros((len(lower), len(last)), dtype=complex)
+        for i in range(modes):
+            columns += root[:, i, None] * previous[lower[:, i]] * raise_by[i]
+    return columns
 
 
 def lift_unitary(
-    config: InterferometerConfig | np.ndarray, photons: int
+    config: InterferometerConfig | np.ndarray,
+    photons: int,
+    in_modes: int | None = None,
 ) -> FockUnitary:
     """Lift a mode unitary to its N-photon Fock-space representation.
 
-    Entry (alpha, beta) is ``fock_amplitude(g, alpha, beta)``; all entries for
-    one input column are evaluated together by sharing the Ryser subset sums
-    of that column's repeated-column submatrix.
+    Entry (alpha, beta) is ``fock_amplitude(g, alpha, beta)``.  Column beta is
+    built from the creation-operator identity
+    U|beta> = prod_j (sum_i g_ij a_i^dag)^beta_j |0> / sqrt(beta!), one photon
+    at a time, for about N M' D' operations per column.  ``in_modes`` keeps
+    only the columns of inputs on the first ``in_modes`` modes, which are
+    then the only ones built.
     """
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
-    if isinstance(config, InterferometerConfig):
-        g = config.matrix
-        modes = config.modes
-    else:
-        g = np.asarray(config, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("mode transformation must be a square matrix")
-        modes = g.shape[0]
+    g = config.matrix if isinstance(config, InterferometerConfig) else config
+    g = np.asarray(g, dtype=complex)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError("mode transformation must be a square matrix")
+    modes = g.shape[0]
+    if in_modes is not None and not 1 <= in_modes <= modes:
+        raise ValueError(f"input modes {in_modes} outside [1, {modes}]")
     if photons > PERMANENT_SIZE_CAP:
         raise ValueError(
             f"photon number {photons} exceeds the permanent cap of {PERMANENT_SIZE_CAP}"
         )
-
+    columns = _lift_columns(g, photons, modes if in_modes is None else in_modes)
     basis = enumerate_fock_basis(photons, modes)
-    dim = basis.dimension
-    expanded = _expanded_mode_indices(photons, modes)
-    sqrt_fact = np.array(
-        [math.sqrt(_factorial_product(state)) for state in basis], dtype=float
-    )
-
-    n_subsets = 1 << photons
-    chunk = max(1, _WORK_BUFFER_ELEMENTS // max(1, dim * max(photons, 1)))
-    cached = photons <= _SUBSET_TABLE_MAX_BITS
-
-    u = np.empty((dim, dim), dtype=complex)
-    for b in range(dim):
-        cols = g[:, expanded[b]]  # (M', N)
-        pers = np.zeros(dim, dtype=complex)
-        for start in range(0, n_subsets, chunk):
-            stop = min(start + chunk, n_subsets)
-            if cached:
-                bits, signs = _subset_tables(photons)
-                bits, signs = bits[start:stop], signs[start:stop]
-            else:
-                bits, signs = _subset_block(photons, start, stop)
-            row_sums = bits @ cols.T  # (chunk, M')
-            products = row_sums[:, expanded].prod(axis=2)  # (chunk, D)
-            pers += signs @ products
-        u[:, b] = pers / (sqrt_fact * sqrt_fact[b])
-    return FockUnitary(basis=basis, matrix=u)
+    return FockUnitary(basis=basis, matrix=columns, in_modes=in_modes)

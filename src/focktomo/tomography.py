@@ -26,7 +26,6 @@ from .linear_optics import (
     InterferometerConfig,
     haar_random_unitary,
     lift_unitary,
-    pad_with_vacuum,
     random_mesh_unitary,
 )
 
@@ -211,22 +210,14 @@ class MeasurementRecord:
         return self.counts / self.shots
 
 
-def _padded_row_indices(basis_in: FockBasis, basis_out: FockBasis) -> np.ndarray:
-    return np.array(
-        [
-            basis_out.index_of(pad_with_vacuum(state, basis_out.modes))
-            for state in basis_in
-        ],
-        dtype=np.intp,
-    )
-
-
 def _restricted_lift(config: InterferometerConfig, photons: int, modes: int) -> np.ndarray:
-    """Rows of the lifted unitary that start from the M-mode (vacuum-padded) sector."""
-    lifted = lift_unitary(config, photons)
-    basis_in = enumerate_fock_basis(photons, modes)
-    rows = _padded_row_indices(basis_in, lifted.basis)
-    return lifted.matrix[rows, :]  # (D, D')
+    """Rows of the lifted unitary that start from the M-mode (vacuum-padded) sector.
+
+    Since <alpha|U(g)|nu> = <nu|U(g^T)|alpha>, these rows are the padded
+    input columns of the lift of g^T, transposed; the other D' - D rows are
+    never built.
+    """
+    return lift_unitary(config.matrix.T, photons, in_modes=modes).matrix.T  # (D, D')
 
 
 def outcome_probabilities(rho: DensityMatrix, config: InterferometerConfig) -> np.ndarray:

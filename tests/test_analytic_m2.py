@@ -89,6 +89,25 @@ class TestChooseTheta:
     def test_deterministic(self):
         assert m2.choose_theta(3) == m2.choose_theta(3)
 
+    def test_pinned_angles(self):
+        # Every grid has an exact mirror tie (theta against pi - theta), so
+        # the choice rests on roundoff; the vectorised scan must keep the
+        # angles that a per-angle scalar scan picks.
+        pinned = [
+            0.47813507703415387, 0.6160586569478521, 2.491819343774148,
+            0.6773580257983847, 0.6926828680110177, 2.277271552797284,
+            0.7141376471087042, 2.2925963950099173, 2.2987263318949704,
+            0.732527457763864, 2.4060002273834025, 0.8306064479247159,
+        ]
+        assert [m2.choose_theta(n) for n in range(1, 13)] == pinned
+
+    @pytest.mark.parametrize("photons", [1, 4, 7])
+    def test_vector_margin_matches_the_scalar_one(self, photons):
+        grid = np.linspace(0.0, math.pi, 203)[1:-1]
+        vector = m2.admissibility_margin(photons, grid)
+        scalar = [m2.admissibility_margin(photons, float(theta)) for theta in grid]
+        np.testing.assert_allclose(vector, scalar, rtol=0, atol=1e-14)
+
     def test_degenerate_angles_are_rejected_by_the_margin(self):
         # A swap (theta = pi/2) hides coherences; a balanced splitter
         # (theta = pi/4) hides populations.  Both must score ~0.

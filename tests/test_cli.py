@@ -342,6 +342,28 @@ class TestDeterminismAndReplay:
             outputs.append(text.replace(name, "X.json"))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "detector", [[], ["--efficiency", "0.9", "--invert-detector"]]
+    )
+    def test_sweep_entries_do_not_depend_on_the_other_shot_counts(
+        self, tmp_path, detector
+    ):
+        # Each setting's exact law is computed once per run and sampled with
+        # seed + j at every shot count, so a sweep's entry for one shot count
+        # is byte-identical to a run of that shot count alone.
+        state = tmp_path / "state.json"
+        write_state(state, photons=2, modes=3)
+        out = tmp_path / "out.json"
+
+        def sweep(shots):
+            argv = ["reconstruct", "--state", str(state), "--shots", shots]
+            argv += ["--seed", "7", *detector, "--json", str(out)]
+            assert cli.main(argv) == 0
+            return [json.dumps(e) for e in json.loads(out.read_text())["sweep"]]
+
+        alone = [sweep(shots)[0] for shots in ("0", "1000", "100000")]
+        assert sweep("0,1000,100000") == alone
+
     def test_run_spec_replays_a_rank_scan(self, tmp_path, capsys):
         out_csv = tmp_path / "trace.csv"
         out_json = tmp_path / "scan.json"

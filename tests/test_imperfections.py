@@ -164,6 +164,12 @@ class TestDetectorResponse:
         # mass is preserved on the downward-closed space
         np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-12)
 
+    def test_response_matrix_is_memoised_and_read_only(self):
+        basis = imp.truncated_basis(2, 2)
+        matrix = imp.response_matrix(basis, imp.DetectorModel((0.5, 0.8)))
+        assert imp.response_matrix(basis, imp.DetectorModel((0.5, 0.8))) is matrix
+        assert not matrix.flags.writeable
+
     def test_efficiency_validation(self):
         with pytest.raises(ValueError):
             imp.DetectorModel.uniform(0.0, 2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focktomo import linear_optics as lo
+from focktomo import tomography as tg
 from focktomo.combinatorics import enumerate_fock_basis
 
 import oracles
@@ -166,6 +167,64 @@ class TestLiftUnitary:
     def test_photon_cap_is_enforced(self):
         with pytest.raises(ValueError):
             lo.lift_unitary(np.eye(2), lo.PERMANENT_SIZE_CAP + 1)
+
+    def test_input_modes_must_lie_within_the_configuration(self):
+        for in_modes in (0, 4):
+            with pytest.raises(ValueError):
+                lo.lift_unitary(np.eye(3), 2, in_modes=in_modes)
+
+
+def padded_rows(photons, modes, meas_modes):
+    basis_out = enumerate_fock_basis(photons, meas_modes)
+    return [
+        basis_out.index_of(lo.pad_with_vacuum(state, meas_modes))
+        for state in enumerate_fock_basis(photons, modes)
+    ]
+
+
+class TestCreationOperatorLift:
+    def test_restricted_rows_match_scalar_amplitudes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            photons = int(rng.integers(1, 5))
+            modes = int(rng.integers(2, 4))
+            meas_modes = int(rng.integers(modes, 6))
+            config = lo.haar_random_unitary(meas_modes, int(rng.integers(2**31)))
+            rows = tg._restricted_lift(config, photons, modes)
+            basis_out = enumerate_fock_basis(photons, meas_modes)
+            for a, alpha in enumerate(enumerate_fock_basis(photons, modes)):
+                padded = lo.pad_with_vacuum(alpha, meas_modes)
+                for b in rng.choice(basis_out.dimension, size=4):
+                    expected = lo.fock_amplitude(
+                        config.matrix, padded, basis_out.state_at(int(b))
+                    )
+                    assert abs(rows[a, b] - expected) <= 1e-12
+
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 2, 5), (4, 3, 4), (2, 2, 2)])
+    def test_restricted_rows_are_rows_of_the_full_lift(self, photons, modes, meas_modes):
+        config = lo.random_mesh_unitary(meas_modes, 3 * photons + meas_modes)
+        full = lo.lift_unitary(config, photons).matrix
+        rows = tg._restricted_lift(config, photons, modes)
+        np.testing.assert_allclose(
+            rows, full[padded_rows(photons, modes, meas_modes)], atol=1e-13
+        )
+
+    @given(st.integers(0, 1_000_000), st.integers(0, 3), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_homomorphism_and_unit_columns(self, seed, photons, modes):
+        g = lo.haar_random_unitary(modes, seed).matrix
+        h = lo.haar_random_unitary(modes, seed + 1).matrix
+        ug = lo.lift_unitary(g, photons).matrix
+        uh = lo.lift_unitary(h, photons).matrix
+        assert np.abs(lo.lift_unitary(g @ h, photons).matrix - ug @ uh).max() < 1e-12
+        np.testing.assert_allclose(np.linalg.norm(ug, axis=0), 1.0, atol=1e-13)
+
+    @pytest.mark.parametrize("photons,modes", [(8, 6), (12, 2)])
+    def test_frontier_lifts_are_unitary(self, photons, modes):
+        lifted = lo.lift_unitary(lo.haar_random_unitary(modes, photons), photons)
+        u = lifted.matrix
+        residual = np.abs(u.conj().T @ u - np.eye(lifted.dimension)).max()
+        assert residual <= 1e-12 * lifted.dimension
 
 
 class TestHaarSampling:

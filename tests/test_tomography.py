@@ -265,6 +265,17 @@ class TestSearches:
         assert tg.find_min_configs(3, 3, seed=17).found == min_configs(3, 3) == 16
         assert tg.find_min_configs(4, 2, seed=17).found == min_configs(4, 2) == 9
 
+    @pytest.mark.parametrize("generator", ["haar", "mesh"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_six_photon_ranks_respect_the_ceiling(self, generator, seed):
+        # R settings with D' outcomes each span at most 1 + R (D' - 1)
+        # directions, since every block's rows sum to the trace functional.
+        search = tg.find_min_configs(6, 2, generator=generator, seed=seed)
+        d_out = fock_dimension(6, 2)
+        for count, rank in search.rank_trace:
+            assert rank <= min(1 + count * (d_out - 1), d_out**2)
+        assert search.found == min_configs(6, 2) == 13
+
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5
 

@@ -18,18 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .combinatorics import enumerate_fock_basis
 from .linear_optics import InterferometerConfig, Provenance, lift_unitary
-from .tomography import (
-    MeasurementRecord,
-    ReconstructionResult,
-    build_superoperator,
-    project_to_state,
-)
+from .tomography import MeasurementRecord, ReconstructionResult, project_to_state
 
 # The beamsplitter exp(theta (a1^dag a2 - a2^dag a1)) acts on the spin-N/2
 # image as exp(-i beta J_y) with beta = -2 theta.  The factor is calibrated
@@ -154,24 +150,22 @@ def admissibility_margin(photons: int, theta: float | np.ndarray) -> float | np.
     return float(margin) if margin.ndim == 0 else margin
 
 
-def choose_theta(
-    photons: int,
-    floor: float = THETA_FLOOR,
-    grid_points: int = THETA_GRID_POINTS,
-) -> float:
+@lru_cache(maxsize=None)
+def choose_theta(photons: int) -> float:
     """Deterministic beamsplitter angle with the best admissibility margin.
 
-    Scans a fixed grid on (0, pi) and returns the maximin angle; the returned
-    margin always clears ``floor``.
+    Scans ``THETA_GRID_POINTS`` angles on (0, pi) and returns the maximin
+    one; the returned margin always clears ``THETA_FLOOR``.  The angle
+    depends on N alone, so it is computed once per N.
     """
     if photons < 1:
         raise ValueError(f"photon number must be at least 1, got {photons}")
-    grid = np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
+    grid = np.linspace(0.0, math.pi, THETA_GRID_POINTS + 2)[1:-1]
     margins = admissibility_margin(photons, grid)
     best = int(np.argmax(margins))
-    if margins[best] < floor:
+    if margins[best] < THETA_FLOOR:
         raise RuntimeError(
-            f"no grid angle clears the admissibility floor {floor} for N={photons}"
+            f"no grid angle clears the admissibility floor {THETA_FLOOR} for N={photons}"
         )
     return float(grid[best])
 
@@ -267,9 +261,11 @@ def reconstruct_m2(
     Harmonic I determines the entries <n1,n2|rho|n1',n2'> with n2'-n2 = I
     through the fixed-beamsplitter lift; each harmonic's system is solved by
     least squares, and a rank-deficient system reports the offending I.
+    The residual is that of the whole measurement map: the phase-grid DFT is
+    unitary up to 1/sqrt(2N+1), so by Parseval it is
+    sqrt((2N+1) sum_I |C_I x_I - h_I|^2) over the harmonic systems.
     """
-    data = _records_to_matrix(records, photons)
-    harmonics = dft_harmonics(data, photons)
+    harmonics = dft_harmonics(records, photons)
     basis = enumerate_fock_basis(photons, 2)
     dim = basis.dimension
     lifted = lift_unitary(beamsplitter(theta), photons).matrix
@@ -290,6 +286,7 @@ def reconstruct_m2(
     threshold = max(dim, 2 * photons + 1) * np.finfo(float).eps * scale
 
     rho = np.zeros((dim, dim), dtype=complex)
+    misfit = 0.0
     for harmonic, rows, cols, coeffs in systems:
         sigma = np.linalg.svd(coeffs, compute_uv=False)
         if int((sigma > threshold).sum()) < len(rows):
@@ -297,13 +294,11 @@ def reconstruct_m2(
         target = harmonics[harmonic + photons]
         solution = np.linalg.lstsq(coeffs, target, rcond=None)[0]
         rho[rows, cols] = solution
+        misfit += float(np.linalg.norm(coeffs @ solution - target)) ** 2
 
-    protocol = newton_young_configs(photons, theta)
-    superop = build_superoperator(protocol.configs, photons, 2)
-    residual = float(np.linalg.norm(superop.matrix @ rho.reshape(-1) - data.reshape(-1)))
     return ReconstructionResult(
         raw=rho,
         projected=project_to_state(basis, rho),
-        residual=residual,
+        residual=math.sqrt((2 * photons + 1) * misfit),
         rank=dim * dim,
     )

@@ -43,18 +43,17 @@ from .imperfections import (
     postselect_total,
     truncated_basis,
 )
-from .linear_optics import haar_random_unitary, random_mesh_unitary
 from .tomography import (
+    GENERATORS,
     DensityMatrix,
     IncompleteConfigurationsError,
-    MeasurementRecord,
     build_superoperator,
     find_min_configs,
     find_min_modes,
     gramian_rank,
     random_density_matrix,
     reconstruct,
-    sample_shots,
+    sample_records,
     trace_distance,
 )
 
@@ -374,9 +373,8 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
             raise ValueError("the newton-young generator requires M = M' = 2")
         protocol = newton_young_configs(photons)
         return protocol.configs
-    generators = {"haar": haar_random_unitary, "mesh": random_mesh_unitary}
     try:
-        generator = generators[spec.generator]
+        generator = GENERATORS[spec.generator]
     except KeyError:
         raise ValueError(f"unknown generator {spec.generator!r}") from None
     count = spec.configs or min_configs_extended(photons, modes, meas_modes)
@@ -402,33 +400,24 @@ def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
     return detected, (basis, model)
 
 
-def _simulate_reconstruction(
-    spec: ExperimentSpec, superop, laws, detectors, shots: int, seed: int
-):
+def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, shots: int):
     """One reconstruction pass; returns (result, sector_masses or None)."""
-    if detectors is not None:
-        basis, model = detectors
-        masses = []
-        conditionals = []
-        for j, detected in enumerate(laws):
-            if shots > 0:
-                detected = sample_shots(detected, shots, seed + j) / shots
-            if spec.invert_detector:
-                detected = invert_detector_response(detected, basis, model)
-            conditional, mass = postselect_total(detected, basis, superop.photons)
-            masses.append(mass)
-            conditionals.append(conditional)
-        # Noisy inversion can leave slightly negative entries; feed them to the
-        # least-squares solver as-is rather than clipping.
-        return reconstruct(superop, np.concatenate(conditionals)), masses
-    records = []
-    for j, p in enumerate(laws):
-        if shots > 0:
-            counts = sample_shots(p, shots, seed + j)
-            records.append(MeasurementRecord.sampled(j, counts, shots))
-        else:
-            records.append(MeasurementRecord.exact(j, p))
-    return reconstruct(superop, records), None
+    records = sample_records(laws, shots, spec.seed)
+    if detectors is None:
+        return reconstruct(superop, records), None
+    basis, model = detectors
+    masses = []
+    conditionals = []
+    for record in records:
+        detected = record.frequencies()
+        if spec.invert_detector:
+            detected = invert_detector_response(detected, basis, model)
+        conditional, mass = postselect_total(detected, basis, superop.photons)
+        masses.append(mass)
+        conditionals.append(conditional)
+    # Noisy inversion can leave slightly negative entries; feed them to the
+    # least-squares solver as-is rather than clipping.
+    return reconstruct(superop, np.concatenate(conditionals)), masses
 
 
 def cmd_reconstruct(spec: ExperimentSpec) -> int:
@@ -452,9 +441,7 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
     sweep = []
     final = None
     for shots in spec.shots:
-        result, masses = _simulate_reconstruction(
-            spec, superop, laws, detectors, shots, spec.seed
-        )
+        result, masses = _simulate_reconstruction(spec, superop, laws, detectors, shots)
         distance = trace_distance(result.projected, truth)
         entry = {
             "shots": shots,
@@ -577,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--photons", required=True)
     p.add_argument("--modes", required=True)
     p.add_argument("--meas-modes")
-    p.add_argument("--generator", default="haar", choices=["haar", "mesh"])
+    p.add_argument("--generator", default="haar", choices=sorted(GENERATORS))
     p.add_argument("--r-max", type=int, dest="r_max")
     p.add_argument("--tolerance-rank", type=float, dest="rank_tolerance")
     _add_common(p)
@@ -585,14 +572,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-modes", help="smallest M' with a complete single setting")
     p.add_argument("--photons", required=True, help="N or lo:hi")
     p.add_argument("--modes", required=True, help="M or lo:hi")
-    p.add_argument("--generator", default="haar", choices=["haar", "mesh"])
+    p.add_argument("--generator", default="haar", choices=sorted(GENERATORS))
     p.add_argument("--meas-modes-max", type=int, dest="meas_modes_max")
     p.add_argument("--tolerance-rank", type=float, dest="rank_tolerance")
     _add_common(p)
 
     p = sub.add_parser("reconstruct", help="simulate measurements and reconstruct")
     p.add_argument("--state", dest="state_path", required=True, help="truth state JSON")
-    p.add_argument("--generator", default="haar", choices=["haar", "mesh", "newton-young"])
+    p.add_argument(
+        "--generator", default="haar", choices=[*sorted(GENERATORS), "newton-young"]
+    )
     p.add_argument("--configs", type=int, help="number of settings (default: the bound)")
     p.add_argument("--meas-modes")
     p.add_argument(

@@ -2,9 +2,11 @@
 
 Sources that emit a photon-number mixture, per-mode sub-unit detection
 efficiency (binomial thinning, equivalent to a beamsplitter in front of a
-perfect detector), uniform transmission loss folded into the detector model,
-and the post-selection / response-inversion pipelines that recover the
-underlying fixed-N states from such data.
+perfect detector), and the post-selection / response-inversion pipelines
+that recover the underlying fixed-N states from such data.  Transmission
+loss ahead of the detectors is modelled by lowering their efficiencies: a
+lossy channel followed by a perfect detector equals a perfect channel
+followed by a less efficient one.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .tomography import (
     gramian_rank,
     outcome_probabilities,
     reconstruct,
+    simplex_projection,
 )
 
 WEIGHT_SUM_TOL = 1e-12
 TRUNCATION_MASS_TOL = 1e-9
-DEFAULT_SECTOR_MASS_FLOOR = 1e-10
+SECTOR_MASS_FLOOR = 1e-10
 
 
 class IncompleteSectorError(ValueError):
@@ -206,18 +209,12 @@ def mixture_joint_probabilities(
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Per-mode detection efficiencies, with optional uniform transmission.
-
-    Uniform loss upstream of the detectors is folded into the per-mode
-    efficiencies (a lossy channel followed by a perfect detector equals a
-    perfect channel followed by a less efficient detector).
-    """
+    """Per-mode detection efficiencies, upstream loss included."""
 
     efficiencies: tuple[float, ...]
-    uniform_transmission: float = 1.0
 
     def __post_init__(self) -> None:
-        for eta in (*self.efficiencies, self.uniform_transmission):
+        for eta in self.efficiencies:
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"efficiency {eta} outside (0, 1]")
 
@@ -228,9 +225,6 @@ class DetectorModel:
     @property
     def modes(self) -> int:
         return len(self.efficiencies)
-
-    def effective(self) -> np.ndarray:
-        return np.array(self.efficiencies) * self.uniform_transmission
 
 
 def _binomial_thinning(eta: float, max_total: int) -> np.ndarray:
@@ -257,10 +251,9 @@ def response_matrix(basis: TruncatedBasis, model: DetectorModel) -> np.ndarray:
             f"model covers {model.modes} modes, basis has {basis.modes}"
         )
     occupations = np.array(basis.states)  # (K, M)
-    etas = model.effective()
     out = np.ones((len(basis), len(basis)))
-    for j in range(basis.modes):
-        table = _binomial_thinning(float(etas[j]), basis.max_total)
+    for j, eta in enumerate(model.efficiencies):
+        table = _binomial_thinning(float(eta), basis.max_total)
         out *= table[occupations[:, None, j], occupations[None, :, j]]
     out.flags.writeable = False
     return out
@@ -274,18 +267,6 @@ def detector_response(
     if p.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} outcomes, got {p.shape}")
     return response_matrix(basis, model) @ p
-
-
-def simplex_projection(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    ordered = np.sort(v)[::-1]
-    cumulative = np.cumsum(ordered) - 1.0
-    indices = np.arange(1, len(v) + 1)
-    support = ordered - cumulative / indices > 0
-    pivot = indices[support][-1]
-    shift = cumulative[support][-1] / pivot
-    return np.clip(v - shift, 0.0, None)
 
 
 def invert_detector_response(
@@ -332,13 +313,13 @@ def reconstruct_mixture(
     modes: int,
     max_total: int,
     model: DetectorModel | None = None,
-    mass_floor: float = DEFAULT_SECTOR_MASS_FLOOR,
 ) -> MixtureEstimate:
     """Recover every photon-number component from mixed-total statistics.
 
     Each record is a distribution over ``truncated_basis(max_total, M')`` for
     the matching configuration.  With a detector model the response is
-    inverted first; sectors are then post-selected, their masses estimate the
+    inverted first; sectors are then post-selected (one whose mean mass is
+    below ``SECTOR_MASS_FLOOR`` counts as absent), their masses estimate the
     weights, and each sector's state is reconstructed with the generic
     engine.  Completeness is checked per sector at runtime rather than
     assumed, and any deficient sector is reported.
@@ -367,7 +348,7 @@ def reconstruct_mixture(
         sector_masses = [
             float(q[sector].sum() / grand) for q, grand in zip(cleaned, totals)
         ]
-        if np.mean(sector_masses) < mass_floor:
+        if np.mean(sector_masses) < SECTOR_MASS_FLOOR:
             continue
         present.append(total)
         masses[total] = sector_masses

@@ -418,8 +418,8 @@ class ReconstructionResult:
     """Raw least-squares estimate plus its physical (PSD) projection.
 
     ``raw`` is the unconstrained minimum-norm solution; ``projected`` is the
-    Hermitized, eigenvalue-clipped, trace-renormalized state.  The raw
-    estimate is always reported because the projection is a labelled
+    density matrix nearest to it in Frobenius norm (see ``project_to_state``).
+    The raw estimate is always reported because the projection is a labelled
     convenience, never a silent substitute.
     """
 
@@ -429,17 +429,30 @@ class ReconstructionResult:
     rank: int
 
 
+def simplex_projection(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    v = np.asarray(v, dtype=float)
+    ordered = np.sort(v)[::-1]
+    cumulative = np.cumsum(ordered) - 1.0
+    indices = np.arange(1, len(v) + 1)
+    support = ordered - cumulative / indices > 0
+    pivot = indices[support][-1]
+    shift = cumulative[support][-1] / pivot
+    return np.clip(v - shift, 0.0, None)
+
+
 def project_to_state(basis: FockBasis, matrix: np.ndarray) -> DensityMatrix:
-    """Hermitize, clip negative eigenvalues, and renormalize the trace."""
+    """The density matrix nearest to ``matrix`` in Frobenius norm.
+
+    The anti-Hermitian part is orthogonal to every state, so this is the
+    state nearest to the Hermitian part: its eigenvalues are projected onto
+    the probability simplex and its eigenvectors kept (Smolin, Gambetta &
+    Smith, PRL 108, 070502 (2012)).
+    """
     herm = (matrix + matrix.conj().T) / 2.0
     values, vectors = np.linalg.eigh(herm)
-    clipped = np.clip(values, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise RuntimeError("projection collapsed to the zero operator")
-    rho = (vectors * (clipped / total)) @ vectors.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(basis, rho)
+    rho = (vectors * simplex_projection(values)) @ vectors.conj().T
+    return DensityMatrix(basis, (rho + rho.conj().T) / 2.0)
 
 
 def reconstruct(
@@ -466,7 +479,9 @@ def reconstruct(
     )
 
 
-def sample_shots(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
+def sample_shots(
+    p: np.ndarray, shots: int, seed: int | np.random.SeedSequence
+) -> np.ndarray:
     """Multinomial counts for a probability vector, deterministic per seed.
 
     Entries more negative than -1e-12 are rejected; tiny negative roundoff is
@@ -487,6 +502,24 @@ def sample_shots(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return rng.multinomial(shots, clipped / clipped.sum())
 
 
+def sample_records(
+    laws: Sequence[np.ndarray], shots: int = 0, seed: int = 0
+) -> list[MeasurementRecord]:
+    """Exact (shots=0) or finite-shot records of each setting's outcome law.
+
+    Setting j draws its counts from the j-th child of
+    ``np.random.SeedSequence(seed).spawn(len(laws))``, so every (seed,
+    setting) pair has a stream of its own.
+    """
+    if shots == 0:
+        return [MeasurementRecord.exact(j, p) for j, p in enumerate(laws)]
+    streams = np.random.SeedSequence(seed).spawn(len(laws))
+    return [
+        MeasurementRecord.sampled(j, sample_shots(p, shots, stream), shots)
+        for j, (p, stream) in enumerate(zip(laws, streams))
+    ]
+
+
 def simulate_records(
     rho: DensityMatrix,
     configs: Sequence[InterferometerConfig],
@@ -494,16 +527,7 @@ def simulate_records(
     seed: int = 0,
 ) -> list[MeasurementRecord]:
     """Exact (shots=0) or finite-shot measurement records for each configuration."""
-    records = []
-    rng = np.random.default_rng(seed)
-    for j, config in enumerate(configs):
-        p = outcome_probabilities(rho, config)
-        if shots == 0:
-            records.append(MeasurementRecord.exact(j, p))
-        else:
-            counts = sample_shots(p, shots, int(rng.integers(2**63)))
-            records.append(MeasurementRecord.sampled(j, counts, shots))
-    return records
+    return sample_records([outcome_probabilities(rho, c) for c in configs], shots, seed)
 
 
 def _resolve_generator(generator: str | ConfigGenerator) -> ConfigGenerator:

@@ -108,6 +108,27 @@ def normal_equation_solve(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, matrix.conj().T @ p)
 
 
+def is_nearest_state(a: np.ndarray, p: np.ndarray) -> bool:
+    """True iff the density matrix P is the one nearest to the Hermitian A.
+
+    P is the Frobenius projection of A onto the density matrices exactly
+    when Re tr((A - P)(X - P)) <= 0 for every density matrix X.  The largest
+    Re tr((A - P) X) over density matrices is the top eigenvalue of A - P,
+    so the test is lambda_max(A - P) <= Re tr((A - P) P), after checking
+    that P is a density matrix at all.  Every comparison allows 1e-12.
+    """
+    tol = 1e-12
+    a = np.asarray(a, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    if np.abs(p - p.conj().T).max() > tol or abs(np.trace(p) - 1.0) > tol:
+        return False
+    if np.linalg.eigvalsh(p).min() < -tol:
+        return False
+    diff = a - p
+    top = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0).max()
+    return bool(top <= np.trace(diff @ p).real + tol)
+
+
 def haar_mean_abs_square(modes: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of |g_00|^2 over Haar draws."""
     from focktomo import haar_random_unitary

@@ -101,6 +101,12 @@ class TestChooseTheta:
         ]
         assert [m2.choose_theta(n) for n in range(1, 13)] == pinned
 
+    def test_a_second_protocol_build_reuses_the_angle(self):
+        m2.newton_young_configs(5)
+        hits = m2.choose_theta.cache_info().hits
+        m2.newton_young_configs(5)
+        assert m2.choose_theta.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize("photons", [1, 4, 7])
     def test_vector_margin_matches_the_scalar_one(self, photons):
         grid = np.linspace(0.0, math.pi, 203)[1:-1]
@@ -227,6 +233,17 @@ class TestReconstructM2:
                 tg.trace_distance(analytic.projected, generic.projected) < 1e-8
             )
             assert np.abs(analytic.raw - generic.raw).max() < 1e-8
+
+    @pytest.mark.parametrize("photons", [1, 2, 3, 4])
+    def test_residual_is_the_full_map_residual(self, photons):
+        protocol = m2.newton_young_configs(photons)
+        rho = tg.random_density_matrix(enumerate_fock_basis(photons, 2), 60 + photons)
+        records = simulate_records(rho, protocol.configs, shots=1000, seed=photons)
+        result = m2.reconstruct_m2(records, photons, protocol.theta)
+        superop = build_superoperator(protocol.configs, photons, 2)
+        data = np.concatenate([r.frequencies() for r in records])
+        full = np.linalg.norm(superop.matrix @ result.raw.reshape(-1) - data)
+        assert result.residual == pytest.approx(full, rel=1e-10, abs=1e-12)
 
     def test_single_photon_superposition_lives_in_side_harmonics(self):
         photons = 1

@@ -216,6 +216,27 @@ class TestReconstructCommand:
         )
         assert tg.trace_distance(estimate, rho.matrix) < 1e-8
 
+    def test_sampled_estimate_matches_the_library(self, tmp_path):
+        state = tmp_path / "state.json"
+        rho = write_state(state, photons=2, modes=3)
+        out = tmp_path / "result.json"
+        argv = ["reconstruct", "--state", str(state), "--shots", "1000", "--seed", "7"]
+        assert cli.main([*argv, "--json", str(out)]) == 0
+        document = json.loads(out.read_text())
+        configs = [lo.InterferometerConfig.from_json_dict(c) for c in document["configs"]]
+        superop = tg.build_superoperator(configs, 2, 3)
+        library = tg.reconstruct(superop, tg.simulate_records(rho, configs, 1000, 7))
+        raw = np.array(
+            [[complex(re, im) for re, im in row] for row in document["raw_estimate"]]
+        )
+        np.testing.assert_array_equal(raw, library.raw)
+
+    def test_generator_choices_come_from_the_registry(self):
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        reconstruct = commands.choices["reconstruct"]
+        generator = next(a for a in reconstruct._actions if a.dest == "generator")
+        assert generator.choices == [*sorted(tg.GENERATORS), "newton-young"]
+
     def test_newton_young_uses_exactly_the_bound(self, tmp_path):
         state = tmp_path / "state.json"
         write_state(state, photons=2, modes=2)
@@ -348,9 +369,9 @@ class TestDeterminismAndReplay:
     def test_sweep_entries_do_not_depend_on_the_other_shot_counts(
         self, tmp_path, detector
     ):
-        # Each setting's exact law is computed once per run and sampled with
-        # seed + j at every shot count, so a sweep's entry for one shot count
-        # is byte-identical to a run of that shot count alone.
+        # Each setting's exact law is computed once per run and sampled from
+        # the same per-setting stream at every shot count, so a sweep's entry
+        # for one shot count is byte-identical to a run of that shot count alone.
         state = tmp_path / "state.json"
         write_state(state, photons=2, modes=3)
         out = tmp_path / "out.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focktomo import linear_optics as lo
 from focktomo import tomography as tg
@@ -247,6 +249,23 @@ class TestReconstruct:
             tg.reconstruct(superop, records)
 
 
+class TestProjectToState:
+    def test_projection_is_the_nearest_state(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            d = int(rng.integers(2, 6))
+            # Unit-trace spectrum with at least one negative eigenvalue.
+            values = rng.standard_normal(d)
+            values[-1] = -abs(values[-1]) - 0.05
+            values[:-1] -= (values.sum() - 1.0) / (d - 1)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, _ = np.linalg.qr(g)
+            a = (q * values) @ q.conj().T
+            a = (a + a.conj().T) / 2.0
+            projected = tg.project_to_state(enumerate_fock_basis(d - 1, 2), a)
+            assert oracles.is_nearest_state(a, projected.matrix)
+
+
 class TestSearches:
     def test_min_configs_two_photons_two_modes(self):
         search = tg.find_min_configs(2, 2, seed=11)
@@ -327,6 +346,46 @@ class TestSampleShots:
             tg.sample_shots(np.array([0.5, 0.4]), 10, seed=0)
         with pytest.raises(ValueError):
             tg.sample_shots(np.array([1.1, -0.1]), 10, seed=0)
+
+
+class TestSampleRecords:
+    def test_setting_j_uses_the_jth_spawned_stream(self):
+        laws = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.4, 0.0])]
+        records = tg.sample_records(laws, 1000, seed=4)
+        streams = np.random.SeedSequence(4).spawn(2)
+        for record, law, stream in zip(records, laws, streams):
+            np.testing.assert_array_equal(record.counts, tg.sample_shots(law, 1000, stream))
+        exact = tg.sample_records(laws)
+        np.testing.assert_array_equal(exact[1].probabilities, laws[1])
+
+    def test_neighbouring_seeds_do_not_share_streams(self):
+        laws = [np.full(6, 1.0 / 6.0)] * 4
+        for seed in range(5):
+            here = tg.sample_records(laws, 1000, seed)
+            next_seed = tg.sample_records(laws, 1000, seed + 1)
+            for j in range(3):
+                assert not np.array_equal(here[j + 1].counts, next_seed[j].counts)
+
+    @given(
+        photons=st.integers(1, 3),
+        modes=st.integers(2, 3),
+        extra=st.integers(0, 2),
+        shots=st.integers(1, 10_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_counts_sum_to_shots_and_exact_records_round_trip(
+        self, photons, modes, extra, shots, seed
+    ):
+        meas_modes = min(modes + extra, 4)
+        search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
+        assert search.found is not None
+        rho = tg.random_density_matrix(enumerate_fock_basis(photons, modes), seed)
+        for record in tg.simulate_records(rho, search.configs, shots, seed):
+            assert record.shots == shots and int(record.counts.sum()) == shots
+        superop = tg.build_superoperator(search.configs, photons, modes)
+        result = tg.reconstruct(superop, tg.simulate_records(rho, search.configs))
+        assert tg.trace_distance(result.projected, rho) < 1e-8
 
 
 class TestMeasurementRecord:

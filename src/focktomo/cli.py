@@ -377,6 +377,8 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
         generator = GENERATORS[spec.generator]
     except KeyError:
         raise ValueError(f"unknown generator {spec.generator!r}") from None
+    if spec.configs is not None and spec.configs < 1:
+        raise ValueError(f"--configs must be at least 1, got {spec.configs}")
     count = spec.configs or min_configs_extended(photons, modes, meas_modes)
     rng = np.random.default_rng(spec.seed)
     return [generator(meas_modes, int(rng.integers(2**63))) for _ in range(count)]

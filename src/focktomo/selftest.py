@@ -177,6 +177,20 @@ def check_reconstruction_roundtrip() -> None:
         assert tomography.trace_distance(result.projected, rho) < 1e-8
 
 
+def check_shared_factorisation() -> None:
+    # The cached real-form factor must give the complex map's rank and its
+    # least-squares solution; a wrong coordinate sign returns the conjugate.
+    configs = [linear_optics.haar_random_unitary(3, 500 + j) for j in range(9)]
+    superop = tomography.build_superoperator(configs, 2, 3)  # R_{2,3} = 9
+    rank = tomography.gramian_rank(superop).rank
+    assert rank == tomography.gramian_rank(superop.matrix).rank == superop.matrix.shape[1]
+    noise = 1e-3 * np.random.default_rng(41).standard_normal(superop.matrix.shape[0])
+    p = superop.apply(tomography.random_density_matrix(superop.basis_in, 41)) + noise
+    expected = np.linalg.lstsq(superop.matrix, p.astype(complex), rcond=None)[0]
+    raw = tomography.reconstruct(superop, p).raw
+    assert np.abs(raw.reshape(-1) - expected).max() < 1e-10
+
+
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("fock-dimension-identities", check_fock_dimension_identities),
     ("config-count-closed-forms", check_config_count_closed_forms),
@@ -191,6 +205,7 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("loss-sector-factor", check_loss_sector_factor),
     ("mixture-roundtrip", check_mixture_roundtrip),
     ("reconstruction-roundtrip", check_reconstruction_roundtrip),
+    ("shared-factorisation", check_shared_factorisation),
 ]
 
 

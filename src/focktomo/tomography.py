@@ -5,15 +5,22 @@ p = <nu'| U(g)^dag rho_padded U(g) |nu'>.  Collecting these rows over all
 outcomes and configurations gives a rectangular linear map L from the D^2
 density-matrix entries to outcome probabilities; tomography is possible
 exactly when L has numerical rank D^2, and the state is then recovered as the
-minimum-norm least-squares solution.
+least-squares solution.
+
+Every row of L is a Hermitian D x D matrix, so rank, completeness and
+reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
+& Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dormqr
 
 from .combinatorics import (
     FockBasis,
@@ -249,7 +256,8 @@ class Superoperator:
 
     Row (config j, outcome nu') holds conj(<alpha|U_j|nu'>) <beta|U_j|nu'> at
     column (alpha, beta); rows are config-major in the given order, outcomes
-    in canonical Fock order, and columns row-major over (alpha, beta).
+    in canonical Fock order, and columns row-major over (alpha, beta).  The
+    matrix is read-only, so the factor cached from it cannot go stale.
     """
 
     photons: int
@@ -269,6 +277,17 @@ class Superoperator:
         )
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape}, expected {expected}")
+        self.matrix = self.matrix.view()
+        self.matrix.flags.writeable = False
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw Householder QR (reflectors, tau) of the real form, and R's (= L's) sigma."""
+        real = _hermitian_coordinates(self.matrix, self.basis_in.dimension)
+        (reflectors, tau), r = qr(real, overwrite_a=True, mode="raw")
+        sigma = np.linalg.svd(r, compute_uv=False)
+        sigma.flags.writeable = False
+        return reflectors, tau, sigma
 
     @property
     def n_configs(self) -> int:
@@ -294,6 +313,23 @@ def _superoperator_block(
     d = v.shape[0]
     block = np.einsum("av,bv->vab", v.conj(), v)  # (D', D, D)
     return block.reshape(v.shape[1], d * d)
+
+
+def _hermitian_coordinates(rows: np.ndarray, d: int) -> np.ndarray:
+    """Rows vec(H) as (H_aa, sqrt2 Re H_ab, sqrt2 Im H_ab), a < b: for Hermitian
+    H an isometry onto R^{D^2}, so a stack keeps its singular values."""
+    h = rows.reshape(-1, d, d)
+    a, b = np.triu_indices(d, 1)
+    off = np.sqrt(2.0) * h[:, a, b]
+    return np.hstack([np.diagonal(h, axis1=1, axis2=2).real, off.real, off.imag])
+
+
+def _hermitian_matrix(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian D x D matrix whose real coordinates are ``y``."""
+    a, b = np.triu_indices(d, 1)
+    h = np.diag(y[:d]).astype(complex)
+    h[a, b] = (y[d : d + len(a)] + 1j * y[d + len(a) :]) / np.sqrt(2.0)
+    return h + np.triu(h, 1).conj().T
 
 
 def build_superoperator(
@@ -344,14 +380,18 @@ def gramian_rank(
 ) -> RankReport:
     """Numerical rank of L via its singular values.
 
-    The default threshold is max(rows, cols) * machine-eps * sigma_max, the
-    standard numerical-rank convention; ``rel_threshold`` (times sigma_max)
-    overrides it.
+    A ``Superoperator``'s singular values are read from its cached factor; an
+    array takes a values-only SVD.  The default threshold is max(rows, cols) *
+    machine-eps * sigma_max, the standard numerical-rank convention;
+    ``rel_threshold`` (times sigma_max) overrides it.
     """
-    matrix = superop.matrix if isinstance(superop, Superoperator) else np.asarray(superop)
+    if rel_threshold is not None and not (np.isfinite(rel_threshold) and rel_threshold > 0):
+        raise ValueError(f"rel_threshold must be positive and finite, got {rel_threshold}")
+    is_map = isinstance(superop, Superoperator)
+    matrix = superop.matrix if is_map else np.asarray(superop)
     if matrix.size == 0:
         raise ValueError("empty superoperator")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = superop._factor[2] if is_map else np.linalg.svd(matrix, compute_uv=False)
     sigma_max = float(sigma[0])
     if rel_threshold is None:
         threshold = max(matrix.shape) * np.finfo(float).eps * sigma_max
@@ -417,8 +457,8 @@ def _assemble_probability_vector(
 class ReconstructionResult:
     """Raw least-squares estimate plus its physical (PSD) projection.
 
-    ``raw`` is the unconstrained minimum-norm solution; ``projected`` is the
-    density matrix nearest to it in Frobenius norm (see ``project_to_state``).
+    ``raw`` is the unconstrained least-squares solution (Hermitian); ``projected``
+    is the density matrix nearest to it in Frobenius norm (see ``project_to_state``).
     The raw estimate is always reported because the projection is a labelled
     convenience, never a silent substitute.
     """
@@ -459,24 +499,31 @@ def reconstruct(
     superop: Superoperator,
     records: Sequence[MeasurementRecord] | np.ndarray,
 ) -> ReconstructionResult:
-    """Recover the state from outcome statistics by SVD least squares.
+    """Recover the state from outcome statistics by least squares on the real form.
 
-    At full rank this equals the normal-equation solution
-    (L^dag L)^{-1} L^dag p while conditioning better; an incomplete
-    superoperator raises ``IncompleteConfigurationsError`` with the deficit.
+    Reads the map's cached QR factor: p is rotated by Q^T and its leading D^2
+    entries are solved through R; the rest give the residual.  At full rank
+    this equals the normal-equation solution (L^dag L)^{-1} L^dag p while
+    conditioning better; a superoperator below rank D^2 at the default
+    threshold raises ``IncompleteConfigurationsError`` with the deficit.
     """
     p = _assemble_probability_vector(superop, records)
-    required = superop.basis_in.dimension ** 2
-    solution, _, rank, _ = np.linalg.lstsq(superop.matrix, p.astype(complex), rcond=None)
-    if rank < required:
-        raise IncompleteConfigurationsError(rank=int(rank), required=required)
     d = superop.basis_in.dimension
-    raw = solution.reshape(d, d)
-    residual = float(np.linalg.norm(superop.matrix @ solution - p))
+    required = d * d
+    rank = gramian_rank(superop).rank
+    if rank < required:
+        raise IncompleteConfigurationsError(rank=rank, required=required)
+    reflectors, tau, _ = superop._factor
+    rotated, _, info = dormqr("L", "T", reflectors, tau, p[:, None], lwork=1)
+    if info != 0:
+        raise ValueError(f"dormqr rejected argument {-info}")
+    solution = solve_triangular(reflectors[:required], rotated[:required, 0])
+    # A row vec(H) meets rho as sum_ab H_ab rho_ab = coords(H) . coords(rho^T), so
+    # the solution y holds rho^T's coordinates: rho_ab = (y_re - i y_im) / sqrt2.
+    raw = _hermitian_matrix(solution, d).T
+    residual = float(np.linalg.norm(rotated[required:]))
     projected = project_to_state(superop.basis_in, raw)
-    return ReconstructionResult(
-        raw=raw, projected=projected, residual=residual, rank=int(rank)
-    )
+    return ReconstructionResult(raw=raw, projected=projected, residual=residual, rank=rank)
 
 
 def sample_shots(
@@ -583,7 +630,10 @@ def find_min_configs(
     bound = min_configs_extended(photons, modes, meas_modes)
     if r_max is None:
         r_max = bound + 8
-    required = fock_dimension(photons, modes) ** 2
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
+    d = fock_dimension(photons, modes)
+    required = d * d
 
     rng = np.random.default_rng(seed)
     configs: list[InterferometerConfig] = []
@@ -594,7 +644,7 @@ def find_min_configs(
     while len(configs) < r_max:
         config = gen(meas_modes, int(rng.integers(2**63)))
         configs.append(config)
-        blocks.append(_superoperator_block(config, photons, modes))
+        blocks.append(_hermitian_coordinates(_superoperator_block(config, photons, modes), d))
         report = gramian_rank(np.vstack(blocks), rel_threshold)
         if report.rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
@@ -648,14 +698,15 @@ def find_min_modes(
     bound = min_modes_lower_bound(photons, modes)
     if meas_modes_max is None:
         meas_modes_max = bound + 6
-    required = fock_dimension(photons, modes) ** 2
+    d = fock_dimension(photons, modes)
+    required = d * d
 
     rng = np.random.default_rng(seed)
     scan: list[tuple[int, int, int]] = []
     found: int | None = None
     for meas_modes in range(modes, meas_modes_max + 1):
         config = gen(meas_modes, int(rng.integers(2**63)))
-        block = _superoperator_block(config, photons, modes)
+        block = _hermitian_coordinates(_superoperator_block(config, photons, modes), d)
         rank = gramian_rank(block, rel_threshold).rank
         scan.append((meas_modes, rank, required))
         if rank == required:

@@ -108,6 +108,27 @@ def normal_equation_solve(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, matrix.conj().T @ p)
 
 
+def complex_rank_trace(configs, photons: int, modes: int, rel_threshold=None):
+    """(R, rank) after each of the first R settings, by an SVD of the complex stack.
+
+    Every step takes the singular values of the whole stacked complex map
+    anew, with threshold max(rows, cols) * eps * sigma_max, or
+    ``rel_threshold`` * sigma_max when given.
+    """
+    from focktomo import build_superoperator
+
+    matrix = build_superoperator(configs, photons, modes).matrix
+    rows = matrix.shape[0] // len(configs)
+    trace = []
+    for count in range(1, len(configs) + 1):
+        stack = matrix[: count * rows]
+        sigma = np.linalg.svd(stack, compute_uv=False)
+        scale = max(stack.shape) * np.finfo(float).eps
+        threshold = (scale if rel_threshold is None else rel_threshold) * sigma[0]
+        trace.append((count, int((sigma > threshold).sum())))
+    return trace
+
+
 def is_nearest_state(a: np.ndarray, p: np.ndarray) -> bool:
     """True iff the density matrix P is the one nearest to the Hermitian A.
 

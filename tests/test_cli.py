@@ -1,5 +1,6 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,6 +336,40 @@ class TestReconstructCommand:
     def test_missing_state_file_is_a_validation_error(self, tmp_path):
         code = cli.main(["reconstruct", "--state", str(tmp_path / "nope.json")])
         assert code == 2
+
+
+    def test_one_factorisation_serves_every_shot_count(self, tmp_path, monkeypatch):
+        qr = mock.Mock(wraps=tg.qr)
+        monkeypatch.setattr(tg, "qr", qr)
+        state = tmp_path / "state.json"
+        write_state(state)
+        argv = ["reconstruct", "--state", str(state), "--shots", "0,10000,1000000",
+                "--efficiency", "0.9", "--invert-detector"]
+        assert cli.main(argv) == 0
+        assert qr.call_count == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["reconstruct", "--configs", "0"], "--configs must be at least 1, got 0"),
+            (["rank-scan", "--r-max", "0"], "r_max must be at least 1, got 0"),
+            (["rank-scan", "--tolerance-rank", "-1"],
+             "rel_threshold must be positive and finite, got -1.0"),
+            (["rank-scan", "--tolerance-rank", "nan"],
+             "rel_threshold must be positive and finite, got nan"),
+        ],
+    )
+    def test_exits_two_and_says_why(self, argv, message, tmp_path, capsys):
+        if argv[0] == "reconstruct":
+            state = tmp_path / "state.json"
+            write_state(state)
+            argv = [*argv, "--state", str(state)]
+        else:
+            argv = [*argv, "--photons", "2", "--modes", "2"]
+        assert cli.main(argv) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
 
 
 class TestDeterminismAndReplay:

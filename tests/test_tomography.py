@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focktomo import imperfections as imp
 from focktomo import linear_optics as lo
 from focktomo import tomography as tg
 from focktomo.combinatorics import enumerate_fock_basis, fock_dimension, min_configs
@@ -175,6 +177,55 @@ class TestGramianRank:
         assert "rank" in report.summary()
 
 
+class TestRealCoordinates:
+    @given(
+        photons=st.integers(1, 3),
+        modes=st.integers(2, 3),
+        extra=st.integers(0, 2),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_coordinates_keep_norms_singular_values_and_round_trip(
+        self, photons, modes, extra, count, seed
+    ):
+        meas_modes = min(modes + extra, 4)
+        superop = tg.build_superoperator(
+            haar_configs(meas_modes, count, seed), photons, modes
+        )
+        d = superop.basis_in.dimension
+        real = tg._hermitian_coordinates(superop.matrix, d)
+        np.testing.assert_allclose(
+            np.linalg.norm(real, axis=1), np.linalg.norm(superop.matrix, axis=1),
+            rtol=1e-13,
+        )
+        sigma = np.linalg.svd(superop.matrix, compute_uv=False)
+        cached = tg.gramian_rank(superop).singular_values
+        assert np.abs(cached - sigma).max() <= 1e-12 * sigma[0]
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = g + g.conj().T
+        coords = tg._hermitian_coordinates(h.reshape(1, -1), d)[0]
+        np.testing.assert_allclose(tg._hermitian_matrix(coords, d), h, atol=1e-14)
+        y = rng.standard_normal(d * d)
+        back = tg._hermitian_coordinates(tg._hermitian_matrix(y, d).reshape(1, -1), d)
+        np.testing.assert_allclose(back[0], y, atol=1e-14)
+
+    def test_matrix_is_read_only_and_factored_once(self, monkeypatch):
+        qr = mock.Mock(wraps=tg.qr)
+        monkeypatch.setattr(tg, "qr", qr)
+        configs = haar_configs(2, 6, seed=29)
+        superop = tg.build_superoperator(configs, 2, 2)
+        with pytest.raises(ValueError):
+            superop.matrix[0, 0] = 1.0
+        rho = tg.random_density_matrix(enumerate_fock_basis(2, 2), 3)
+        for _ in range(2):
+            assert tg.gramian_rank(superop).rank == 9
+        for shots in (0, 1000, 100_000):
+            tg.reconstruct(superop, tg.simulate_records(rho, configs, shots, seed=1))
+        assert qr.call_count == 1
+
+
 class TestCompletenessThresholds:
     @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 2), (2, 3)])
     def test_threshold_at_the_counting_bound(self, photons, modes):
@@ -214,6 +265,37 @@ class TestReconstruct:
         result = tg.reconstruct(superop, p)
         explicit = oracles.normal_equation_solve(superop.matrix, p.astype(complex))
         assert np.abs(result.raw.reshape(-1) - explicit).max() < 1e-8
+
+    def test_raw_equals_the_normal_equation_solution(self):
+        # Exact records, and the two-photon sector of a lossy two/three-photon
+        # mixture's sampled counts after inverting the detectors, which
+        # carries slightly negative entries.
+        configs = haar_configs(3, 4, seed=61)
+        superop = tg.build_superoperator(configs, 2, 2)
+        rho = tg.random_density_matrix(enumerate_fock_basis(2, 2), 8, rank=1)
+        exact = superop.apply(rho)
+        source = imp.PhotonNumberMixture(
+            ((0.3, rho), (0.7, tg.random_density_matrix(enumerate_fock_basis(3, 2), 9)))
+        )
+        basis = imp.truncated_basis(3, 3)
+        model = imp.DetectorModel.uniform(0.8, 3)
+        detected = [
+            imp.detector_response(imp.mixture_joint_probabilities(source, c)[1], basis, model)
+            for c in configs
+        ]
+        inverted = np.concatenate(
+            [
+                imp.postselect_total(
+                    imp.invert_detector_response(r.frequencies(), basis, model), basis, 2
+                )[0]
+                for r in tg.sample_records(detected, 1000, seed=0)
+            ]
+        )
+        assert -0.05 < inverted.min() < 0.0
+        for p in (exact, inverted):
+            explicit = oracles.normal_equation_solve(superop.matrix, p.astype(complex))
+            raw = tg.reconstruct(superop, p).raw
+            assert np.abs(raw.reshape(-1) - explicit).max() < 1e-10
 
     def test_sampled_error_shrinks_with_shots(self):
         basis = enumerate_fock_basis(2, 2)
@@ -294,6 +376,19 @@ class TestSearches:
         for count, rank in search.rank_trace:
             assert rank <= min(1 + count * (d_out - 1), d_out**2)
         assert search.found == min_configs(6, 2) == 13
+
+    @pytest.mark.parametrize(
+        "photons,modes,generator,seed",
+        [(3, 2, "haar", 1), (4, 3, "haar", 3), (5, 2, "mesh", 1)]
+        + [(6, 2, g, s) for g in ("haar", "mesh") for s in (0, 1, 2)],
+    )
+    def test_rank_trace_equals_the_complex_svd_trace(
+        self, photons, modes, generator, seed
+    ):
+        search = tg.find_min_configs(photons, modes, generator=generator, seed=seed)
+        assert search.rank_trace == oracles.complex_rank_trace(
+            search.configs, photons, modes
+        )
 
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5

@@ -369,6 +369,8 @@ def cmd_min_modes(spec: ExperimentSpec) -> int:
 
 def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: int):
     if spec.generator == "newton-young":
+        if spec.configs is not None:
+            raise ValueError("--configs does not apply to newton-young (2N+1 settings)")
         if modes != 2 or meas_modes != 2:
             raise ValueError("the newton-young generator requires M = M' = 2")
         protocol = newton_young_configs(photons)
@@ -425,6 +427,8 @@ def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, sho
 def cmd_reconstruct(spec: ExperimentSpec) -> int:
     if spec.state_path is None:
         raise ValueError("reconstruct requires --state FILE")
+    if spec.invert_detector and spec.efficiency is None:
+        raise ValueError("--invert-detector needs --efficiency")
     record = json.loads(Path(spec.state_path).read_text())
     truth = DensityMatrix.from_json_dict(record)
     photons, modes = truth.photons, truth.modes

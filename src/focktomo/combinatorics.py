@@ -289,7 +289,9 @@ def design_size_bounds(modes: int, photons: int) -> DesignSizeBounds:
 def single_config_feasible(photons: int, modes: int, meas_modes: int) -> bool:
     """Whether one fixed configuration over M' modes can be tomographically complete.
 
-    True iff D_{N,M'-1} >= D_{N,M}^2 - D_{N-1,M}^2.
+    Checks D_{N,M'-1} >= D_{N,M}^2 - D_{N-1,M}^2, which is necessary, not
+    sufficient: at (N, M, M') = (4, 3, 7) it holds, yet one generic setting
+    reaches rank 196 of 225.
     """
     if modes < 2:
         raise ValueError(f"mode count must be at least 2, got {modes}")

@@ -191,6 +191,29 @@ def check_shared_factorisation() -> None:
     assert np.abs(raw.reshape(-1) - expected).max() < 1e-10
 
 
+def check_incremental_rank_scan() -> None:
+    # Certified steps and steps handed to the SVD (mesh at (4,3,7), threshold 1e-3)
+    # must give the full SVD's rank; projecting twice leaves only roundoff outside V.
+    cells = [(2, 3, 3, None, None), (2, 3, 3, None, 1e-3), (4, 3, 7, 2, None)]
+    for photons, modes, meas_modes, r_max, rel in cells:
+        for generator, seed in [("haar", 1), ("mesh", 0)]:
+            search = tomography.find_min_configs(
+                photons, modes, meas_modes, generator, seed, r_max, rel
+            )
+            superop = tomography.build_superoperator(search.configs, photons, modes)
+            rows = tomography._hermitian_coordinates(superop.matrix, superop.basis_in.dimension)
+            step = superop.basis_out.dimension
+            for count, rank in search.rank_trace:
+                full = tomography.gramian_rank(rows[: count * step], rel).rank
+                assert rank == full, (meas_modes, generator, rel, count)
+    space, blocks = tomography._RowSpace(400, None), []
+    for config in tomography.find_min_configs(3, 4, seed=0).configs:
+        block = tomography._superoperator_block(config, 3, 4)
+        blocks.append(tomography._hermitian_coordinates(block, 20))
+        space.extend(blocks)
+    assert space.dropped_sq < 400 * np.finfo(float).eps ** 2 * space.frobenius_sq
+
+
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("fock-dimension-identities", check_fock_dimension_identities),
     ("config-count-closed-forms", check_config_count_closed_forms),
@@ -206,6 +229,7 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("mixture-roundtrip", check_mixture_roundtrip),
     ("reconstruction-roundtrip", check_reconstruction_roundtrip),
     ("shared-factorisation", check_shared_factorisation),
+    ("incremental-rank-scan", check_incremental_rank_scan),
 ]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.linalg.lapack import dormqr
+from scipy.linalg.lapack import dormqr, dpotrf
 
 from .combinatorics import (
     FockBasis,
@@ -41,6 +41,10 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 NEGATIVE_PROBABILITY_TOL = 1e-12
+# The certified rank scan keeps a direction only above KEEP_MARGIN times the
+# largest threshold the full SVD could use, and bounds sigma_max in POWER_STEPS.
+KEEP_MARGIN = 16.0
+POWER_STEPS = 3
 
 ConfigGenerator = Callable[[int, int], InterferometerConfig]
 
@@ -375,6 +379,15 @@ class RankReport:
         )
 
 
+def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> float:
+    """The rank threshold over sigma_max: max(rows, cols) * eps, or ``rel_threshold``."""
+    if rel_threshold is None:
+        return max(shape) * np.finfo(float).eps
+    if not (np.isfinite(rel_threshold) and rel_threshold > 0):
+        raise ValueError(f"rel_threshold must be positive and finite, got {rel_threshold}")
+    return rel_threshold
+
+
 def gramian_rank(
     superop: Superoperator | np.ndarray, rel_threshold: float | None = None
 ) -> RankReport:
@@ -385,18 +398,14 @@ def gramian_rank(
     machine-eps * sigma_max, the standard numerical-rank convention;
     ``rel_threshold`` (times sigma_max) overrides it.
     """
-    if rel_threshold is not None and not (np.isfinite(rel_threshold) and rel_threshold > 0):
-        raise ValueError(f"rel_threshold must be positive and finite, got {rel_threshold}")
     is_map = isinstance(superop, Superoperator)
     matrix = superop.matrix if is_map else np.asarray(superop)
+    scale = _threshold_scale(matrix.shape, rel_threshold)
     if matrix.size == 0:
         raise ValueError("empty superoperator")
     sigma = superop._factor[2] if is_map else np.linalg.svd(matrix, compute_uv=False)
     sigma_max = float(sigma[0])
-    if rel_threshold is None:
-        threshold = max(matrix.shape) * np.finfo(float).eps * sigma_max
-    else:
-        threshold = rel_threshold * sigma_max
+    threshold = scale * sigma_max
     kept = sigma > threshold
     rank = int(kept.sum())
     return RankReport(
@@ -608,6 +617,55 @@ class MinConfigSearch:
         return max(rank for _, rank in self.rank_trace)
 
 
+class _RowSpace:
+    """Orthonormal rows V^T spanning a growing stack A's kept rows, and K = (AV)^T AV.
+
+    Residual directions under KEEP_MARGIN tau_hi are dropped into e, with
+    e^2 = sum of their blocks' ||E_j||_2^2 >= ||A - AVV^T||_2^2.  With tau_lo <= tau
+    <= tau_hi from sigma_max >= sqrt(Rayleigh quotient of K) and <= ||A||_F, Weyl
+    gives rank k = dim V when K - ((KEEP_MARGIN tau_hi + e)^2 + k eps ||A||_F^2) I
+    is positive definite and e + sqrt(D^2) eps ||A||_F < tau_lo.
+    """
+
+    def __init__(self, columns: int, rel_threshold: float | None):
+        self.vt, self.gram = np.zeros((columns, columns)), np.zeros((columns, columns))
+        self.rank, self.dropped_sq, self.frobenius_sq = 0, 0.0, 0.0
+        self.rel_threshold = rel_threshold
+
+    def extend(self, blocks: Sequence[np.ndarray]) -> int | None:
+        """Take in ``blocks[-1]``; the stack's certified rank, or None if uncertified."""
+        block, k, n, eps = blocks[-1], self.rank, len(self.vt), np.finfo(float).eps
+        vt = self.vt[:k]
+        scale = _threshold_scale((sum(map(len, blocks)), n), self.rel_threshold)
+        self.frobenius_sq += float(np.sum(block**2))
+        frobenius = np.sqrt(self.frobenius_sq)
+        tau_hi = scale * frobenius
+        bv = block @ vt.T
+        residual = block - bv @ vt
+        residual -= (residual @ vt.T) @ vt  # classical Gram-Schmidt, twice
+        _, sigma, wt = np.linalg.svd(residual, full_matrices=False)
+        keep = min(int((sigma > KEEP_MARGIN * tau_hi).sum()), n - k)
+        self.dropped_sq += float(np.max(sigma[keep:], initial=0.0)) ** 2
+        self.rank = kk = k + keep
+        self.vt[k:kk] = np.linalg.qr((wt[:keep] - (wt[:keep] @ vt.T) @ vt).T)[0].T
+        aw = sum(b.T @ (b @ self.vt[k:kk].T) for b in blocks)  # A^T A W, block by block
+        self.gram[:k, :k] += bv.T @ bv
+        self.gram[:kk, k:kk] = self.vt[:kk] @ aw
+        self.gram[k:kk, :k] = self.gram[:k, k:kk].T
+
+        gram, dropped = self.gram[:kk, :kk], np.sqrt(self.dropped_sq)
+        x = np.diagonal(gram)
+        for _ in range(POWER_STEPS):
+            x = gram @ x
+            x = x / (np.linalg.norm(x) or 1.0)
+        if dropped + n**0.5 * eps * frobenius >= scale * max(x @ gram @ x, 0.0) ** 0.5:
+            return None
+        shift = (KEEP_MARGIN * tau_hi + dropped) ** 2 + kk * eps * self.frobenius_sq
+        shifted = np.array(gram, order="F")
+        shifted[np.diag_indices(kk)] -= shift
+        return kk if dpotrf(shifted, overwrite_a=True)[1] == 0 else None
+
+
 def find_min_configs(
     photons: int,
     modes: int,
@@ -621,7 +679,10 @@ def find_min_configs(
 
     Appends one independent configuration at a time and records the rank after
     each; stops at rank D^2 or after ``r_max`` configurations (reporting the
-    best rank achieved).  The observed minimum is checked against the counting
+    best rank achieved).  Each rank is ``gramian_rank``'s on the stacked real
+    map; ``_RowSpace`` certifies it without an SVD until a step it cannot
+    certify or a rank of D^2, and the full SVD settles that step and every
+    later one.  The observed minimum is checked against the counting
     lower bound on every run.
     """
     if meas_modes is None:
@@ -641,16 +702,20 @@ def find_min_configs(
     trace: list[tuple[int, int]] = []
     found: int | None = None
     previous_rank = 0
+    space: _RowSpace | None = _RowSpace(required, rel_threshold)
     while len(configs) < r_max:
         config = gen(meas_modes, int(rng.integers(2**63)))
         configs.append(config)
         blocks.append(_hermitian_coordinates(_superoperator_block(config, photons, modes), d))
-        report = gramian_rank(np.vstack(blocks), rel_threshold)
-        if report.rank < previous_rank:
+        rank = space.extend(blocks) if space is not None else None
+        if rank is None or rank == required:
+            space = None  # the SVD settles this step and every later one
+            rank = gramian_rank(np.vstack(blocks), rel_threshold).rank
+        if rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
-        previous_rank = report.rank
-        trace.append((len(configs), report.rank))
-        if report.rank == required:
+        previous_rank = rank
+        trace.append((len(configs), rank))
+        if rank == required:
             found = len(configs)
             break
     if found is not None and found < bound:
@@ -698,6 +763,8 @@ def find_min_modes(
     bound = min_modes_lower_bound(photons, modes)
     if meas_modes_max is None:
         meas_modes_max = bound + 6
+    if meas_modes_max < modes:
+        raise ValueError(f"meas_modes_max must be at least {modes}, got {meas_modes_max}")
     d = fock_dimension(photons, modes)
     required = d * d
 

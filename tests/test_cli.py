@@ -359,6 +359,9 @@ class TestBadInput:
              "rel_threshold must be positive and finite, got -1.0"),
             (["rank-scan", "--tolerance-rank", "nan"],
              "rel_threshold must be positive and finite, got nan"),
+            (["reconstruct", "--generator", "newton-young", "--configs", "3"],
+             "--configs does not apply to newton-young"),
+            (["reconstruct", "--invert-detector"], "--invert-detector needs --efficiency"),
         ],
     )
     def test_exits_two_and_says_why(self, argv, message, tmp_path, capsys):
@@ -370,6 +373,21 @@ class TestBadInput:
             argv = [*argv, "--photons", "2", "--modes", "2"]
         assert cli.main(argv) == 2
         assert f"invalid input: {message}" in capsys.readouterr().err
+
+    def test_min_modes_cap_below_the_state_modes(self, capsys):
+        argv = ["min-modes", "--photons", "2", "--modes", "3", "--meas-modes-max", "2"]
+        assert cli.main(argv) == 2
+        message = "invalid input: meas_modes_max must be at least 3, got 2"
+        assert message in capsys.readouterr().err
+
+    def test_run_spec_rejects_inversion_without_efficiency(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        write_state(state)
+        spec = cli.ExperimentSpec("reconstruct", state_path=str(state), invert_detector=True)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_json_dict()))
+        assert cli.main(["run-spec", str(path)]) == 2
+        assert "--invert-detector needs --efficiency" in capsys.readouterr().err
 
 
 class TestDeterminismAndReplay:

@@ -390,6 +390,37 @@ class TestSearches:
             search.configs, photons, modes
         )
 
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes,generator,seed,r_max,rel_threshold",
+        [(3, 4, 4, "haar", 0, None, None), (3, 4, 4, "haar", 1, None, None)]
+        + [(4, 3, 7, g, s, 3, None) for g in ("haar", "mesh") for s in (0, 1)]
+        + [(2, 4, 14, g, s, 3, None) for g in ("haar", "mesh") for s in (0, 1)]
+        + [(3, 4, 4, "haar", 0, None, rel) for rel in (1e-10, 1e-3)]
+        + [(4, 3, 7, "haar", 0, 3, rel) for rel in (1e-10, 1e-3)]
+        + [(2, 4, 14, "mesh", 1, 3, rel) for rel in (1e-10, 1e-3)],
+    )
+    def test_certified_scan_trace_equals_the_complex_svd_trace(
+        self, photons, modes, meas_modes, generator, seed, r_max, rel_threshold
+    ):
+        search = tg.find_min_configs(
+            photons, modes, meas_modes, generator, seed, r_max, rel_threshold
+        )
+        assert search.rank_trace == oracles.complex_rank_trace(
+            search.configs, photons, modes, rel_threshold
+        )
+
+    @pytest.mark.parametrize(
+        "rel_threshold,certified", [(None, True), (1e-10, True), (1e-3, False)]
+    )
+    def test_svds_taken_by_a_scan(self, monkeypatch, rel_threshold, certified):
+        # A certified scan takes one SVD, to confirm full rank; at 1e-3 the
+        # keep margin leaves directions unsettled and the SVD takes over.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(3, 4, seed=0, rel_threshold=rel_threshold)
+        assert search.found is not None
+        assert (rank.call_count == 1) is certified
+
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5
 

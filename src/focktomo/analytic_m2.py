@@ -275,24 +275,21 @@ def reconstruct_m2(
     for harmonic in range(-photons, photons + 1):
         rows, cols = np.nonzero(occ2[None, :] - occ2[:, None] == harmonic)
         coeffs = (lifted[rows].conj() * lifted[cols]).T  # (D outcomes, n_pairs)
-        systems.append((harmonic, rows, cols, coeffs))
+        target = harmonics[harmonic + photons]
+        solution, _, _, sigma = np.linalg.lstsq(coeffs, target, rcond=None)
+        systems.append((harmonic, rows, cols, coeffs, target, solution, sigma))
 
     # Rank-test each harmonic against the scale of the whole problem: an
     # inadmissible theta makes a block numerically zero, which would look
     # full-rank under a per-block relative threshold.
-    scale = max(
-        np.linalg.svd(coeffs, compute_uv=False)[0] for _, _, _, coeffs in systems
-    )
+    scale = max(sigma[0] for *_, sigma in systems)
     threshold = max(dim, 2 * photons + 1) * np.finfo(float).eps * scale
 
     rho = np.zeros((dim, dim), dtype=complex)
     misfit = 0.0
-    for harmonic, rows, cols, coeffs in systems:
-        sigma = np.linalg.svd(coeffs, compute_uv=False)
+    for harmonic, rows, cols, coeffs, target, solution, sigma in systems:
         if int((sigma > threshold).sum()) < len(rows):
             raise SingularHarmonicError(harmonic, theta)
-        target = harmonics[harmonic + photons]
-        solution = np.linalg.lstsq(coeffs, target, rcond=None)[0]
         rho[rows, cols] = solution
         misfit += float(np.linalg.norm(coeffs @ solution - target)) ** 2
 

@@ -3,7 +3,8 @@
 Subcommands emit CSV tables (with a schema tag line) and JSON documents
 (complex numbers as [re, im] pairs).  Every run is deterministic given its
 serialized spec, which is embedded in the JSON output and can be replayed
-with ``run-spec``.
+with ``run-spec``; a replayed spec has each field's JSON type checked
+against the field's annotation before anything runs.
 
 Exit codes: 0 on success, 2 for validation problems (bad arguments or
 files), 3 for numerical failures (incomplete configurations, failed
@@ -19,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -43,11 +44,13 @@ from .imperfections import (
     postselect_total,
     truncated_basis,
 )
+from .linear_optics import encode_complex_matrix
 from .tomography import (
     GENERATORS,
     DensityMatrix,
     IncompleteConfigurationsError,
     build_superoperator,
+    config_drawer,
     find_min_configs,
     find_min_modes,
     gramian_rank,
@@ -70,9 +73,28 @@ NUMERICAL_ERRORS = (
 )
 
 
+# The JSON types a spec field of each annotated type takes: bools are not
+# ints, and a float field takes an int.
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _json_matches(value, hint) -> bool:
+    args = get_args(hint)
+    if type(None) in args:
+        return value is None or _json_matches(value, args[0])
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_matches(v, args[0]) for v in value)
+    is_bool = isinstance(value, bool)
+    return is_bool == (hint is bool) and isinstance(value, _JSON_TYPES[hint])
+
+
 @dataclass
 class ExperimentSpec:
-    """Everything needed to replay a run bit-for-bit (exact mode)."""
+    """Everything needed to replay a run bit-for-bit (exact mode).
+
+    Construction checks the values; ``from_json_dict`` first checks each
+    field's JSON type against its annotation.
+    """
 
     command: str
     photons: str = ""
@@ -92,6 +114,13 @@ class ExperimentSpec:
     out_json: str | None = None
     summary_csv: str | None = None
 
+    def __post_init__(self) -> None:
+        self.shots = tuple(self.shots)
+        if any(s < 0 for s in self.shots):
+            raise ValueError("shot counts must be non-negative")
+        if self.efficiency is not None and not 0.0 < self.efficiency <= 1.0:
+            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
+
     def to_json_dict(self) -> dict:
         record = dataclasses.asdict(self)
         record["shots"] = list(self.shots)
@@ -99,13 +128,19 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "ExperimentSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(record) - known
+        if not isinstance(record, dict):
+            raise ValueError(f"a spec must be a JSON object, got {type(record).__name__}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(record) - set(fields)
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        record = dict(record)
-        if "shots" in record:
-            record["shots"] = tuple(int(s) for s in record["shots"])
+        hints = get_type_hints(cls)
+        for name, f in fields.items():
+            if name not in record:
+                if f.default is dataclasses.MISSING:
+                    raise ValueError(f"spec field {name!r} is missing")
+            elif not _json_matches(record[name], hints[name]):
+                raise ValueError(f"spec field {name!r} must be {f.type}, got {record[name]!r}")
         return cls(**record)
 
 
@@ -151,10 +186,6 @@ def _write_json(path: str | None, document: dict) -> None:
         print(text)
 
 
-def _complex_matrix(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
-
-
 # One stable row shape shared by all experiment commands.
 SUMMARY_SCHEMA = "focktomo.experiment.v1"
 SUMMARY_HEADER = [
@@ -170,9 +201,25 @@ SUMMARY_HEADER = [
 ]
 
 
-def _write_summary(path: str | None, rows: list[list]) -> None:
-    if path:
-        _write_csv(path, SUMMARY_SCHEMA, SUMMARY_HEADER, rows)
+def _write_outputs(
+    spec: ExperimentSpec,
+    schema: str,
+    payload: dict,
+    table: tuple[list[str], list[list]] | None = None,
+    summary: list[tuple] | None = None,
+) -> None:
+    """Write a command's CSV ``table`` (header, rows) to ``--out`` or stdout,
+    its ``summary`` rows to ``--summary`` and its JSON document {"schema",
+    "spec", **payload} to ``--json``.  A summary row is (photons, modes,
+    meas_modes, configs, rank, complete, residual); the spec adds the rest.
+    """
+    if table is not None:
+        _write_csv(spec.out_csv, schema, *table)
+    if spec.summary_csv and summary is not None:
+        rows = [[*row[:3], spec.generator, spec.seed, *row[3:]] for row in summary]
+        _write_csv(spec.summary_csv, SUMMARY_SCHEMA, SUMMARY_HEADER, rows)
+    if spec.out_json:
+        _write_json(spec.out_json, {"schema": schema, "spec": spec.to_json_dict(), **payload})
 
 
 def cmd_bounds(spec: ExperimentSpec) -> int:
@@ -194,12 +241,9 @@ def cmd_bounds(spec: ExperimentSpec) -> int:
         "design_dimension_bound",
     ]
     rows = []
-    design_cache: dict[tuple[int, int], tuple[int, int, int]] = {}
     for photons in photon_range:
         for modes in mode_range:
-            if (modes, photons) not in design_cache:
-                design_cache[(modes, photons)] = design_size_bounds(modes, photons)
-            lower, upper, dim_bound = design_cache[(modes, photons)]
+            lower, upper, dim_bound = design_size_bounds(modes, photons)
             for meas_modes in meas_range:
                 if meas_modes < modes:
                     continue
@@ -220,17 +264,9 @@ def cmd_bounds(spec: ExperimentSpec) -> int:
                 )
     if not rows:
         raise ValueError("requested ranges produce no (N, M, M') combinations")
-    _write_csv(spec.out_csv, "focktomo.bounds.v1", header, rows)
-    if spec.out_json:
-        _write_json(
-            spec.out_json,
-            {
-                "schema": "focktomo.bounds.v1",
-                "spec": spec.to_json_dict(),
-                "header": header,
-                "rows": rows,
-            },
-        )
+    _write_outputs(
+        spec, "focktomo.bounds.v1", {"header": header, "rows": rows}, table=(header, rows)
+    )
     return EXIT_OK
 
 
@@ -251,54 +287,38 @@ def cmd_rank_scan(spec: ExperimentSpec) -> int:
     )
     header = ["configs", "rank", "required_rank"]
     rows = [[r, rank, search.required_rank] for r, rank in search.rank_trace]
-    _write_csv(spec.out_csv, "focktomo.rank_scan.v1", header, rows)
-    _write_summary(
-        spec.summary_csv,
-        [
-            [
-                photons,
-                modes,
-                meas_modes,
-                spec.generator,
-                spec.seed,
-                len(search.configs),
-                search.best_rank,
-                int(search.found is not None),
-                "",
-            ]
+    complete = int(search.found is not None)
+    bound = search.lower_bound
+    # An incomplete scan still writes every output before it fails.
+    _write_outputs(
+        spec,
+        "focktomo.rank_scan.v1",
+        {
+            "found": search.found,
+            "lower_bound": bound,
+            "required_rank": search.required_rank,
+            "rank_trace": search.rank_trace,
+            "provenance": [c.provenance.to_json_dict() for c in search.configs],
+        },
+        table=(header, rows),
+        summary=[
+            (photons, modes, meas_modes, len(search.configs), search.best_rank, complete, "")
         ],
     )
-
-    bound = search.lower_bound
     if search.found is None:
         print(
             f"no complete set within {len(search.configs)} configurations; "
             f"best rank {search.best_rank} of {search.required_rank}"
         )
-    else:
-        comparison = "matches" if search.found == bound else "exceeds"
-        print(
-            f"minimal R = {search.found} ({spec.generator}); "
-            f"counting bound {bound}: observed {comparison} the bound"
-        )
-    if spec.out_json:
-        _write_json(
-            spec.out_json,
-            {
-                "schema": "focktomo.rank_scan.v1",
-                "spec": spec.to_json_dict(),
-                "found": search.found,
-                "lower_bound": bound,
-                "required_rank": search.required_rank,
-                "rank_trace": search.rank_trace,
-                "provenance": [c.provenance.to_json_dict() for c in search.configs],
-            },
-        )
-    if search.found is None:
         raise RuntimeError(
             f"rank {search.best_rank} < {search.required_rank} after "
             f"{len(search.configs)} configurations"
         )
+    comparison = "matches" if search.found == bound else "exceeds"
+    print(
+        f"minimal R = {search.found} ({spec.generator}); "
+        f"counting bound {bound}: observed {comparison} the bound"
+    )
     return EXIT_OK
 
 
@@ -324,17 +344,7 @@ def cmd_min_modes(spec: ExperimentSpec) -> int:
             results.append(search)
             last_meas, last_rank, _ = search.rank_by_meas_modes[-1]
             summary_rows.append(
-                [
-                    photons,
-                    modes,
-                    last_meas,
-                    spec.generator,
-                    spec.seed,
-                    1,
-                    last_rank,
-                    int(search.found is not None),
-                    "",
-                ]
+                (photons, modes, last_meas, 1, last_rank, int(search.found is not None), "")
             )
             if search.found is None:
                 print(
@@ -342,28 +352,23 @@ def cmd_min_modes(spec: ExperimentSpec) -> int:
                     f"{search.rank_by_meas_modes[-1][0]} exceeded "
                     f"(bound {search.lower_bound})"
                 )
-    _write_csv(spec.out_csv, "focktomo.min_modes.v1", header, rows)
-    _write_summary(spec.summary_csv, summary_rows)
-    if spec.out_json:
-        _write_json(
-            spec.out_json,
-            {
-                "schema": "focktomo.min_modes.v1",
-                "spec": spec.to_json_dict(),
-                "header": header,
-                "rows": rows,
-                "scans": [
-                    {
-                        "photons": s.photons,
-                        "modes": s.modes,
-                        "bound": s.lower_bound,
-                        "numeric": s.found,
-                        "ranks": s.rank_by_meas_modes,
-                    }
-                    for s in results
-                ],
-            },
-        )
+    scans = [
+        {
+            "photons": s.photons,
+            "modes": s.modes,
+            "bound": s.lower_bound,
+            "numeric": s.found,
+            "ranks": s.rank_by_meas_modes,
+        }
+        for s in results
+    ]
+    _write_outputs(
+        spec,
+        "focktomo.min_modes.v1",
+        {"header": header, "rows": rows, "scans": scans},
+        table=(header, rows),
+        summary=summary_rows,
+    )
     return EXIT_OK
 
 
@@ -375,15 +380,11 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
             raise ValueError("the newton-young generator requires M = M' = 2")
         protocol = newton_young_configs(photons)
         return protocol.configs
-    try:
-        generator = GENERATORS[spec.generator]
-    except KeyError:
-        raise ValueError(f"unknown generator {spec.generator!r}") from None
+    draw = config_drawer(spec.generator, spec.seed)
     if spec.configs is not None and spec.configs < 1:
         raise ValueError(f"--configs must be at least 1, got {spec.configs}")
     count = spec.configs or min_configs_extended(photons, modes, meas_modes)
-    rng = np.random.default_rng(spec.seed)
-    return [generator(meas_modes, int(rng.integers(2**63))) for _ in range(count)]
+    return [draw(meas_modes) for _ in range(count)]
 
 
 def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
@@ -419,8 +420,9 @@ def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, sho
         conditional, mass = postselect_total(detected, basis, superop.photons)
         masses.append(mass)
         conditionals.append(conditional)
-    # Noisy inversion can leave slightly negative entries; feed them to the
-    # least-squares solver as-is rather than clipping.
+    # The N-photon sector of an inverted record is the detected sector over
+    # eta^N, so it is never negative; lower sectors can be, but post-selection
+    # drops them.
     return reconstruct(superop, np.concatenate(conditionals)), masses
 
 
@@ -464,42 +466,29 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
             f"trace distance to truth {distance:.3e}"
         )
 
-    _write_summary(
-        spec.summary_csv,
-        [
-            [
-                photons,
-                modes,
-                meas_modes,
-                spec.generator,
-                spec.seed,
-                len(configs),
-                report.rank,
-                int(report.rank == required),
-                entry["residual"],
-            ]
-            for entry in sweep
+    complete = int(report.rank == required)
+    table = (
+        ["shots", "residual", "trace_distance"],
+        [[e["shots"], e["residual"], e["trace_distance"]] for e in sweep],
+    )
+    # stdout carries the per-shot lines, so the table goes only to --out.
+    _write_outputs(
+        spec,
+        "focktomo.reconstruct.v1",
+        {
+            "rank": report.rank,
+            "required_rank": required,
+            "configs": [c.to_json_dict() for c in configs],
+            "sweep": sweep,
+            "raw_estimate": encode_complex_matrix(final.raw),
+            "projected_estimate": encode_complex_matrix(final.projected.matrix),
+        },
+        table=table if spec.out_csv else None,
+        summary=[
+            (photons, modes, meas_modes, len(configs), report.rank, complete, e["residual"])
+            for e in sweep
         ],
     )
-    document = {
-        "schema": "focktomo.reconstruct.v1",
-        "spec": spec.to_json_dict(),
-        "rank": report.rank,
-        "required_rank": required,
-        "configs": [c.to_json_dict() for c in configs],
-        "sweep": sweep,
-        "raw_estimate": _complex_matrix(final.raw),
-        "projected_estimate": _complex_matrix(final.projected.matrix),
-    }
-    if spec.out_json:
-        _write_json(spec.out_json, document)
-    if spec.out_csv:
-        _write_csv(
-            spec.out_csv,
-            "focktomo.reconstruct.v1",
-            ["shots", "residual", "trace_distance"],
-            [[e["shots"], e["residual"], e["trace_distance"]] for e in sweep],
-        )
     return EXIT_OK
 
 
@@ -522,7 +511,7 @@ def cmd_selftest(_: ExperimentSpec) -> int:
 
 def cmd_run_spec(path: str) -> int:
     record = json.loads(Path(path).read_text())
-    if "spec" in record:
+    if isinstance(record, dict) and "spec" in record:
         record = record["spec"]
     spec = ExperimentSpec.from_json_dict(record)
     try:
@@ -618,36 +607,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    shots = (0,)
-    if getattr(args, "shots", None) is not None:
+    """Copy each parsed option to the spec field of its name."""
+    values = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentSpec)
+        if hasattr(args, f.name)
+    }
+    if "shots" in values:
         try:
-            shots = tuple(int(s) for s in str(args.shots).split(","))
+            values["shots"] = [int(s) for s in values["shots"].split(",")]
         except ValueError:
             raise ValueError(f"bad --shots value {args.shots!r}")
-        if any(s < 0 for s in shots):
-            raise ValueError("shot counts must be non-negative")
-    efficiency = getattr(args, "efficiency", None)
-    if efficiency is not None and not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
-    return ExperimentSpec(
-        command=args.command,
-        photons=getattr(args, "photons", "") or "",
-        modes=getattr(args, "modes", "") or "",
-        meas_modes=getattr(args, "meas_modes", None),
-        generator=getattr(args, "generator", "haar"),
-        seed=getattr(args, "seed", 0),
-        shots=shots,
-        rank_tolerance=getattr(args, "rank_tolerance", None),
-        efficiency=efficiency,
-        invert_detector=getattr(args, "invert_detector", False),
-        state_path=getattr(args, "state_path", None),
-        configs=getattr(args, "configs", None),
-        r_max=getattr(args, "r_max", None),
-        meas_modes_max=getattr(args, "meas_modes_max", None),
-        out_csv=getattr(args, "out_csv", None),
-        out_json=getattr(args, "out_json", None),
-        summary_csv=getattr(args, "summary_csv", None),
-    )
+    return ExperimentSpec(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -42,8 +42,29 @@ def _occupations(photons: int, modes: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+class IndexedStates:
+    """Position lookup over a ``states`` tuple of occupation vectors, shared
+    by the fixed-total and the truncated bases."""
+
+    states: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {state: i for i, state in enumerate(self.states)}
+
+    def index_of(self, state: Sequence[int]) -> int:
+        key = tuple(int(k) for k in state)
+        try:
+            return self._index[key]
+        except KeyError:
+            raise ValueError(f"{key} is not a state of this basis") from None
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
 @dataclass(frozen=True)
-class FockBasis:
+class FockBasis(IndexedStates):
     """Canonical ordered enumeration of N-photon occupation vectors over M modes.
 
     States are ordered lexicographically decreasing; the index of a state is
@@ -68,26 +89,12 @@ class FockBasis:
                     f"occupation {state} does not sum to {self.photons}"
                 )
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {state: i for i, state in enumerate(self.states)}
-
     @property
     def dimension(self) -> int:
         return len(self.states)
 
-    def index_of(self, state: Sequence[int]) -> int:
-        key = tuple(int(k) for k in state)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a state of this basis") from None
-
     def state_at(self, index: int) -> tuple[int, ...]:
         return self.states[index]
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.states)
@@ -170,10 +177,6 @@ class Signature:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    @property
-    def positive_sum(self) -> int:
-        return sum(p for p in self.parts if p > 0)
 
 
 def _as_signature(parts: Signature | Sequence[int]) -> Signature:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .combinatorics import enumerate_fock_basis, fock_dimension
+from .combinatorics import IndexedStates, enumerate_fock_basis, fock_dimension
 from .linear_optics import InterferometerConfig
 from .tomography import (
     DensityMatrix,
@@ -50,7 +50,7 @@ class IncompleteSectorError(ValueError):
 
 
 @dataclass(frozen=True)
-class TruncatedBasis:
+class TruncatedBasis(IndexedStates):
     """All occupation vectors with total photon number <= max_total.
 
     States are ordered by ascending total, canonically within each sector, so
@@ -61,25 +61,11 @@ class TruncatedBasis:
     modes: int
     states: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {state: i for i, state in enumerate(self.states)}
-
-    def index_of(self, state: Sequence[int]) -> int:
-        key = tuple(int(k) for k in state)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a state of this basis") from None
-
     def sector_slice(self, total: int) -> slice:
         if not 0 <= total <= self.max_total:
             raise ValueError(f"total {total} outside [0, {self.max_total}]")
         start = sum(fock_dimension(n, self.modes) for n in range(total))
         return slice(start, start + fock_dimension(total, self.modes))
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,23 @@ _GLYNN_CHUNK = 1 << 12
 PROVENANCE_KINDS = ("haar", "mesh", "newton_young", "explicit")
 
 
+def encode_complex_matrix(matrix: np.ndarray) -> list:
+    """The JSON form of a complex matrix: rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+
+
+def decode_complex_matrix(rows) -> np.ndarray:
+    """Inverse of ``encode_complex_matrix``: ``ValueError`` unless ``rows`` are
+    equal-length rows of [re, im] number pairs."""
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged rows
+        pairs = np.empty(0)
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iuf":
+        raise ValueError("a matrix must be equal-length rows of [re, im] pairs")
+    return pairs.astype(float).view(complex)[..., 0]
+
+
 @dataclass(frozen=True)
 class Provenance:
     """How a configuration was produced (enough to regenerate it)."""
@@ -91,21 +108,15 @@ class InterferometerConfig:
     def to_json_dict(self) -> dict:
         return {
             "modes": self.modes,
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ],
+            "matrix": encode_complex_matrix(self.matrix),
             "provenance": self.provenance.to_json_dict(),
         }
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "InterferometerConfig":
-        rows = record["matrix"]
-        g = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
         return cls(
             modes=int(record["modes"]),
-            matrix=g,
+            matrix=decode_complex_matrix(record["matrix"]),
             provenance=Provenance.from_json_dict(record["provenance"]),
         )
 

@@ -31,6 +31,8 @@ from .combinatorics import (
 )
 from .linear_optics import (
     InterferometerConfig,
+    decode_complex_matrix,
+    encode_complex_matrix,
     haar_random_unitary,
     lift_unitary,
     random_mesh_unitary,
@@ -103,19 +105,15 @@ class DensityMatrix:
         return {
             "photons": self.basis.photons,
             "modes": self.basis.modes,
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ],
+            "matrix": encode_complex_matrix(self.matrix),
         }
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "DensityMatrix":
+        if not isinstance(record, dict):
+            raise ValueError(f"a state must be a JSON object, got {type(record).__name__}")
         basis = enumerate_fock_basis(int(record["photons"]), int(record["modes"]))
-        rho = np.array(
-            [[complex(re, im) for re, im in row] for row in record["matrix"]],
-            dtype=complex,
-        )
-        return cls(basis, rho)
+        return cls(basis, decode_complex_matrix(record["matrix"]))
 
 
 def pure_state(basis: FockBasis, amplitudes: Sequence[complex]) -> DensityMatrix:
@@ -300,10 +298,6 @@ class Superoperator:
     def row_slice(self, config_index: int) -> slice:
         d_out = self.basis_out.dimension
         return slice(config_index * d_out, (config_index + 1) * d_out)
-
-    def column_index(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        d = self.basis_in.dimension
-        return self.basis_in.index_of(alpha) * d + self.basis_in.index_of(beta)
 
     def apply(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
         mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
@@ -586,15 +580,24 @@ def simulate_records(
     return sample_records([outcome_probabilities(rho, c) for c in configs], shots, seed)
 
 
-def _resolve_generator(generator: str | ConfigGenerator) -> ConfigGenerator:
-    if callable(generator):
-        return generator
-    try:
-        return GENERATORS[generator]
-    except KeyError:
-        raise ValueError(
-            f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
-        ) from None
+def config_drawer(
+    generator: str | ConfigGenerator, seed: int
+) -> Callable[[int], InterferometerConfig]:
+    """The one rule by which searches and the CLI draw settings.
+
+    ``generator`` is a ``GENERATORS`` name or a callable.  Call k of the
+    returned function makes a setting on the given number of modes, seeded by
+    the k-th integer below 2**63 that ``np.random.default_rng(seed)`` draws.
+    """
+    if not callable(generator):
+        try:
+            generator = GENERATORS[generator]
+        except KeyError:
+            raise ValueError(
+                f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
+            ) from None
+    rng = np.random.default_rng(seed)
+    return lambda modes: generator(modes, int(rng.integers(2**63)))
 
 
 @dataclass
@@ -687,7 +690,7 @@ def find_min_configs(
     """
     if meas_modes is None:
         meas_modes = modes
-    gen = _resolve_generator(generator)
+    draw = config_drawer(generator, seed)
     bound = min_configs_extended(photons, modes, meas_modes)
     if r_max is None:
         r_max = bound + 8
@@ -696,7 +699,6 @@ def find_min_configs(
     d = fock_dimension(photons, modes)
     required = d * d
 
-    rng = np.random.default_rng(seed)
     configs: list[InterferometerConfig] = []
     blocks: list[np.ndarray] = []
     trace: list[tuple[int, int]] = []
@@ -704,7 +706,7 @@ def find_min_configs(
     previous_rank = 0
     space: _RowSpace | None = _RowSpace(required, rel_threshold)
     while len(configs) < r_max:
-        config = gen(meas_modes, int(rng.integers(2**63)))
+        config = draw(meas_modes)
         configs.append(config)
         blocks.append(_hermitian_coordinates(_superoperator_block(config, photons, modes), d))
         rank = space.extend(blocks) if space is not None else None
@@ -759,7 +761,7 @@ def find_min_modes(
     rel_threshold: float | None = None,
 ) -> MinModesSearch:
     """Smallest M' for which one generated configuration is already complete."""
-    gen = _resolve_generator(generator)
+    draw = config_drawer(generator, seed)
     bound = min_modes_lower_bound(photons, modes)
     if meas_modes_max is None:
         meas_modes_max = bound + 6
@@ -768,11 +770,10 @@ def find_min_modes(
     d = fock_dimension(photons, modes)
     required = d * d
 
-    rng = np.random.default_rng(seed)
     scan: list[tuple[int, int, int]] = []
     found: int | None = None
     for meas_modes in range(modes, meas_modes_max + 1):
-        config = gen(meas_modes, int(rng.integers(2**63)))
+        config = draw(meas_modes)
         block = _hermitian_coordinates(_superoperator_block(config, photons, modes), d)
         rank = gramian_rank(block, rel_threshold).rank
         scan.append((meas_modes, rank, required))

@@ -380,6 +380,44 @@ class TestBadInput:
         message = "invalid input: meas_modes_max must be at least 3, got 2"
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"command": "bounds", "photons": 2, "modes": "2"},
+             "spec field 'photons' must be str, got 2"),
+            ({"command": "rank-scan", "photons": "2", "modes": "2", "seed": "abc"},
+             "spec field 'seed' must be int, got 'abc'"),
+            ({"command": "rank-scan", "photons": "2", "modes": "2", "r_max": "5"},
+             "spec field 'r_max' must be int | None, got '5'"),
+            ({"command": "reconstruct", "state_path": "state.json", "shots": 5},
+             "spec field 'shots' must be tuple[int, ...], got 5"),
+            ({"command": "bounds", "photons": "1", "modes": "2", "seed": 1.5},
+             "spec field 'seed' must be int, got 1.5"),
+            ({"command": "bounds", "photons": "1", "modes": "2", "seed": True},
+             "spec field 'seed' must be int, got True"),
+            ({"photons": "2", "modes": "2"}, "spec field 'command' is missing"),
+            ([1, 2], "a spec must be a JSON object, got list"),
+        ],
+    )
+    def test_run_spec_checks_field_types(self, record, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(record))
+        assert cli.main(["run-spec", str(path)]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"photons": 1, "modes": 2, "matrix": [[1, 0], [0, 0]]}, "[re, im] pairs"),
+            ([[[1, 0]]], "a state must be a JSON object, got list"),
+        ],
+    )
+    def test_malformed_state_file(self, record, message, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(record))
+        assert cli.main(["reconstruct", "--state", str(state)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_run_spec_rejects_inversion_without_efficiency(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         write_state(state)

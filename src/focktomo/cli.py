@@ -116,8 +116,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.shots = tuple(self.shots)
-        if any(s < 0 for s in self.shots):
-            raise ValueError("shot counts must be non-negative")
+        if not self.shots or any(s < 0 for s in self.shots):
+            raise ValueError("shots must list at least one count, none negative")
         if self.efficiency is not None and not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
 

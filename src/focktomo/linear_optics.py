@@ -4,9 +4,10 @@ A configuration is an M'xM' unitary acting on mode operators.  Its action on
 the N-photon sector is a D_{N,M'} x D_{N,M'} unitary whose entries are matrix
 permanents of row/column-repeated submatrices; ``lift_unitary`` builds it by
 creation operators, and ``fock_amplitude`` gives single entries as an
-independent cross-check, with permanents by Glynn's formula.  Configurations
-can be drawn Haar-randomly, built from a rectangular beamsplitter mesh, or
-given explicitly; they serialize to JSON with a bit-exact round trip.
+independent cross-check, with permanents by Glynn's formula.  A stack of R
+settings is lifted in one pass.  Configurations can be drawn Haar-randomly,
+built from a rectangular beamsplitter mesh, or given explicitly; they
+serialize to JSON with a bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -90,20 +91,15 @@ class InterferometerConfig:
     def __post_init__(self) -> None:
         g = np.array(self.matrix, dtype=complex)
         if g.shape != (self.modes, self.modes):
-            raise ValueError(
-                f"matrix shape {g.shape} does not match {self.modes} modes"
-            )
-        residual = np.abs(g.conj().T @ g - np.eye(self.modes)).max()
-        if residual > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
+            raise ValueError(f"matrix shape {g.shape} does not match {self.modes} modes")
         g.flags.writeable = False
         self.matrix = g
+        if (residual := self.unitarity_residual) > UNITARITY_TOL:
+            raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
 
     @property
     def unitarity_residual(self) -> float:
-        return float(
-            np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.modes)).max()
-        )
+        return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.modes)).max())
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,7 +286,8 @@ class FockUnitary:
 
     With ``in_modes`` set, ``matrix`` holds only the columns of the input
     states on the first ``in_modes`` modes (vacuum elsewhere), in the order
-    of their own canonical basis.  The columns must be orthonormal.
+    of their own canonical basis.  The lift of an (R, M', M') stack has an
+    (R, D', C) ``matrix``.  Each member's columns must be orthonormal.
     """
 
     basis: FockBasis
@@ -302,9 +299,9 @@ class FockUnitary:
         d = self.basis.dimension
         inputs = self.basis.modes if self.in_modes is None else self.in_modes
         columns = fock_dimension(self.basis.photons, inputs)
-        if u.shape != (d, columns):
-            raise ValueError(f"matrix shape {u.shape}, expected {(d, columns)}")
-        residual = np.abs(u.conj().T @ u - np.eye(columns)).max()
+        if u.ndim not in (2, 3) or u.shape[-2:] != (d, columns) or u.size == 0:
+            raise ValueError(f"matrix shape {u.shape}, expected (R,) {(d, columns)}")
+        residual = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(columns)).max()
         if residual > LIFT_UNITARITY_TOL * max(d, 1):
             raise ValueError(
                 f"lifted columns are not orthonormal (residual {residual:.3e})"
@@ -337,19 +334,20 @@ def _lift_columns(g: np.ndarray, photons: int, in_modes: int) -> np.ndarray:
     # One photon per sector: the column of beta is the column of beta - e_j
     # (j its last occupied mode) raised by sum_i g_ij a_i^dag and divided by
     # sqrt(beta_j).  Every column of sector k - 1 this needs is itself an
-    # input column of that sector.
-    modes = g.shape[0]
-    columns = np.ones((1, 1), dtype=complex)
+    # input column of that sector.  The batch is axis 1, so gathers take axis 0.
+    batch, modes = g.shape[:-2], g.shape[-1]
+    g = g.reshape(-1, modes, modes)
+    columns = np.ones((1, len(g), 1), dtype=complex)
     for k in range(1, photons + 1):
         lower, root, _ = _sector_tables(k, modes)
         in_lower, in_root, last = _sector_tables(k, in_modes)
         inputs = np.arange(len(last))
-        previous = columns[:, in_lower[inputs, last]]
-        raise_by = g[:, last] / in_root[inputs, last]  # (M', C_k)
-        columns = np.zeros((len(lower), len(last)), dtype=complex)
+        previous = columns[:, :, in_lower[inputs, last]]
+        raise_by = g[:, :, last] / in_root[inputs, last]  # (R, M', C_k)
+        columns = np.zeros((len(lower), len(g), len(last)), dtype=complex)
         for i in range(modes):
-            columns += root[:, i, None] * previous[lower[:, i]] * raise_by[i]
-    return columns
+            columns += root[:, i, None, None] * previous[lower[:, i]] * raise_by[:, i]
+    return np.ascontiguousarray(columns.swapaxes(0, 1)).reshape(batch + columns.shape[::2])
 
 
 def lift_unitary(
@@ -357,22 +355,23 @@ def lift_unitary(
     photons: int,
     in_modes: int | None = None,
 ) -> FockUnitary:
-    """Lift a mode unitary to its N-photon Fock-space representation.
+    """Lift a mode unitary, or an (R, M', M') stack of them, to the N-photon Fock space.
 
     Entry (alpha, beta) is ``fock_amplitude(g, alpha, beta)``.  Column beta is
     built from the creation-operator identity
     U|beta> = prod_j (sum_i g_ij a_i^dag)^beta_j |0> / sqrt(beta!), one photon
     at a time, for about N M' D' operations per column.  ``in_modes`` keeps
     only the columns of inputs on the first ``in_modes`` modes, which are
-    then the only ones built.
+    then the only ones built.  A stack is lifted in one pass, member r equal
+    bit for bit to the lift of ``g[r]``, into a ``matrix`` of shape (R, D', C).
     """
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
     g = config.matrix if isinstance(config, InterferometerConfig) else config
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("mode transformation must be a square matrix")
-    modes = g.shape[0]
+    if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2]:
+        raise ValueError("mode transformation must be a square matrix or a stack of them")
+    modes = g.shape[-1]
     if in_modes is not None and not 1 <= in_modes <= modes:
         raise ValueError(f"input modes {in_modes} outside [1, {modes}]")
     if photons > PERMANENT_SIZE_CAP:

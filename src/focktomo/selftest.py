@@ -78,11 +78,8 @@ def check_lift_homomorphism() -> None:
         g = linear_optics.haar_random_unitary(modes, seed)
         h = linear_optics.haar_random_unitary(modes, seed + 100)
         lhs = linear_optics.lift_unitary(g.matrix @ h.matrix, photons).matrix
-        rhs = (
-            linear_optics.lift_unitary(g, photons).matrix
-            @ linear_optics.lift_unitary(h, photons).matrix
-        )
-        assert np.abs(lhs - rhs).max() < 1e-9
+        ug, uh = linear_optics.lift_unitary(np.stack([g.matrix, h.matrix]), photons).matrix
+        assert np.abs(lhs - ug @ uh).max() < 1e-9
 
 
 def check_superoperator_consistency() -> None:
@@ -90,9 +87,7 @@ def check_superoperator_consistency() -> None:
     rho = tomography.random_density_matrix(basis, 7)
     configs = [linear_optics.haar_random_unitary(3, s) for s in (0, 1)]
     superop = tomography.build_superoperator(configs, 2, 2)
-    stacked = np.concatenate(
-        [tomography.outcome_probabilities(rho, c) for c in configs]
-    )
+    stacked = tomography.outcome_probabilities(rho, configs).reshape(-1)
     assert np.abs(superop.apply(rho) - stacked).max() < 1e-12
 
 
@@ -208,7 +203,7 @@ def check_incremental_rank_scan() -> None:
                 assert rank == full, (meas_modes, generator, rel, count)
     space, blocks = tomography._RowSpace(400, None), []
     for config in tomography.find_min_configs(3, 4, seed=0).configs:
-        block = tomography._superoperator_block(config, 3, 4)
+        block = tomography._superoperator_rows([config], 3, 4)
         blocks.append(tomography._hermitian_coordinates(block, 20))
         space.extend(blocks)
     assert space.dropped_sq < 400 * np.finfo(float).eps ** 2 * space.frobenius_sq

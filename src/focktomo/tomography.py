@@ -112,7 +112,11 @@ class DensityMatrix:
     def from_json_dict(cls, record: dict) -> "DensityMatrix":
         if not isinstance(record, dict):
             raise ValueError(f"a state must be a JSON object, got {type(record).__name__}")
-        basis = enumerate_fock_basis(int(record["photons"]), int(record["modes"]))
+        for name in ("photons", "modes"):
+            value = record.get(name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"state field {name!r} must be an integer, got {value!r}")
+        basis = enumerate_fock_basis(record["photons"], record["modes"])
         return cls(basis, decode_complex_matrix(record["matrix"]))
 
 
@@ -219,37 +223,47 @@ class MeasurementRecord:
         return self.counts / self.shots
 
 
-def _restricted_lift(config: InterferometerConfig, photons: int, modes: int) -> np.ndarray:
+def _restricted_lift(configs, photons: int, modes: int) -> np.ndarray:
     """Rows of the lifted unitary that start from the M-mode (vacuum-padded) sector.
 
     Since <alpha|U(g)|nu> = <nu|U(g^T)|alpha>, these rows are the padded
     input columns of the lift of g^T, transposed; the other D' - D rows are
-    never built.
+    never built.  A sequence of R settings gives (R, D, D') from one lift.
     """
-    return lift_unitary(config.matrix.T, photons, in_modes=modes).matrix.T  # (D, D')
+    one = isinstance(configs, InterferometerConfig)
+    g = configs.matrix.T if one else np.stack([c.matrix.T for c in configs])
+    return lift_unitary(g, photons, in_modes=modes).matrix.swapaxes(-1, -2)  # (R,) D, D'
 
 
-def outcome_probabilities(rho: DensityMatrix, config: InterferometerConfig) -> np.ndarray:
+def outcome_probabilities(
+    rho: DensityMatrix, config: InterferometerConfig | Sequence[InterferometerConfig]
+) -> np.ndarray:
     """Photon-counting distribution over the M'-mode outcome basis.
 
-    Entries may carry roundoff at the -1e-16 level; they are returned as
-    computed rather than clipped, so callers can see (and report) them.  The
-    vector is checked to sum to 1 within ``PROBABILITY_SUM_TOL``.
+    A sequence of R settings gives their R laws, row r equal bit for bit to
+    setting r's alone, from one lift.  Entries may carry roundoff at the -1e-16
+    level; they are returned as computed rather than clipped, so callers can
+    see (and report) them.  Each law must sum to 1 within ``PROBABILITY_SUM_TOL``.
     """
-    if config.modes < rho.modes:
-        raise ValueError(
-            f"configuration has {config.modes} modes, state needs at least {rho.modes}"
-        )
-    v = _restricted_lift(config, rho.photons, rho.modes)  # (D, D')
-    p = np.einsum("av,ab,bv->v", v.conj(), rho.matrix, v).real
-    total = p.sum()
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-        raise RuntimeError(f"outcome probabilities sum to {total}, not 1")
-    if p.min() < -NEGATIVE_PROBABILITY_TOL or p.max() > 1.0 + NEGATIVE_PROBABILITY_TOL:
-        raise RuntimeError(
-            f"outcome probabilities leave [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
-        )
-    return p
+    configs = [config] if isinstance(config, InterferometerConfig) else list(config)
+    if not configs:
+        raise ValueError("at least one configuration is required")
+    fewest = min(c.modes for c in configs)
+    if fewest < rho.modes:
+        raise ValueError(f"configuration has {fewest} modes, state needs at least {rho.modes}")
+    v = _restricted_lift(configs, rho.photons, rho.modes)  # (R, D, D')
+    laws = np.empty((len(v), v.shape[-1]))
+    for r, x in enumerate(v):
+        # Row by row: a batched contraction may sum in another order.
+        p = laws[r] = np.einsum("av,ab,bv->v", x.conj(), rho.matrix, x).real
+        total = p.sum()
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise RuntimeError(f"outcome probabilities sum to {total}, not 1")
+        if p.min() < -NEGATIVE_PROBABILITY_TOL or p.max() > 1.0 + NEGATIVE_PROBABILITY_TOL:
+            raise RuntimeError(
+                f"outcome probabilities leave [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
+            )
+    return laws[0] if isinstance(config, InterferometerConfig) else laws
 
 
 @dataclass
@@ -304,13 +318,10 @@ class Superoperator:
         return (self.matrix @ mat.reshape(-1)).real
 
 
-def _superoperator_block(
-    config: InterferometerConfig, photons: int, modes: int
-) -> np.ndarray:
-    v = _restricted_lift(config, photons, modes)  # (D, D')
-    d = v.shape[0]
-    block = np.einsum("av,bv->vab", v.conj(), v)  # (D', D, D)
-    return block.reshape(v.shape[1], d * d)
+def _superoperator_rows(configs, photons: int, modes: int) -> np.ndarray:
+    """The map's rows for the settings in order, from one lift: (R D', D^2)."""
+    v = _restricted_lift(configs, photons, modes)  # (R, D, D')
+    return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
 
 
 def _hermitian_coordinates(rows: np.ndarray, d: int) -> np.ndarray:
@@ -343,13 +354,12 @@ def build_superoperator(
         raise ValueError(
             f"configurations have {meas_modes} modes, state needs at least {modes}"
         )
-    blocks = [_superoperator_block(c, photons, modes) for c in configs]
     return Superoperator(
         photons=photons,
         modes=modes,
         meas_modes=meas_modes,
         configs=tuple(configs),
-        matrix=np.vstack(blocks),
+        matrix=_superoperator_rows(configs, photons, modes),
     )
 
 
@@ -577,7 +587,7 @@ def simulate_records(
     seed: int = 0,
 ) -> list[MeasurementRecord]:
     """Exact (shots=0) or finite-shot measurement records for each configuration."""
-    return sample_records([outcome_probabilities(rho, c) for c in configs], shots, seed)
+    return sample_records(outcome_probabilities(rho, configs), shots, seed)
 
 
 def config_drawer(
@@ -708,7 +718,7 @@ def find_min_configs(
     while len(configs) < r_max:
         config = draw(meas_modes)
         configs.append(config)
-        blocks.append(_hermitian_coordinates(_superoperator_block(config, photons, modes), d))
+        blocks.append(_hermitian_coordinates(_superoperator_rows([config], photons, modes), d))
         rank = space.extend(blocks) if space is not None else None
         if rank is None or rank == required:
             space = None  # the SVD settles this step and every later one
@@ -774,7 +784,7 @@ def find_min_modes(
     found: int | None = None
     for meas_modes in range(modes, meas_modes_max + 1):
         config = draw(meas_modes)
-        block = _hermitian_coordinates(_superoperator_block(config, photons, modes), d)
+        block = _hermitian_coordinates(_superoperator_rows([config], photons, modes), d)
         rank = gramian_rank(block, rel_threshold).rank
         scan.append((meas_modes, rank, required))
         if rank == required:

@@ -418,6 +418,27 @@ class TestBadInput:
         assert cli.main(["reconstruct", "--state", str(state)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["photons", "modes"])
+    @pytest.mark.parametrize("value", [None, [2], {"n": 2}, True])
+    def test_state_counts_must_be_integers(self, field, value, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        record = {"photons": 1, "modes": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        record[field] = value
+        state.write_text(json.dumps(record))
+        assert cli.main(["reconstruct", "--state", str(state)]) == 2
+        message = f"state field {field!r} must be an integer, got {value!r}"
+        assert f"invalid input: {message}" in capsys.readouterr().err
+
+    def test_run_spec_rejects_an_empty_shot_list(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        write_state(state)
+        record = cli.ExperimentSpec("reconstruct", state_path=str(state)).to_json_dict()
+        record["shots"] = []
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(record))
+        assert cli.main(["run-spec", str(path)]) == 2
+        assert "invalid input: shots must list at least one count" in capsys.readouterr().err
+
     def test_run_spec_rejects_inversion_without_efficiency(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         write_state(state)

@@ -174,6 +174,29 @@ class TestLiftUnitary:
                 lo.lift_unitary(np.eye(3), 2, in_modes=in_modes)
 
 
+class TestBatchedLift:
+    @pytest.mark.parametrize("photons,modes", [(3, 4), (6, 2), (2, 6)])
+    @pytest.mark.parametrize("in_modes", [None, 1, 2])
+    def test_stack_equals_the_single_lifts_bit_for_bit(self, photons, modes, in_modes):
+        stack = np.stack([lo.haar_random_unitary(modes, seed).matrix for seed in range(4)])
+        batched = lo.lift_unitary(stack, photons, in_modes=in_modes)
+        assert batched.matrix.shape[0] == len(stack)
+        for g, lifted in zip(stack, batched.matrix):
+            single = lo.lift_unitary(g, photons, in_modes=in_modes).matrix
+            assert np.array_equal(lifted, single)
+
+    def test_a_non_unitary_member_is_rejected(self):
+        stack = np.stack([lo.haar_random_unitary(3, seed).matrix for seed in range(3)])
+        stack[1] *= 1.01
+        with pytest.raises(ValueError, match="not orthonormal"):
+            lo.lift_unitary(stack, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3, 3), (2, 2, 3, 3)])
+    def test_non_square_empty_and_deeper_stacks_are_rejected(self, shape):
+        with pytest.raises(ValueError):
+            lo.lift_unitary(np.zeros(shape, dtype=complex), 1)
+
+
 def padded_rows(photons, modes, meas_modes):
     basis_out = enumerate_fock_basis(photons, meas_modes)
     return [

@@ -96,6 +96,35 @@ class TestOutcomeProbabilities:
             tg.outcome_probabilities(rho, lo.haar_random_unitary(2, 0))
 
 
+class TestBatchedSettings:
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5)]
+    )
+    def test_laws_equal_the_single_setting_laws_bit_for_bit(self, photons, modes, meas_modes):
+        rho = tg.random_density_matrix(enumerate_fock_basis(photons, modes), photons)
+        configs = haar_configs(meas_modes, 5, seed=meas_modes)
+        laws = tg.outcome_probabilities(rho, configs)
+        assert laws.shape == (len(configs), fock_dimension(photons, meas_modes))
+        assert np.array_equal(laws, [tg.outcome_probabilities(rho, c) for c in configs])
+
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5)]
+    )
+    def test_map_is_the_row_stack_of_single_setting_maps(self, photons, modes, meas_modes):
+        configs = haar_configs(meas_modes, 4, seed=photons)
+        superop = tg.build_superoperator(configs, photons, modes)
+        singles = [tg.build_superoperator([c], photons, modes).matrix for c in configs]
+        assert np.array_equal(superop.matrix, np.vstack(singles))
+
+    def test_every_setting_of_a_batch_is_checked(self):
+        rho = tg.maximally_mixed(enumerate_fock_basis(1, 3))
+        configs = [lo.haar_random_unitary(3, 0), lo.haar_random_unitary(2, 1)]
+        with pytest.raises(ValueError, match="configuration has 2 modes"):
+            tg.outcome_probabilities(rho, configs)
+        with pytest.raises(ValueError, match="at least one configuration"):
+            tg.outcome_probabilities(rho, [])
+
+
 class TestSuperoperator:
     def test_matches_outcome_probabilities(self):
         for photons, modes, meas in [(1, 2, 2), (2, 2, 3), (2, 3, 3)]:

@@ -112,7 +112,8 @@ def min_configs(photons: int, modes: int) -> int:
 
     This is the lower bound on the number of photon-counting measurement
     settings that can completely determine an N-photon M-mode state when the
-    interferometer acts on the M modes alone.
+    interferometer acts on the M modes alone.  It equals d_N / z_N: the top
+    U(M) level's dimension over the rows each setting gives it.
     """
     if photons < 1:
         raise ValueError(f"photon number must be at least 1, got {photons}")

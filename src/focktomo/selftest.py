@@ -188,7 +188,7 @@ def check_shared_factorisation() -> None:
 
 def check_incremental_rank_scan() -> None:
     # Certified steps and steps handed to the SVD (mesh at (4,3,7), threshold 1e-3)
-    # must give the full SVD's rank; projecting twice leaves only roundoff outside V.
+    # must give the full SVD's rank; projecting leaves only roundoff outside V.
     cells = [(2, 3, 3, None, None), (2, 3, 3, None, 1e-3), (4, 3, 7, 2, None)]
     for photons, modes, meas_modes, r_max, rel in cells:
         for generator, seed in [("haar", 1), ("mesh", 0)]:
@@ -201,12 +201,28 @@ def check_incremental_rank_scan() -> None:
             for count, rank in search.rank_trace:
                 full = tomography.gramian_rank(rows[: count * step], rel).rank
                 assert rank == full, (meas_modes, generator, rel, count)
-    space, blocks = tomography._RowSpace(400, None), []
+    space = tomography._RowSpace((20,), (400,), None)  # one group: no level split
     for config in tomography.find_min_configs(3, 4, seed=0).configs:
         block = tomography._superoperator_rows([config], 3, 4)
-        blocks.append(tomography._hermitian_coordinates(block, 20))
-        space.extend(blocks)
+        space.extend(tomography._hermitian_coordinates(block, 20))
     assert space.dropped_sq < 400 * np.finfo(float).eps ** 2 * space.frobenius_sq
+
+
+def check_level_split() -> None:
+    # Rotated by T, the identity's and a Haar setting's outcome rows fall into U(M)
+    # levels: rows of different levels are orthogonal, and the stack's singular
+    # values are the union of the levels'.
+    rotation, sizes, _ = tomography._level_split(2, 3, 3)
+    configs = [linear_optics.InterferometerConfig(3, np.eye(3))]
+    configs.append(linear_optics.haar_random_unitary(3, 600))
+    real = tomography._hermitian_coordinates(tomography._superoperator_rows(configs, 2, 3), 6)
+    rows = rotation @ real.reshape(2, 6, 36)
+    levels = [x.reshape(-1, 36) for x in np.split(rows, np.cumsum(sizes)[:-1], axis=1)]
+    for i, level in enumerate(levels):
+        assert all(np.abs(level @ x.T).max() <= 1e-13 * np.linalg.norm(rows) for x in levels[i + 1 :])
+    full = np.linalg.svd(rows.reshape(-1, 36), compute_uv=False)
+    union = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in levels]))[::-1]
+    assert np.abs(union[: len(full)] - full).max() <= 1e-13 * full[0]
 
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [
@@ -225,6 +241,7 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("reconstruction-roundtrip", check_reconstruction_roundtrip),
     ("shared-factorisation", check_shared_factorisation),
     ("incremental-rank-scan", check_incremental_rank_scan),
+    ("level-split", check_level_split),
 ]
 
 

@@ -9,25 +9,30 @@ least-squares solution.
 
 Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
-& Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.
+& Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.  The
+minimal-R scan certifies ranks without an SVD per step; with M' = M it splits
+the map by U(M) level, End(Sym^N C^M) = V_0 + ... + V_N, which no setting mixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.linalg.lapack import dormqr, dpotrf
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dormqr, dpotrf
 
 from .combinatorics import (
     FockBasis,
+    adjoint_tower_signature,
     enumerate_fock_basis,
     fock_dimension,
     min_configs_extended,
     min_modes_lower_bound,
+    weyl_dimension,
+    zero_weight_dim,
 )
 from .linear_optics import (
     InterferometerConfig,
@@ -630,53 +635,123 @@ class MinConfigSearch:
         return max(rank for _, rank in self.rank_trace)
 
 
-class _RowSpace:
-    """Orthonormal rows V^T spanning a growing stack A's kept rows, and K = (AV)^T AV.
+@lru_cache(maxsize=None)
+def _level_split(photons: int, modes: int, meas_modes: int) -> tuple[np.ndarray, tuple, tuple]:
+    """Rotation T of a setting's outcome rows, its row groups' sizes z_l and the levels' d_l.
 
-    Residual directions under KEEP_MARGIN tau_hi are dropped into e, with
-    e^2 = sum of their blocks' ||E_j||_2^2 >= ||A - AVV^T||_2^2.  With tau_lo <= tau
-    <= tau_hi from sigma_max >= sqrt(Rayleigh quotient of K) and <= ||A||_F, Weyl
-    gives rank k = dim V when K - ((KEEP_MARGIN tau_hi + e)^2 + k eps ||A||_F^2) I
-    is positive definite and e + sqrt(D^2) eps ||A||_F < tau_lo.
+    End(Sym^N C^M) = V_0 + ... + V_N, and no setting mixes the V_l.  With M' = M
+    the outcome projectors are diagonal, and the diagonal operators of degree
+    <= l in the occupation numbers nu span the zero-weight part of V_0 + ... +
+    V_l; orthonormalised degree by degree (degree l as nu_i times group l - 1,
+    a better conditioned basis of the same span), group l holds z_l rows of V_l.
+    With M' > M there is one group: T = I and d_0 = D^2.
+    """
+    d_out = fock_dimension(photons, meas_modes)
+    if meas_modes > modes:
+        return np.eye(d_out), (d_out,), (fock_dimension(photons, modes) ** 2,)
+    nu = np.array(enumerate_fock_basis(photons, modes).states, dtype=float)
+    groups = [np.full((d_out, 1), d_out**-0.5)]
+    for level in range(1, photons + 1):
+        done = np.hstack(groups)
+        grown = (nu[:, :, None] * groups[-1][:, None, :]).reshape(d_out, -1)
+        for _ in range(2):
+            grown -= done @ (done.T @ grown)
+        u, sigma, _ = np.linalg.svd(grown, full_matrices=False)
+        groups.append(u[:, : int((sigma > np.finfo(float).eps ** 0.5 * sigma[0]).sum())])
+        if groups[-1].shape[1] != zero_weight_dim(level, modes):
+            raise AssertionError(f"level {level} of N={photons}, M={modes} has the wrong size")
+    t = np.hstack(groups).T
+    t.flags.writeable = False
+    dims = [weyl_dimension(adjoint_tower_signature(l, modes), modes) for l in range(photons + 1)]
+    return t, tuple(g.shape[1] for g in groups), tuple(dims)
+
+
+class _RowSpace:
+    """Per U(M) level l, orthonormal rows V_l^T spanning the kept part of a growing
+    stack's level-l rows, and K_l = sum_j P_j^T P_j, P_j being block j's
+    coordinates in V_l when it was taken (0 on later directions).
+
+    Blocks come rotated by ``_level_split``'s T, so the stack A's singular values
+    are the union of the levels'.  The dropped mass e (e^2 = the sum over blocks
+    and levels of ||E_j||_2^2) plus T's rounding rho = D eps ||A||_F (0 with one
+    group) bounds A minus the stack the K_l describe, so Weyl gives rank sum_l k_l
+    when every open K_l - ((KEEP_MARGIN tau_hi + e)^2 + k_l eps ||A||_F^2) I is
+    positive definite and e + sqrt(D^2) eps ||A||_F < tau_lo.  tau_lo <= tau <=
+    tau_hi come from sigma_max >= the largest level Rayleigh quotient, less e,
+    and <= ||A||_F.  A level so certified at k_l = d_l is frozen: its later rows
+    are neither projected nor factored, and by interlacing its sigma_{d_l} stays
+    above that step's KEEP_MARGIN tau_hi, which must stay above tau_hi.
     """
 
-    def __init__(self, columns: int, rel_threshold: float | None):
-        self.vt, self.gram = np.zeros((columns, columns)), np.zeros((columns, columns))
-        self.rank, self.dropped_sq, self.frobenius_sq = 0, 0.0, 0.0
+    def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
+        self.dims, self.starts, columns = dims, np.cumsum((0, *sizes)), sum(dims)
+        self.vt = [np.zeros((dim, columns)) for dim in dims]
+        self.gram = [np.zeros((dim, dim)) for dim in dims]
+        self.ranks, self.floors = [0] * len(dims), [0.0] * len(dims)  # floor > 0: frozen
+        self.level_sq, self.grouping = np.zeros(len(dims)), np.repeat(np.eye(len(dims)), sizes, 0)
+        self.count, self.dropped_sq, self.frobenius_sq = 0, 0.0, 0.0
+        self.rounding = np.finfo(float).eps * self.starts[-1] if len(dims) > 1 else 0.0
         self.rel_threshold = rel_threshold
 
-    def extend(self, blocks: Sequence[np.ndarray]) -> int | None:
-        """Take in ``blocks[-1]``; the stack's certified rank, or None if uncertified."""
-        block, k, n, eps = blocks[-1], self.rank, len(self.vt), np.finfo(float).eps
-        vt = self.vt[:k]
-        scale = _threshold_scale((sum(map(len, blocks)), n), self.rel_threshold)
-        self.frobenius_sq += float(np.sum(block**2))
-        frobenius = np.sqrt(self.frobenius_sq)
-        tau_hi = scale * frobenius
-        bv = block @ vt.T
-        residual = block - bv @ vt
-        residual -= (residual @ vt.T) @ vt  # classical Gram-Schmidt, twice
-        _, sigma, wt = np.linalg.svd(residual, full_matrices=False)
-        keep = min(int((sigma > KEEP_MARGIN * tau_hi).sum()), n - k)
+    def _take(self, level: int, block: np.ndarray, tau_hi: float) -> None:
+        """Project a level's new rows out of V_l, keep directions and add the rows to K_l."""
+        vt, gram, k = self.vt[level], self.gram[level], self.ranks[level]
+        bv = block @ vt[:k].T
+        u, sigma, _, info = dgesdd((block - bv @ vt[:k]).T, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError(f"dgesdd failed with info {info}")
+        keep = min(int((sigma > KEEP_MARGIN * tau_hi).sum()), len(vt) - k)
         self.dropped_sq += float(np.max(sigma[keep:], initial=0.0)) ** 2
-        self.rank = kk = k + keep
-        self.vt[k:kk] = np.linalg.qr((wt[:keep] - (wt[:keep] @ vt.T) @ vt).T)[0].T
-        aw = sum(b.T @ (b @ self.vt[k:kk].T) for b in blocks)  # A^T A W, block by block
-        self.gram[:k, :k] += bv.T @ bv
-        self.gram[:kk, k:kk] = self.vt[:kk] @ aw
-        self.gram[k:kk, :k] = self.gram[:k, k:kk].T
+        self.ranks[level] = kk = k + keep
+        if keep:  # Gram-Schmidt once more, on the kept directions
+            w = u[:, :keep].T
+            reflectors, tau, _, _ = dgeqrf((w - (w @ vt[:k].T) @ vt[:k]).T)
+            vt[k:kk] = dorgqr(reflectors, tau)[0].T
+            bv = np.hstack([bv, block @ vt[k:kk].T])
+        gram[:kk, :kk] += bv.T @ bv
 
-        gram, dropped = self.gram[:kk, :kk], np.sqrt(self.dropped_sq)
-        x = np.diagonal(gram)
-        for _ in range(POWER_STEPS):
-            x = gram @ x
-            x = x / (np.linalg.norm(x) or 1.0)
-        if dropped + n**0.5 * eps * frobenius >= scale * max(x @ gram @ x, 0.0) ** 0.5:
+    def extend(self, block: np.ndarray) -> int | None:
+        """Take in the next rotated block; the stack's certified rank, or None if uncertified."""
+        n, eps = self.vt[0].shape[1], np.finfo(float).eps
+        self.count += len(block)
+        scale = _threshold_scale((self.count, n), self.rel_threshold)
+        squares = block**2
+        self.frobenius_sq += float(np.sum(squares))
+        self.level_sq += squares.sum(axis=1) @ self.grouping
+        frobenius = np.sqrt(self.frobenius_sq)
+        rounding = self.rounding * frobenius
+        tau_hi = scale * (frobenius + rounding)
+        open_levels = [level for level, floor in enumerate(self.floors) if not floor]
+        for level in open_levels:
+            self._take(level, block[self.starts[level] : self.starts[level + 1]], tau_hi)
+        # A frozen level has rank d_l, so sigma_max^2 >= ||A_l||_F^2 / d_l.  An open
+        # level's Rayleigh quotient is at most ||A_l||_F^2: skip it if that cannot double the bound.
+        quotients = self.level_sq / self.dims
+        best = max((q for q, floor in zip(quotients, self.floors) if floor), default=0.0)
+        for level in open_levels:
+            if self.level_sq[level] > 2.0 * best:
+                gram = self.gram[level][: self.ranks[level], : self.ranks[level]]
+                x = np.diagonal(gram)
+                for _ in range(POWER_STEPS):
+                    x = gram @ x
+                    x = x / (np.linalg.norm(x) or 1.0)
+                best = max(best, x @ gram @ x)
+        dropped = np.sqrt(self.dropped_sq) + rounding
+        cushion = n**0.5 * eps * (frobenius + rounding)
+        if dropped + cushion >= scale * (best**0.5 - dropped):
             return None
-        shift = (KEEP_MARGIN * tau_hi + dropped) ** 2 + kk * eps * self.frobenius_sq
-        shifted = np.array(gram, order="F")
-        shifted[np.diag_indices(kk)] -= shift
-        return kk if dpotrf(shifted, overwrite_a=True)[1] == 0 else None
+        if any(0.0 < floor <= tau_hi + cushion for floor in self.floors):
+            return None
+        for level in open_levels:
+            kk = self.ranks[level]
+            shift = (KEEP_MARGIN * tau_hi + dropped) ** 2 + kk * eps * self.frobenius_sq
+            shifted = np.array(self.gram[level][:kk, :kk].T, order="F")  # K_l is symmetric
+            shifted[np.diag_indices(kk)] -= shift
+            if dpotrf(shifted, overwrite_a=True)[1] != 0:
+                return None
+            if kk == self.dims[level]:
+                self.floors[level] = KEEP_MARGIN * tau_hi
+        return sum(self.ranks)
 
 
 def find_min_configs(
@@ -694,9 +769,11 @@ def find_min_configs(
     each; stops at rank D^2 or after ``r_max`` configurations (reporting the
     best rank achieved).  Each rank is ``gramian_rank``'s on the stacked real
     map; ``_RowSpace`` certifies it without an SVD until a step it cannot
-    certify or a rank of D^2, and the full SVD settles that step and every
-    later one.  The observed minimum is checked against the counting
-    lower bound on every run.
+    certify or a rank of D^2, and the full SVD of the unrotated stack settles
+    that step and every later one.  With M' = M each setting's outcome rows
+    are first rotated by ``_level_split``'s T into U(M) levels, certified level
+    by level; a full level is frozen.  The observed minimum is checked against
+    the counting lower bound on every run.
     """
     if meas_modes is None:
         meas_modes = modes
@@ -714,12 +791,13 @@ def find_min_configs(
     trace: list[tuple[int, int]] = []
     found: int | None = None
     previous_rank = 0
-    space: _RowSpace | None = _RowSpace(required, rel_threshold)
+    rotation, sizes, dims = _level_split(photons, modes, meas_modes)
+    space: _RowSpace | None = _RowSpace(sizes, dims, rel_threshold)
     while len(configs) < r_max:
         config = draw(meas_modes)
         configs.append(config)
         blocks.append(_hermitian_coordinates(_superoperator_rows([config], photons, modes), d))
-        rank = space.extend(blocks) if space is not None else None
+        rank = space.extend(rotation @ blocks[-1]) if space is not None else None
         if rank is None or rank == required:
             space = None  # the SVD settles this step and every later one
             rank = gramian_rank(np.vstack(blocks), rel_threshold).rank

@@ -188,6 +188,21 @@ class TestWeylDimension:
                 )
                 assert total == cb.fock_dimension(photons, modes) ** 2 - 1
 
+    def test_top_level_sets_the_configuration_count(self):
+        # Level l has d_l dimensions and z_l rows per setting, so the map needs
+        # ceil(d_l / z_l) settings for it; the top level needs the most, exactly R.
+        for modes in range(2, 8):
+            for photons in range(1, 9):
+                ratios = [
+                    Fraction(
+                        cb.weyl_dimension(cb.adjoint_tower_signature(level, modes), modes),
+                        cb.zero_weight_dim(level, modes),
+                    )
+                    for level in range(photons + 1)
+                ]
+                assert max(math.ceil(r) for r in ratios) == ratios[-1]
+                assert ratios[-1] == cb.min_configs(photons, modes)
+
     def test_rejects_non_monotone_signature(self):
         with pytest.raises(ValueError):
             cb.weyl_dimension((0, 1), 2)

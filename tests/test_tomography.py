@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from focktomo import imperfections as imp
 from focktomo import linear_optics as lo
 from focktomo import tomography as tg
-from focktomo.combinatorics import enumerate_fock_basis, fock_dimension, min_configs
+from focktomo.combinatorics import (
+    adjoint_tower_signature,
+    enumerate_fock_basis,
+    fock_dimension,
+    min_configs,
+    weyl_dimension,
+    zero_weight_dim,
+)
 
 import oracles
 
@@ -450,6 +457,34 @@ class TestSearches:
         assert search.found is not None
         assert (rank.call_count == 1) is certified
 
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes",
+        [(2, 3, 3), (4, 3, 3), (6, 2, 2), (2, 5, 5), (3, 4, 4), (2, 3, 5), (4, 3, 7)],
+    )
+    @pytest.mark.parametrize("generator", ["haar", "mesh"])
+    @pytest.mark.parametrize("seed", [6, 34])
+    @pytest.mark.parametrize("rel_threshold", [None, 1e-10, 1e-3])
+    def test_level_split_scan_trace_equals_the_complex_svd_trace(
+        self, photons, modes, meas_modes, generator, seed, rel_threshold
+    ):
+        # M' = M cells scan level by level; the padded ones keep one group.
+        r_max = 3 if (photons, meas_modes) == (4, 7) else None
+        search = tg.find_min_configs(
+            photons, modes, meas_modes, generator, seed, r_max, rel_threshold
+        )
+        assert search.rank_trace == oracles.complex_rank_trace(
+            search.configs, photons, modes, rel_threshold
+        )
+
+    @pytest.mark.parametrize("seed", [6, 34])
+    def test_level_split_certifies_every_step(self, monkeypatch, seed):
+        # A single basis over all levels drifted on these seeds and fell back
+        # to one SVD per step; level by level, only full rank takes an SVD.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        assert tg.find_min_configs(3, 4, seed=seed).found == min_configs(3, 4)
+        assert rank.call_count == 1
+
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5
 
@@ -474,6 +509,51 @@ class TestSearches:
     def test_unknown_generator_rejected(self):
         with pytest.raises(ValueError):
             tg.find_min_configs(2, 2, generator="bogus")
+
+
+class TestLevelSplit:
+    @staticmethod
+    def rotated_levels(photons, modes, generator):
+        """Each level's rows over R_{N,M} rotated settings, and the whole stack."""
+        rotation, sizes, _ = tg._level_split(photons, modes, modes)
+        draw, d = tg.config_drawer(generator, 5), fock_dimension(photons, modes)
+        configs = [draw(modes) for _ in range(min_configs(photons, modes))]
+        real = tg._hermitian_coordinates(tg._superoperator_rows(configs, photons, modes), d)
+        rows = rotation @ real.reshape(len(configs), d, d * d)
+        levels = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
+        return [level.reshape(-1, d * d) for level in levels], rows.reshape(-1, d * d)
+
+    @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4), (8, 3)])
+    def test_rotation_is_orthonormal_with_zero_weight_groups(self, photons, modes):
+        rotation, sizes, dims = tg._level_split(photons, modes, modes)
+        d = fock_dimension(photons, modes)
+        assert np.abs(rotation @ rotation.T - np.eye(d)).max() < 1e-13
+        levels = range(photons + 1)
+        assert sizes == tuple(zero_weight_dim(level, modes) for level in levels)
+        assert dims == tuple(
+            weyl_dimension(adjoint_tower_signature(level, modes), modes) for level in levels
+        )
+        assert sum(dims) == d * d
+        assert tg._level_split(photons, modes, modes)[0] is rotation  # cached
+
+    def test_padded_settings_keep_one_group(self):
+        rotation, sizes, dims = tg._level_split(2, 3, 5)
+        np.testing.assert_array_equal(rotation, np.eye(15))
+        assert (sizes, dims) == ((15,), (36,))
+
+    @pytest.mark.parametrize("generator", ["haar", "mesh"])
+    @pytest.mark.parametrize("photons,modes", [(2, 3), (3, 4), (6, 2)])
+    def test_rotated_stack_splits_by_level(self, photons, modes, generator):
+        levels, stack = self.rotated_levels(photons, modes, generator)
+        scale = np.linalg.norm(stack)
+        for i, level in enumerate(levels):
+            for other in levels[i + 1 :]:
+                assert np.abs(level @ other.T).max() <= 1e-13 * scale
+        _, _, dims = tg._level_split(photons, modes, modes)
+        assert [tg.gramian_rank(level).rank for level in levels] == list(dims)
+        full = np.linalg.svd(stack, compute_uv=False)
+        union = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in levels]))
+        np.testing.assert_allclose(union[::-1][: len(full)], full, rtol=0, atol=1e-13 * full[0])
 
 
 class TestSampleShots:

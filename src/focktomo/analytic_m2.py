@@ -25,7 +25,13 @@ import numpy as np
 
 from .combinatorics import enumerate_fock_basis
 from .linear_optics import InterferometerConfig, Provenance, lift_unitary
-from .tomography import MeasurementRecord, ReconstructionResult, project_to_state
+from .tomography import (
+    MeasurementRecord,
+    ReconstructionResult,
+    _record_frequencies,
+    _threshold_scale,
+    project_to_state,
+)
 
 # The beamsplitter exp(theta (a1^dag a2 - a2^dag a1)) acts on the spin-N/2
 # image as exp(-i beta J_y) with beta = -2 theta.  The factor is calibrated
@@ -218,23 +224,6 @@ def newton_young_configs(
     )
 
 
-def _records_to_matrix(
-    records: Sequence[MeasurementRecord] | np.ndarray, photons: int
-) -> np.ndarray:
-    count = 2 * photons + 1
-    if isinstance(records, np.ndarray):
-        data = np.asarray(records, dtype=float)
-    else:
-        if any(r.config_index != j for j, r in enumerate(records)):
-            raise ValueError("records must be in phase order (config_index 0, 1, ...)")
-        data = np.array([r.frequencies() for r in records], dtype=float)
-    if data.ndim != 2 or data.shape[0] != count:
-        raise ValueError(
-            f"expected {count} phase-ordered records, got shape {data.shape}"
-        )
-    return data
-
-
 def dft_harmonics(
     records: Sequence[MeasurementRecord] | np.ndarray, photons: int
 ) -> np.ndarray:
@@ -244,7 +233,7 @@ def dft_harmonics(
     sum_j exp(-i phi_j I) p_j / (2N+1) for I = -N..N; only these 2N+1
     harmonics exist on the grid, so there is no aliasing.
     """
-    data = _records_to_matrix(records, photons)
+    data = _record_frequencies(records, 2 * photons + 1)
     phases = _phase_grid(photons)
     harmonics = np.arange(-photons, photons + 1)
     kernel = np.exp(-1j * np.outer(harmonics, phases)) / (2 * photons + 1)
@@ -265,7 +254,8 @@ def reconstruct_m2(
     unitary up to 1/sqrt(2N+1), so by Parseval it is
     sqrt((2N+1) sum_I |C_I x_I - h_I|^2) over the harmonic systems.
     """
-    harmonics = dft_harmonics(records, photons)
+    data = _record_frequencies(records, 2 * photons + 1, photons + 1)
+    harmonics = dft_harmonics(data, photons)
     basis = enumerate_fock_basis(photons, 2)
     dim = basis.dimension
     lifted = lift_unitary(beamsplitter(theta), photons).matrix
@@ -283,7 +273,7 @@ def reconstruct_m2(
     # inadmissible theta makes a block numerically zero, which would look
     # full-rank under a per-block relative threshold.
     scale = max(sigma[0] for *_, sigma in systems)
-    threshold = max(dim, 2 * photons + 1) * np.finfo(float).eps * scale
+    threshold = _threshold_scale((2 * photons + 1, dim), None) * scale
 
     rho = np.zeros((dim, dim), dtype=complex)
     misfit = 0.0

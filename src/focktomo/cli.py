@@ -49,6 +49,8 @@ from .tomography import (
     GENERATORS,
     DensityMatrix,
     IncompleteConfigurationsError,
+    _checked_laws,
+    _record_frequencies,
     build_superoperator,
     config_drawer,
     find_min_configs,
@@ -390,10 +392,10 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
 def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
     """Each setting's exact outcome law, behind the detectors when they are modelled.
 
-    Read off the measurement map itself, once per run, so no setting is
-    lifted again for any shot count.
+    Read off the measurement map once per run, as ``outcome_probabilities``
+    reads them, so no setting is lifted again for any shot count.
     """
-    laws = list(superop.apply(truth).reshape(superop.n_configs, -1))
+    laws = _checked_laws(superop.apply(truth).reshape(superop.n_configs, -1))
     if spec.efficiency is None:
         return laws, None
     model = DetectorModel.uniform(spec.efficiency, superop.meas_modes)
@@ -411,19 +413,14 @@ def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, sho
     if detectors is None:
         return reconstruct(superop, records), None
     basis, model = detectors
-    masses = []
-    conditionals = []
-    for record in records:
-        detected = record.frequencies()
-        if spec.invert_detector:
-            detected = invert_detector_response(detected, basis, model)
-        conditional, mass = postselect_total(detected, basis, superop.photons)
-        masses.append(mass)
-        conditionals.append(conditional)
+    detected = _record_frequencies(records, superop.n_configs)
+    if spec.invert_detector:
+        detected = [invert_detector_response(q, basis, model) for q in detected]
+    conditionals, masses = zip(*(postselect_total(q, basis, superop.photons) for q in detected))
     # The N-photon sector of an inverted record is the detected sector over
     # eta^N, so it is never negative; lower sectors can be, but post-selection
     # drops them.
-    return reconstruct(superop, np.concatenate(conditionals)), masses
+    return reconstruct(superop, np.array(conditionals)), list(masses)
 
 
 def cmd_reconstruct(spec: ExperimentSpec) -> int:
@@ -466,7 +463,6 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
             f"trace distance to truth {distance:.3e}"
         )
 
-    complete = int(report.rank == required)
     table = (
         ["shots", "residual", "trace_distance"],
         [[e["shots"], e["residual"], e["trace_distance"]] for e in sweep],
@@ -484,8 +480,8 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
             "projected_estimate": encode_complex_matrix(final.projected.matrix),
         },
         table=table if spec.out_csv else None,
-        summary=[
-            (photons, modes, meas_modes, len(configs), report.rank, complete, e["residual"])
+        summary=[  # complete is 1: an incomplete map raised above
+            (photons, modes, meas_modes, len(configs), report.rank, 1, e["residual"])
             for e in sweep
         ],
     )
@@ -531,15 +527,17 @@ COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, table: bool = True, summary: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--out", dest="out_csv", help="CSV output path")
+    if table:
+        parser.add_argument("--out", dest="out_csv", help="CSV output path")
     parser.add_argument("--json", dest="out_json", help="JSON output path")
-    parser.add_argument(
-        "--summary",
-        dest="summary_csv",
-        help="append-style experiment summary CSV (stable column set)",
-    )
+    if summary:
+        parser.add_argument(
+            "--summary",
+            dest="summary_csv",
+            help="append-style experiment summary CSV (stable column set)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--photons", required=True, help="N or lo:hi")
     p.add_argument("--modes", required=True, help="M or lo:hi")
     p.add_argument("--meas-modes", help="M' or lo:hi (default: same as modes)")
-    _add_common(p)
+    _add_common(p, summary=False)
 
     p = sub.add_parser("rank-scan", help="grow a configuration set until complete")
     p.add_argument("--photons", required=True)
@@ -596,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-state", help="write a random density matrix JSON file")
     p.add_argument("--photons", required=True)
     p.add_argument("--modes", required=True)
-    _add_common(p)
+    _add_common(p, table=False, summary=False)
 
     sub.add_parser("selftest", help="run the desk-scale invariant suites")
 

@@ -24,8 +24,8 @@ from .combinatorics import IndexedStates, enumerate_fock_basis, fock_dimension
 from .linear_optics import InterferometerConfig
 from .tomography import (
     DensityMatrix,
-    MeasurementRecord,
     ReconstructionResult,
+    _record_frequencies,
     build_superoperator,
     gramian_rank,
     outcome_probabilities,
@@ -312,65 +312,32 @@ def reconstruct_mixture(
     """
     if len(records) != len(configs):
         raise ValueError(f"{len(records)} records for {len(configs)} configurations")
-    meas_modes = configs[0].modes
-    basis = truncated_basis(max_total, meas_modes)
-    cleaned = []
-    for record in records:
-        q = np.asarray(record, dtype=float)
-        if q.shape != (len(basis),):
-            raise ValueError(f"records must have {len(basis)} outcomes, got {q.shape}")
-        if model is not None:
-            q = invert_detector_response(q, basis, model)
-        cleaned.append(q)
-
-    present: list[int] = []
-    masses: dict[int, list[float]] = {}
-    conditionals: dict[int, list[np.ndarray]] = {}
+    basis = truncated_basis(max_total, configs[0].modes)
+    cleaned = _record_frequencies(np.asarray(records, dtype=float), len(configs), len(basis))
+    if model is not None:
+        cleaned = [invert_detector_response(q, basis, model) for q in cleaned]
     totals = [q.sum() for q in cleaned]
     if min(totals) <= 0.0:
         raise ValueError("a record carries no statistical weight")
+    masses: dict[int, list[float]] = {}
+    sectors = {}  # total -> (map, conditionals)
+    deficits: list[tuple[int, int, int]] = []
     for total in range(max_total + 1):
         sector = basis.sector_slice(total)
-        sector_masses = [
-            float(q[sector].sum() / grand) for q, grand in zip(cleaned, totals)
-        ]
+        sector_masses = [float(q[sector].sum() / grand) for q, grand in zip(cleaned, totals)]
         if np.mean(sector_masses) < SECTOR_MASS_FLOOR:
             continue
-        present.append(total)
         masses[total] = sector_masses
-        conditionals[total] = [
-            postselect_total(q, basis, total)[0] for q in cleaned
-        ]
-
-    deficits: list[tuple[int, int, int]] = []
-    superops = {}
-    for total in present:
-        if total == 0:
-            continue
         superop = build_superoperator(configs, total, modes)
+        sectors[total] = superop, np.array([postselect_total(q, basis, total)[0] for q in cleaned])
         required = fock_dimension(total, modes) ** 2
         rank = gramian_rank(superop).rank
         if rank < required:
             deficits.append((total, rank, required))
-        superops[total] = superop
     if deficits:
         raise IncompleteSectorError(deficits)
-
-    weights = {total: float(np.mean(masses[total])) for total in present}
-    states: dict[int, ReconstructionResult] = {}
-    for total in present:
-        if total == 0:
-            vacuum = enumerate_fock_basis(0, modes)
-            states[0] = ReconstructionResult(
-                raw=np.ones((1, 1), dtype=complex),
-                projected=DensityMatrix(vacuum, np.ones((1, 1), dtype=complex)),
-                residual=0.0,
-                rank=1,
-            )
-            continue
-        sector_records = [
-            MeasurementRecord.exact(j, conditional)
-            for j, conditional in enumerate(conditionals[total])
-        ]
-        states[total] = reconstruct(superops[total], sector_records)
-    return MixtureEstimate(weights=weights, states=states, sector_masses=masses)
+    return MixtureEstimate(
+        weights={total: float(np.mean(m)) for total, m in masses.items()},
+        states={total: reconstruct(*sectors[total]) for total in masses},
+        sector_masses=masses,
+    )

@@ -240,27 +240,9 @@ def _restricted_lift(configs, photons: int, modes: int) -> np.ndarray:
     return lift_unitary(g, photons, in_modes=modes).matrix.swapaxes(-1, -2)  # (R,) D, D'
 
 
-def outcome_probabilities(
-    rho: DensityMatrix, config: InterferometerConfig | Sequence[InterferometerConfig]
-) -> np.ndarray:
-    """Photon-counting distribution over the M'-mode outcome basis.
-
-    A sequence of R settings gives their R laws, row r equal bit for bit to
-    setting r's alone, from one lift.  Entries may carry roundoff at the -1e-16
-    level; they are returned as computed rather than clipped, so callers can
-    see (and report) them.  Each law must sum to 1 within ``PROBABILITY_SUM_TOL``.
-    """
-    configs = [config] if isinstance(config, InterferometerConfig) else list(config)
-    if not configs:
-        raise ValueError("at least one configuration is required")
-    fewest = min(c.modes for c in configs)
-    if fewest < rho.modes:
-        raise ValueError(f"configuration has {fewest} modes, state needs at least {rho.modes}")
-    v = _restricted_lift(configs, rho.photons, rho.modes)  # (R, D, D')
-    laws = np.empty((len(v), v.shape[-1]))
-    for r, x in enumerate(v):
-        # Row by row: a batched contraction may sum in another order.
-        p = laws[r] = np.einsum("av,ab,bv->v", x.conj(), rho.matrix, x).real
+def _checked_laws(laws: np.ndarray) -> np.ndarray:
+    """``laws``, one outcome law per row, once each sums to 1 and lies in [0, 1]."""
+    for p in laws:
         total = p.sum()
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise RuntimeError(f"outcome probabilities sum to {total}, not 1")
@@ -268,6 +250,29 @@ def outcome_probabilities(
             raise RuntimeError(
                 f"outcome probabilities leave [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
             )
+    return laws
+
+
+def outcome_probabilities(
+    rho: DensityMatrix, config: InterferometerConfig | Sequence[InterferometerConfig]
+) -> np.ndarray:
+    """Photon-counting distribution over the M'-mode outcome basis.
+
+    Read off the R D' x D^2 map rows that ``build_superoperator`` holds, as
+    ``Superoperator.apply`` reads them, so both give the same laws bit for bit.
+    R settings give their R laws from one lift, row r equal bit for bit to
+    setting r's alone.  Entries may carry roundoff at the -1e-16 level and are
+    returned unclipped, so callers can see (and report) them; each law must sum
+    to 1 within ``PROBABILITY_SUM_TOL``.
+    """
+    configs = [config] if isinstance(config, InterferometerConfig) else list(config)
+    if not configs:
+        raise ValueError("at least one configuration is required")
+    fewest = min(c.modes for c in configs)
+    if fewest < rho.modes:
+        raise ValueError(f"configuration has {fewest} modes, state needs at least {rho.modes}")
+    rows = _superoperator_rows(configs, rho.photons, rho.modes)
+    laws = _checked_laws((rows @ rho.matrix.reshape(-1)).real.reshape(len(configs), -1))
     return laws[0] if isinstance(config, InterferometerConfig) else laws
 
 
@@ -313,10 +318,6 @@ class Superoperator:
     @property
     def n_configs(self) -> int:
         return len(self.configs)
-
-    def row_slice(self, config_index: int) -> slice:
-        d_out = self.basis_out.dimension
-        return slice(config_index * d_out, (config_index + 1) * d_out)
 
     def apply(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
         mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
@@ -439,36 +440,33 @@ def is_complete(
     return gramian_rank(superop, rel_threshold).rank == required
 
 
-def _assemble_probability_vector(
-    superop: Superoperator, records: Sequence[MeasurementRecord] | np.ndarray
+def _record_frequencies(
+    records: Sequence[MeasurementRecord] | np.ndarray, count: int, outcomes: int | None = None
 ) -> np.ndarray:
-    d_out = superop.basis_out.dimension
+    """Records, or an array of their frequencies, as a (count, outcomes) array.
+
+    Records must be labelled 0, 1, ... in configuration order.  An array holds
+    one row per configuration, or is flat when ``outcomes`` is given; with
+    ``outcomes`` None the rows may have any common length.
+    """
     if isinstance(records, np.ndarray):
-        flat = np.asarray(records, dtype=float).reshape(-1)
-        if flat.shape != (superop.matrix.shape[0],):
-            raise ValueError(
-                f"probability vector has length {flat.shape[0]}, expected "
-                f"{superop.matrix.shape[0]}"
-            )
-        return flat
-    if len(records) != superop.n_configs:
-        raise ValueError(
-            f"{len(records)} records for {superop.n_configs} configurations"
-        )
-    flat = np.empty(superop.matrix.shape[0], dtype=float)
-    for slot, record in enumerate(records):
-        if record.config_index != slot:
-            raise ValueError(
-                f"record {slot} is labelled with configuration {record.config_index}; "
-                "records must follow the superoperator's configuration order"
-            )
-        freq = record.frequencies()
-        if freq.shape != (d_out,):
-            raise ValueError(
-                f"record {slot} has {freq.shape[0]} outcomes, expected {d_out}"
-            )
-        flat[superop.row_slice(slot)] = freq
-    return flat
+        data = np.asarray(records, dtype=float)
+        if data.ndim == 1 and outcomes and data.size == count * outcomes:
+            data = data.reshape(count, outcomes)
+    else:
+        if len(records) != count:
+            raise ValueError(f"{len(records)} records for {count} configurations")
+        for slot, record in enumerate(records):
+            if record.config_index != slot:
+                raise ValueError(
+                    f"record {slot} is labelled with configuration {record.config_index}; "
+                    "records must follow the configuration order"
+                )
+        data = np.array([record.frequencies() for record in records], dtype=float)
+    if data.ndim != 2 or data.shape[0] != count or data.shape[1] != (outcomes or data.shape[1]):
+        expected = f"({count}, {outcomes})" if outcomes else f"{count} rows"
+        raise ValueError(f"frequencies have shape {data.shape}, expected {expected}")
+    return data
 
 
 @dataclass
@@ -525,7 +523,7 @@ def reconstruct(
     conditioning better; a superoperator below rank D^2 at the default
     threshold raises ``IncompleteConfigurationsError`` with the deficit.
     """
-    p = _assemble_probability_vector(superop, records)
+    p = _record_frequencies(records, superop.n_configs, superop.basis_out.dimension).reshape(-1)
     d = superop.basis_in.dimension
     required = d * d
     rank = gramian_rank(superop).rank

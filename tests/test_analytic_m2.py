@@ -269,3 +269,11 @@ class TestReconstructM2:
         with pytest.raises(m2.SingularHarmonicError) as err:
             m2.reconstruct_m2(records, photons, theta)
         assert abs(err.value.harmonic) == 1
+
+    def test_wrong_outcome_count_is_rejected_by_shape(self):
+        photons = 2
+        with pytest.raises(ValueError, match=r"shape \(5, 4\), expected \(5, 3\)"):
+            m2.reconstruct_m2(np.full((5, 4), 0.25), photons, m2.choose_theta(photons))
+        records = [tg.MeasurementRecord.exact(j, np.full(4, 0.25)) for j in range(5)]
+        with pytest.raises(ValueError, match=r"shape \(5, 4\), expected \(5, 3\)"):
+            m2.reconstruct_m2(records, photons, m2.choose_theta(photons))

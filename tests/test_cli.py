@@ -544,3 +544,40 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert code == 3
         assert "FAIL permanent-hom-oracle" in out
+
+
+class TestCommandsAcceptOnlyTheOutputsTheyWrite:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["make-state", "--photons", "1", "--modes", "2", "--out", "state.csv"],
+            ["make-state", "--photons", "1", "--modes", "2", "--summary", "summary.csv"],
+            ["bounds", "--photons", "1", "--modes", "2", "--summary", "summary.csv"],
+        ],
+    )
+    def test_an_option_the_command_ignores_is_rejected(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCommandLineMatchesTheLibrary:
+    @pytest.mark.parametrize("shots", [0, 1000])
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 2, 4)])
+    def test_raw_estimate_is_the_library_estimate_bit_for_bit(
+        self, photons, modes, meas_modes, shots, tmp_path
+    ):
+        state = tmp_path / "state.json"
+        rho = write_state(state, photons=photons, modes=modes, seed=photons + modes)
+        out = tmp_path / "result.json"
+        argv = ["reconstruct", "--state", str(state), "--meas-modes", str(meas_modes),
+                "--shots", str(shots), "--seed", "11", "--json", str(out)]
+        assert cli.main(argv) == 0
+        document = json.loads(out.read_text())
+        configs = [lo.InterferometerConfig.from_json_dict(c) for c in document["configs"]]
+        superop = tg.build_superoperator(configs, photons, modes)
+        library = tg.reconstruct(superop, tg.simulate_records(rho, configs, shots, 11))
+        raw = lo.decode_complex_matrix(document["raw_estimate"])
+        assert np.array_equal(raw, library.raw)

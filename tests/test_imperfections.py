@@ -334,3 +334,21 @@ class TestReconstructMixture:
         assert estimate.weights[0] == pytest.approx(0.3, abs=1e-12)
         assert estimate.weights[1] == pytest.approx(0.7, abs=1e-12)
         assert tg.trace_distance(estimate.states[1].projected, one) < 1e-8
+
+    def test_vacuum_sector_is_reconstructed_as_the_vacuum(self):
+        vacuum = tg.DensityMatrix(
+            enumerate_fock_basis(0, 2), np.ones((1, 1), dtype=complex)
+        )
+        one = tg.random_density_matrix(enumerate_fock_basis(1, 2), 4)
+        mixture = imp.PhotonNumberMixture(((0.3, vacuum), (0.7, one)))
+        configs = haar_configs(2, 3, seed=21)
+        records = [
+            imp.mixture_joint_probabilities(mixture, c, max_total=1)[1]
+            for c in configs
+        ]
+        state = imp.reconstruct_mixture(records, configs, 2, 1).states[0]
+        assert state.rank == 1
+        assert state.projected.photons == 0
+        assert np.array_equal(state.projected.matrix, [[1.0]])
+        assert state.raw == pytest.approx(np.ones((1, 1)), abs=1e-14)
+        assert state.residual < 1e-14

@@ -132,6 +132,17 @@ class TestBatchedSettings:
             tg.outcome_probabilities(rho, [])
 
 
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5)]
+    )
+    def test_laws_are_the_maps_product_bit_for_bit(self, photons, modes, meas_modes):
+        rho = tg.random_density_matrix(enumerate_fock_basis(photons, modes), modes)
+        configs = haar_configs(meas_modes, 3, seed=photons + meas_modes)
+        superop = tg.build_superoperator(configs, photons, modes)
+        laws = tg.outcome_probabilities(rho, configs)
+        assert np.array_equal(laws, superop.apply(rho).reshape(len(configs), -1))
+
+
 class TestSuperoperator:
     def test_matches_outcome_probabilities(self):
         for photons, modes, meas in [(1, 2, 2), (2, 2, 3), (2, 3, 3)]:

@@ -527,8 +527,11 @@ COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, table: bool = True, summary: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+def _add_common(
+    parser: argparse.ArgumentParser, table: bool = True, summary: bool = True, seed: bool = True
+) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     if table:
         parser.add_argument("--out", dest="out_csv", help="CSV output path")
     parser.add_argument("--json", dest="out_json", help="JSON output path")
@@ -551,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--photons", required=True, help="N or lo:hi")
     p.add_argument("--modes", required=True, help="M or lo:hi")
     p.add_argument("--meas-modes", help="M' or lo:hi (default: same as modes)")
-    _add_common(p, summary=False)
+    _add_common(p, summary=False, seed=False)  # bounds draws nothing
 
     p = sub.add_parser("rank-scan", help="grow a configuration set until complete")
     p.add_argument("--photons", required=True)

@@ -310,6 +310,8 @@ def reconstruct_mixture(
     engine.  Completeness is checked per sector at runtime rather than
     assumed, and any deficient sector is reported.
     """
+    if not configs:
+        raise ValueError("at least one configuration and its record are required")
     if len(records) != len(configs):
         raise ValueError(f"{len(records)} records for {len(configs)} configurations")
     basis = truncated_basis(max_total, configs[0].modes)

@@ -48,10 +48,9 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 NEGATIVE_PROBABILITY_TOL = 1e-12
-# The certified rank scan keeps a direction only above KEEP_MARGIN times the
-# largest threshold the full SVD could use, and bounds sigma_max in POWER_STEPS.
+# The certified scan keeps a direction only above KEEP_MARGIN times the largest SVD
+# threshold; sigma_max is bounded by the trace direction's quotient, exact at M' = M.
 KEEP_MARGIN = 16.0
-POWER_STEPS = 3
 
 ConfigGenerator = Callable[[int, int], InterferometerConfig]
 
@@ -266,11 +265,6 @@ def outcome_probabilities(
     to 1 within ``PROBABILITY_SUM_TOL``.
     """
     configs = [config] if isinstance(config, InterferometerConfig) else list(config)
-    if not configs:
-        raise ValueError("at least one configuration is required")
-    fewest = min(c.modes for c in configs)
-    if fewest < rho.modes:
-        raise ValueError(f"configuration has {fewest} modes, state needs at least {rho.modes}")
     rows = _superoperator_rows(configs, rho.photons, rho.modes)
     laws = _checked_laws((rows @ rho.matrix.reshape(-1)).real.reshape(len(configs), -1))
     return laws[0] if isinstance(config, InterferometerConfig) else laws
@@ -326,6 +320,13 @@ class Superoperator:
 
 def _superoperator_rows(configs, photons: int, modes: int) -> np.ndarray:
     """The map's rows for the settings in order, from one lift: (R D', D^2)."""
+    if not configs:
+        raise ValueError("at least one configuration is required")
+    counts = sorted({c.modes for c in configs})
+    if counts[0] < modes:
+        raise ValueError(f"configuration has {counts[0]} modes, state needs at least {modes}")
+    if len(counts) > 1:
+        raise ValueError(f"all configurations must act on the same number of modes, got {counts}")
     v = _restricted_lift(configs, photons, modes)  # (R, D, D')
     return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
 
@@ -351,22 +352,8 @@ def build_superoperator(
     configs: Sequence[InterferometerConfig], photons: int, modes: int
 ) -> Superoperator:
     """Stack the measurement map for the given configurations."""
-    if not configs:
-        raise ValueError("at least one configuration is required")
-    meas_modes = configs[0].modes
-    if any(c.modes != meas_modes for c in configs):
-        raise ValueError("all configurations must act on the same number of modes")
-    if meas_modes < modes:
-        raise ValueError(
-            f"configurations have {meas_modes} modes, state needs at least {modes}"
-        )
-    return Superoperator(
-        photons=photons,
-        modes=modes,
-        meas_modes=meas_modes,
-        configs=tuple(configs),
-        matrix=_superoperator_rows(configs, photons, modes),
-    )
+    rows = _superoperator_rows(configs, photons, modes)
+    return Superoperator(photons, modes, configs[0].modes, tuple(configs), rows)
 
 
 @dataclass(frozen=True)
@@ -669,16 +656,18 @@ class _RowSpace:
     stack's level-l rows, and K_l = sum_j P_j^T P_j, P_j being block j's
     coordinates in V_l when it was taken (0 on later directions).
 
-    Blocks come rotated by ``_level_split``'s T, so the stack A's singular values
-    are the union of the levels'.  The dropped mass e (e^2 = the sum over blocks
-    and levels of ||E_j||_2^2) plus T's rounding rho = D eps ||A||_F (0 with one
-    group) bounds A minus the stack the K_l describe, so Weyl gives rank sum_l k_l
-    when every open K_l - ((KEEP_MARGIN tau_hi + e)^2 + k_l eps ||A||_F^2) I is
-    positive definite and e + sqrt(D^2) eps ||A||_F < tau_lo.  tau_lo <= tau <=
-    tau_hi come from sigma_max >= the largest level Rayleigh quotient, less e,
-    and <= ||A||_F.  A level so certified at k_l = d_l is frozen: its later rows
-    are neither projected nor factored, and by interlacing its sigma_{d_l} stays
-    above that step's KEEP_MARGIN tau_hi, which must stay above tau_hi.
+    Blocks come rotated by ``_level_split``'s T, so the stack A's singular values are
+    the union of the levels'.  The dropped mass e (e^2 = the sum over blocks and levels
+    of ||E_j||_2^2) plus T's rounding rho = D eps ||A||_F (0 with one group) bounds A
+    minus the stack the K_l describe, so Weyl gives rank sum_l k_l when every open K_l -
+    ((KEEP_MARGIN tau_hi + e)^2 + k_l eps ||A||_F^2) I is positive definite and e +
+    sqrt(D^2) eps ||A||_F < tau_lo.  tau_lo <= tau <= tau_hi come from q^(1/2) - e <=
+    sigma_max <= ||A||_F, q = ||A x||^2 for the trace direction x = vec(I)/sqrt(D): each
+    row's first D (diagonal) coordinates, which T leaves in place, summed, squared and
+    over D.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
+    sigma_max^2.  A level so certified at k_l = d_l is frozen: its later rows are
+    neither projected nor factored, and by interlacing its sigma_{d_l} stays above that
+    step's KEEP_MARGIN tau_hi, which must stay above tau_hi.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
@@ -686,7 +675,7 @@ class _RowSpace:
         self.vt = [np.zeros((dim, columns)) for dim in dims]
         self.gram = [np.zeros((dim, dim)) for dim in dims]
         self.ranks, self.floors = [0] * len(dims), [0.0] * len(dims)  # floor > 0: frozen
-        self.level_sq, self.grouping = np.zeros(len(dims)), np.repeat(np.eye(len(dims)), sizes, 0)
+        self.trace_sq, self.diagonal = 0.0, round(columns**0.5)  # D = sqrt(D^2)
         self.count, self.dropped_sq, self.frobenius_sq = 0, 0.0, 0.0
         self.rounding = np.finfo(float).eps * self.starts[-1] if len(dims) > 1 else 0.0
         self.rel_threshold = rel_threshold
@@ -713,30 +702,17 @@ class _RowSpace:
         n, eps = self.vt[0].shape[1], np.finfo(float).eps
         self.count += len(block)
         scale = _threshold_scale((self.count, n), self.rel_threshold)
-        squares = block**2
-        self.frobenius_sq += float(np.sum(squares))
-        self.level_sq += squares.sum(axis=1) @ self.grouping
+        self.frobenius_sq += float(np.sum(block**2))
+        self.trace_sq += float(np.sum(block[:, : self.diagonal].sum(axis=1) ** 2)) / self.diagonal
         frobenius = np.sqrt(self.frobenius_sq)
         rounding = self.rounding * frobenius
         tau_hi = scale * (frobenius + rounding)
         open_levels = [level for level, floor in enumerate(self.floors) if not floor]
         for level in open_levels:
             self._take(level, block[self.starts[level] : self.starts[level + 1]], tau_hi)
-        # A frozen level has rank d_l, so sigma_max^2 >= ||A_l||_F^2 / d_l.  An open
-        # level's Rayleigh quotient is at most ||A_l||_F^2: skip it if that cannot double the bound.
-        quotients = self.level_sq / self.dims
-        best = max((q for q, floor in zip(quotients, self.floors) if floor), default=0.0)
-        for level in open_levels:
-            if self.level_sq[level] > 2.0 * best:
-                gram = self.gram[level][: self.ranks[level], : self.ranks[level]]
-                x = np.diagonal(gram)
-                for _ in range(POWER_STEPS):
-                    x = gram @ x
-                    x = x / (np.linalg.norm(x) or 1.0)
-                best = max(best, x @ gram @ x)
         dropped = np.sqrt(self.dropped_sq) + rounding
         cushion = n**0.5 * eps * (frobenius + rounding)
-        if dropped + cushion >= scale * (best**0.5 - dropped):
+        if dropped + cushion >= scale * (self.trace_sq**0.5 - dropped):
             return None
         if any(0.0 < floor <= tau_hi + cushion for floor in self.floors):
             return None
@@ -790,6 +766,8 @@ def find_min_configs(
     found: int | None = None
     previous_rank = 0
     rotation, sizes, dims = _level_split(photons, modes, meas_modes)
+    if d <= 4:  # T's rounding alone fails the certificate with D <= 4: one group, T = I
+        rotation, sizes, dims = np.eye(len(rotation)), (len(rotation),), (required,)
     space: _RowSpace | None = _RowSpace(sizes, dims, rel_threshold)
     while len(configs) < r_max:
         config = draw(meas_modes)

@@ -563,6 +563,25 @@ class TestCommandsAcceptOnlyTheOutputsTheyWrite:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestBoundsTakesNoSeed:
+    def test_seed_option_is_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--photons", "1", "--modes", "2", "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_a_bounds_spec_with_a_seed_still_replays(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--photons", "1", "--modes", "2", "--out", str(out)]) == 0
+        first = out.read_text()
+        record = cli.ExperimentSpec("bounds", "1", "2", seed=3, out_csv=str(out)).to_json_dict()
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(record))
+        out.unlink()
+        assert cli.main(["run-spec", str(path)]) == 0
+        assert out.read_text() == first
+
+
 class TestCommandLineMatchesTheLibrary:
     @pytest.mark.parametrize("shots", [0, 1000])
     @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 2, 4)])

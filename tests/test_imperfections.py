@@ -352,3 +352,7 @@ class TestReconstructMixture:
         assert np.array_equal(state.projected.matrix, [[1.0]])
         assert state.raw == pytest.approx(np.ones((1, 1)), abs=1e-14)
         assert state.residual < 1e-14
+
+    def test_empty_input_is_named(self):
+        with pytest.raises(ValueError, match="at least one configuration"):
+            imp.reconstruct_mixture([], [], 2, 1)

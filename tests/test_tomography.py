@@ -14,6 +14,7 @@ from focktomo.combinatorics import (
     enumerate_fock_basis,
     fock_dimension,
     min_configs,
+    min_configs_extended,
     weyl_dimension,
     zero_weight_dim,
 )
@@ -130,6 +131,14 @@ class TestBatchedSettings:
             tg.outcome_probabilities(rho, configs)
         with pytest.raises(ValueError, match="at least one configuration"):
             tg.outcome_probabilities(rho, [])
+
+    def test_a_batch_of_mixed_mode_counts_names_them(self):
+        rho = tg.maximally_mixed(enumerate_fock_basis(1, 2))
+        configs = [lo.haar_random_unitary(3, 0), lo.haar_random_unitary(4, 1)]
+        with pytest.raises(ValueError, match=r"same number of modes, got \[3, 4\]"):
+            tg.outcome_probabilities(rho, configs)
+        with pytest.raises(ValueError, match=r"same number of modes, got \[3, 4\]"):
+            tg.build_superoperator(configs, 1, 2)
 
 
     @pytest.mark.parametrize(
@@ -496,6 +505,25 @@ class TestSearches:
         assert tg.find_min_configs(3, 4, seed=seed).found == min_configs(3, 4)
         assert rank.call_count == 1
 
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes", [(2, 3, 5), (3, 3, 5), (2, 4, 6), (3, 4, 6)]
+    )
+    def test_padded_scan_certifies_every_step(self, monkeypatch, photons, modes, meas_modes):
+        # Padded stacks are where the trace-direction bound on sigma_max falls
+        # below sigma_max; it still certifies every step before full rank.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        assert tg.find_min_configs(photons, modes, meas_modes, seed=0).found is not None
+        assert rank.call_count == 1
+
+    def test_small_cell_scan_certifies_every_step(self, monkeypatch):
+        # With D <= 4 the level split's rounding allowance alone would fail
+        # every certificate; one group certifies the steps instead.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        assert tg.find_min_configs(2, 2, seed=0).found == min_configs(2, 2)
+        assert rank.call_count == 1
+
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5
 
@@ -565,6 +593,34 @@ class TestLevelSplit:
         full = np.linalg.svd(stack, compute_uv=False)
         union = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in levels]))
         np.testing.assert_allclose(union[::-1][: len(full)], full, rtol=0, atol=1e-13 * full[0])
+
+
+class TestTraceDirectionBound:
+    @staticmethod
+    def quotient_and_sigma_max(photons, modes, meas_modes, count):
+        """The scan's trace-direction quotient over ``count`` Haar settings, and
+        sigma_max^2 of their stacked real map."""
+        rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
+        space, d = tg._RowSpace(sizes, dims, None), fock_dimension(photons, modes)
+        blocks = []
+        for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
+            rows = tg._superoperator_rows([config], photons, modes)
+            blocks.append(tg._hermitian_coordinates(rows, d))
+            space.extend(rotation @ blocks[-1])
+        return space.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
+
+    @pytest.mark.parametrize("photons,modes", [(2, 3), (3, 4), (6, 2)])
+    def test_quotient_is_sigma_max_squared_without_padding(self, photons, modes):
+        count = min_configs(photons, modes)
+        quotient, sigma_max_sq = self.quotient_and_sigma_max(photons, modes, modes, count)
+        assert abs(quotient - sigma_max_sq) <= 1e-12 * sigma_max_sq
+        assert abs(quotient - count) <= 1e-12 * count
+
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(2, 3, 5), (3, 4, 6), (4, 3, 7)])
+    def test_quotient_bounds_sigma_max_squared_on_padded_stacks(self, photons, modes, meas_modes):
+        count = min(min_configs_extended(photons, modes, meas_modes), 3)
+        quotient, sigma_max_sq = self.quotient_and_sigma_max(photons, modes, meas_modes, count)
+        assert 0.0 < quotient <= sigma_max_sq
 
 
 class TestSampleShots:

@@ -539,7 +539,7 @@ def _add_common(
         parser.add_argument(
             "--summary",
             dest="summary_csv",
-            help="append-style experiment summary CSV (stable column set)",
+            help="summary CSV path, one column set for every command (overwrites the file)",
         )
 
 

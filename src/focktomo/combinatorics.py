@@ -103,6 +103,7 @@ class FockBasis(IndexedStates):
 @lru_cache(maxsize=None)
 def enumerate_fock_basis(photons: int, modes: int) -> FockBasis:
     """Build (and cache) the canonical N-photon, M-mode Fock basis."""
+    fock_dimension(photons, modes)  # rejects N < 0 and M < 1 before the recursion
     states = tuple(_occupations(photons, modes))
     return FockBasis(photons=photons, modes=modes, states=states)
 

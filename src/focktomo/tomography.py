@@ -36,6 +36,7 @@ from .combinatorics import (
 )
 from .linear_optics import (
     InterferometerConfig,
+    _sector_tables,
     decode_complex_matrix,
     encode_complex_matrix,
     haar_random_unitary,
@@ -170,12 +171,7 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     """Half the trace norm of the difference of two operators."""
     ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
     mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
-    diff = ma - mb
-    if np.abs(diff - diff.conj().T).max() < 1e-10:
-        values = np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0))
-    else:
-        values = np.linalg.svd(diff, compute_uv=False)
-    return 0.5 * float(values.sum())
+    return 0.5 * float(np.linalg.svd(ma - mb, compute_uv=False).sum())
 
 
 @dataclass
@@ -580,24 +576,21 @@ def simulate_records(
     return sample_records(outcome_probabilities(rho, configs), shots, seed)
 
 
-def config_drawer(
-    generator: str | ConfigGenerator, seed: int
-) -> Callable[[int], InterferometerConfig]:
+def config_drawer(generator: str, seed: int) -> Callable[[int], InterferometerConfig]:
     """The one rule by which searches and the CLI draw settings.
 
-    ``generator`` is a ``GENERATORS`` name or a callable.  Call k of the
-    returned function makes a setting on the given number of modes, seeded by
-    the k-th integer below 2**63 that ``np.random.default_rng(seed)`` draws.
+    ``generator`` is a ``GENERATORS`` name.  Call k of the returned function
+    makes a setting on the given number of modes, seeded by the k-th integer
+    below 2**63 that ``np.random.default_rng(seed)`` draws.
     """
-    if not callable(generator):
-        try:
-            generator = GENERATORS[generator]
-        except KeyError:
-            raise ValueError(
-                f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
-            ) from None
+    try:
+        make = GENERATORS[generator]
+    except KeyError:
+        raise ValueError(
+            f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
+        ) from None
     rng = np.random.default_rng(seed)
-    return lambda modes: generator(modes, int(rng.integers(2**63)))
+    return lambda modes: make(modes, int(rng.integers(2**63)))
 
 
 @dataclass
@@ -624,31 +617,30 @@ class MinConfigSearch:
 def _level_split(photons: int, modes: int, meas_modes: int) -> tuple[np.ndarray, tuple, tuple]:
     """Rotation T of a setting's outcome rows, its row groups' sizes z_l and the levels' d_l.
 
-    End(Sym^N C^M) = V_0 + ... + V_N, and no setting mixes the V_l.  With M' = M
-    the outcome projectors are diagonal, and the diagonal operators of degree
-    <= l in the occupation numbers nu span the zero-weight part of V_0 + ... +
-    V_l; orthonormalised degree by degree (degree l as nu_i times group l - 1,
-    a better conditioned basis of the same span), group l holds z_l rows of V_l.
-    With M' > M there is one group: T = I and d_0 = D^2.
+    End(Sym^N C^M) = V_0 + ... + V_N, no setting mixes the V_l, and the U(M) Casimir
+    C(X) = sum_ij [E_ij, [E_ji, X]], E_ij = a_i^dag a_j, is 2l(l+M-1) on V_l.  With
+    M' = M the outcome projectors are diagonal, and on X = diag(x) C is the D x D
+    matrix 2N(N+M-1) I - 2 sum_ij (E_ij)^2, squared entrywise.  Each entry of E_ij is
+    one product <t|a_i^dag|s><s|a_j|t'>, so that sum is B^T B, B[t - e_i, t] = t_i.
+    Its eigenvectors in ascending order are T's rows, group l the z_l diagonal
+    operators of V_l.  With M' > M there is one group: T = I and d_0 = D^2.
     """
     d_out = fock_dimension(photons, meas_modes)
     if meas_modes > modes:
         return np.eye(d_out), (d_out,), (fock_dimension(photons, modes) ** 2,)
-    nu = np.array(enumerate_fock_basis(photons, modes).states, dtype=float)
-    groups = [np.full((d_out, 1), d_out**-0.5)]
-    for level in range(1, photons + 1):
-        done = np.hstack(groups)
-        grown = (nu[:, :, None] * groups[-1][:, None, :]).reshape(d_out, -1)
-        for _ in range(2):
-            grown -= done @ (done.T @ grown)
-        u, sigma, _ = np.linalg.svd(grown, full_matrices=False)
-        groups.append(u[:, : int((sigma > np.finfo(float).eps ** 0.5 * sigma[0]).sum())])
-        if groups[-1].shape[1] != zero_weight_dim(level, modes):
-            raise AssertionError(f"level {level} of N={photons}, M={modes} has the wrong size")
-    t = np.hstack(groups).T
+    lower, root, _ = _sector_tables(photons, modes)
+    b = np.zeros((fock_dimension(photons - 1, modes), d_out))
+    np.add.at(b, (lower, np.arange(d_out)[:, None]), root**2)  # t_i = 0 adds 0 at lower = 0
+    casimir = 2 * photons * (photons + modes - 1) * np.eye(d_out) - 2 * b.T @ b
+    values, vectors = np.linalg.eigh(casimir)
+    levels = range(photons + 1)
+    sizes = tuple(zero_weight_dim(l, modes) for l in levels)
+    if np.abs(values - np.repeat([2 * l * (l + modes - 1) for l in levels], sizes)).max() > 1.0:
+        raise AssertionError(f"the Casimir of N={photons}, M={modes} has the wrong spectrum")
+    t = vectors.T
     t.flags.writeable = False
-    dims = [weyl_dimension(adjoint_tower_signature(l, modes), modes) for l in range(photons + 1)]
-    return t, tuple(g.shape[1] for g in groups), tuple(dims)
+    dims = [weyl_dimension(adjoint_tower_signature(l, modes), modes) for l in levels]
+    return t, sizes, tuple(dims)
 
 
 class _RowSpace:
@@ -732,7 +724,7 @@ def find_min_configs(
     photons: int,
     modes: int,
     meas_modes: int | None = None,
-    generator: str | ConfigGenerator = "haar",
+    generator: str = "haar",
     seed: int = 0,
     r_max: int | None = None,
     rel_threshold: float | None = None,
@@ -793,7 +785,7 @@ def find_min_configs(
         photons=photons,
         modes=modes,
         meas_modes=meas_modes,
-        generator=generator if isinstance(generator, str) else "custom",
+        generator=generator,
         seed=seed,
         found=found,
         rank_trace=trace,
@@ -819,7 +811,7 @@ class MinModesSearch:
 def find_min_modes(
     photons: int,
     modes: int,
-    generator: str | ConfigGenerator = "haar",
+    generator: str = "haar",
     seed: int = 0,
     meas_modes_max: int | None = None,
     rel_threshold: float | None = None,
@@ -852,7 +844,7 @@ def find_min_modes(
     return MinModesSearch(
         photons=photons,
         modes=modes,
-        generator=generator if isinstance(generator, str) else "custom",
+        generator=generator,
         seed=seed,
         found=found,
         lower_bound=bound,

@@ -410,6 +410,10 @@ class TestBadInput:
         [
             ({"photons": 1, "modes": 2, "matrix": [[1, 0], [0, 0]]}, "[re, im] pairs"),
             ([[[1, 0]]], "a state must be a JSON object, got list"),
+            (
+                {"photons": 1, "modes": 0, "matrix": [[[1, 0]]]},
+                "mode count must be positive, got 0",
+            ),
         ],
     )
     def test_malformed_state_file(self, record, message, tmp_path, capsys):
@@ -561,6 +565,31 @@ class TestCommandsAcceptOnlyTheOutputsTheyWrite:
             cli.main(argv)
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMakeState:
+    @staticmethod
+    def make(tmp_path, seed, name):
+        path = tmp_path / name
+        argv = ["make-state", "--photons", "2", "--modes", "3", "--seed", str(seed)]
+        assert cli.main([*argv, "--json", str(path)]) == 0
+        return path.read_bytes()
+
+    def test_seed_fixes_the_document_bytes(self, tmp_path):
+        first = self.make(tmp_path, 5, "a.json")
+        assert self.make(tmp_path, 5, "b.json") == first
+        assert self.make(tmp_path, 6, "c.json") != first
+
+    def test_document_loads_as_a_state(self, tmp_path):
+        rho = tg.DensityMatrix.from_json_dict(json.loads(self.make(tmp_path, 5, "a.json")))
+        assert (rho.basis.photons, rho.basis.modes) == (2, 3)
+        assert rho.matrix.shape == (6, 6)
+
+    def test_without_json_the_document_goes_to_stdout(self, tmp_path, capsys):
+        written = self.make(tmp_path, 5, "a.json")
+        capsys.readouterr()
+        assert cli.main(["make-state", "--photons", "2", "--modes", "3", "--seed", "5"]) == 0
+        assert capsys.readouterr().out.encode() == written
 
 
 class TestBoundsTakesNoSeed:

@@ -33,6 +33,19 @@ class TestTruncatedBasis:
         with pytest.raises(ValueError):
             basis.index_of((3, 0))
 
+    @pytest.mark.parametrize(
+        "build,args",
+        [
+            (enumerate_fock_basis, (2, 0)),
+            (enumerate_fock_basis, (2, -1)),
+            (imp.truncated_basis, (2, 0)),
+        ],
+    )
+    def test_no_modes_is_a_value_error(self, build, args):
+        # Below one mode, _occupations would never reach its one-mode base case.
+        with pytest.raises(ValueError, match="mode count must be positive"):
+            build(*args)
+
 
 class TestPhotonNumberMixture:
     def test_validation(self):

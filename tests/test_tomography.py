@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -64,6 +65,9 @@ class TestTraceDistance:
         b = tg.fock_projector(basis, (0, 1))
         assert tg.trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
         assert tg.trace_distance(a, b) == pytest.approx(1.0)
+
+    def test_non_hermitian_difference(self):
+        assert tg.trace_distance(1j * np.eye(2), np.zeros((2, 2))) == 1.0
 
 
 class TestOutcomeProbabilities:
@@ -549,6 +553,10 @@ class TestSearches:
         with pytest.raises(ValueError):
             tg.find_min_configs(2, 2, generator="bogus")
 
+    def test_callable_generator_rejected(self):
+        with pytest.raises(ValueError, match="unknown generator"):
+            tg.find_min_configs(2, 2, generator=lo.haar_random_unitary)
+
 
 class TestLevelSplit:
     @staticmethod
@@ -574,6 +582,54 @@ class TestLevelSplit:
         )
         assert sum(dims) == d * d
         assert tg._level_split(photons, modes, modes)[0] is rotation  # cached
+
+    @staticmethod
+    def hops(photons, modes):
+        """E_ij = a_i^dag a_j on the N-photon sector, built state by state."""
+        basis = enumerate_fock_basis(photons, modes)
+        below = enumerate_fock_basis(photons - 1, modes)
+        lowering = np.zeros((modes, len(below), len(basis)))
+        for t, state in enumerate(basis):
+            for i in range(modes):
+                if state[i]:
+                    s = below.index_of(state[:i] + (state[i] - 1,) + state[i + 1 :])
+                    lowering[i, s, t] = math.sqrt(state[i])
+        return [[lowering[i].T @ lowering[j] for j in range(modes)] for i in range(modes)]
+
+    @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4)])
+    def test_row_groups_are_casimir_eigenvectors(self, photons, modes):
+        # sum_ij [E_ij, [E_ji, X]] = 2l(l+M-1) X on the diagonal operators of V_l.
+        rotation, sizes, _ = tg._level_split(photons, modes, modes)
+        hops = self.hops(photons, modes)
+        for level, group in enumerate(np.split(rotation, np.cumsum(sizes)[:-1])):
+            for row in group:
+                x = np.diag(row)
+                casimir = sum(
+                    hops[i][j] @ (hops[j][i] @ x - x @ hops[j][i])
+                    - (hops[j][i] @ x - x @ hops[j][i]) @ hops[i][j]
+                    for i in range(modes)
+                    for j in range(modes)
+                )
+                expected = 2 * level * (level + modes - 1) * x
+                assert np.abs(casimir - expected).max() <= 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4)])
+    def test_low_groups_span_the_low_degree_monomials(self, photons, modes):
+        # Groups 0..l span the polynomials of degree <= l in the occupation numbers.
+        rotation, sizes, _ = tg._level_split(photons, modes, modes)
+        nu = np.array(enumerate_fock_basis(photons, modes).states, dtype=float)
+        for level in range(photons + 1):
+            monomials = np.array(
+                [
+                    np.prod(nu[:, list(powers)], axis=1)
+                    for degree in range(level + 1)
+                    for powers in itertools.combinations_with_replacement(range(modes), degree)
+                ]
+            )
+            monomials /= np.linalg.norm(monomials, axis=1, keepdims=True)
+            low = rotation[: sum(sizes[: level + 1])]
+            assert np.abs(monomials - (monomials @ low.T) @ low).max() <= 1e-12
+            assert np.linalg.matrix_rank(monomials) == len(low)
 
     def test_padded_settings_keep_one_group(self):
         rotation, sizes, dims = tg._level_split(2, 3, 5)

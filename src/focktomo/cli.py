@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -400,10 +401,7 @@ def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
         return laws, None
     model = DetectorModel.uniform(spec.efficiency, superop.meas_modes)
     basis = truncated_basis(truth.photons, superop.meas_modes)
-    detected = [
-        detector_response(embed_sector(p, truth.photons, basis), basis, model)
-        for p in laws
-    ]
+    detected = detector_response(embed_sector(laws, truth.photons, basis), basis, model)
     return detected, (basis, model)
 
 
@@ -415,12 +413,12 @@ def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, sho
     basis, model = detectors
     detected = _record_frequencies(records, superop.n_configs)
     if spec.invert_detector:
-        detected = [invert_detector_response(q, basis, model) for q in detected]
-    conditionals, masses = zip(*(postselect_total(q, basis, superop.photons) for q in detected))
+        detected = invert_detector_response(detected, basis, model)
+    conditionals, masses = postselect_total(detected, basis, superop.photons)
     # The N-photon sector of an inverted record is the detected sector over
     # eta^N, so it is never negative; lower sectors can be, but post-selection
     # drops them.
-    return reconstruct(superop, np.array(conditionals)), list(masses)
+    return reconstruct(superop, conditionals), masses.tolist()
 
 
 def cmd_reconstruct(spec: ExperimentSpec) -> int:
@@ -543,6 +541,7 @@ def _add_common(
         )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="focktomo",

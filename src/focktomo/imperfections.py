@@ -79,39 +79,43 @@ def truncated_basis(max_total: int, modes: int) -> TruncatedBasis:
     return TruncatedBasis(max_total=max_total, modes=modes, states=tuple(states))
 
 
-def embed_sector(p: np.ndarray, total: int, basis: TruncatedBasis) -> np.ndarray:
-    """Place a fixed-total distribution into the truncated outcome space."""
+def _as_laws(p, outcomes: int, what: str = "outcomes") -> np.ndarray:
+    """``p`` as floats: one law of ``outcomes`` entries, or an (R, outcomes) stack."""
     p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != outcomes:
+        raise ValueError(f"expected {outcomes} {what}, got {p.shape}")
+    return p
+
+
+def embed_sector(p: np.ndarray, total: int, basis: TruncatedBasis) -> np.ndarray:
+    """Place a fixed-total law, or an (R, K_N) stack, into the truncated outcome space."""
     sector = basis.sector_slice(total)
-    if p.shape != (sector.stop - sector.start,):
-        raise ValueError(
-            f"sector {total} has {sector.stop - sector.start} states, got {p.shape}"
-        )
-    out = np.zeros(len(basis), dtype=float)
-    out[sector] = p
+    p = _as_laws(p, sector.stop - sector.start, f"states in sector {total}")
+    out = np.zeros(p.shape[:-1] + (len(basis),), dtype=float)
+    out[..., sector] = p
     return out
 
 
 def postselect_total(
     p: np.ndarray, basis: TruncatedBasis, total: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Condition on a fixed detected total; also return the sector mass.
 
-    Works on probabilities or on raw counts.  The mass is the sector's share
-    of the input, which estimates the emission weight pi_N (or eta^N * pi_N
-    when uncorrected loss is present).
+    Works on probabilities or raw counts, one law (a float mass) or an (R, K)
+    stack (an (R,) array).  The mass is the sector's share of the input, which
+    estimates the emission weight pi_N (or eta^N * pi_N when uncorrected loss
+    is present).
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} outcomes, got {p.shape}")
-    grand_total = p.sum()
-    if grand_total <= 0.0:
+    p = _as_laws(p, len(basis))
+    grand_total = p.sum(axis=-1, keepdims=True)
+    if grand_total.min() <= 0.0:
         raise ValueError("distribution has no statistical weight at all")
-    sector = p[basis.sector_slice(total)]
-    sector_sum = sector.sum()
-    if sector_sum <= 0.0:
+    sector = p[..., basis.sector_slice(total)]
+    sector_sum = sector.sum(axis=-1, keepdims=True)
+    if sector_sum.min() <= 0.0:
         raise ValueError(f"no statistical weight in the {total}-photon sector")
-    return sector / sector_sum, float(sector_sum / grand_total)
+    mass = (sector_sum / grand_total)[..., 0]
+    return sector / sector_sum, float(mass) if p.ndim == 1 else mass
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,9 @@ class PhotonNumberMixture:
 
 
 def mixture_probabilities(
-    mixture: PhotonNumberMixture, config: InterferometerConfig
+    mixture: PhotonNumberMixture, config: InterferometerConfig | Sequence[InterferometerConfig]
 ) -> dict[int, tuple[float, np.ndarray]]:
-    """Per-component weights and conditional outcome distributions."""
+    """Per-component weights and conditional outcome laws, (R, K_N) stacks for R settings."""
     return {
         rho.photons: (weight, outcome_probabilities(rho, config))
         for weight, rho in mixture.components
@@ -176,18 +180,19 @@ def mixture_probabilities(
 
 def mixture_joint_probabilities(
     mixture: PhotonNumberMixture,
-    config: InterferometerConfig,
+    config: InterferometerConfig | Sequence[InterferometerConfig],
     max_total: int | None = None,
 ) -> tuple[TruncatedBasis, np.ndarray]:
-    """Joint detection distribution over all totals, on the truncated basis."""
+    """Joint detection law over all totals on the truncated basis, (R, K) for R settings."""
     if max_total is None:
         max_total = mixture.max_photons
     if max_total < mixture.max_photons:
         raise ValueError(
             f"truncation at {max_total} drops the {mixture.max_photons}-photon component"
         )
-    basis = truncated_basis(max_total, config.modes)
-    joint = np.zeros(len(basis), dtype=float)
+    first = config if isinstance(config, InterferometerConfig) else config[0]
+    basis = truncated_basis(max_total, first.modes)
+    joint = 0.0
     for total, (weight, conditional) in mixture_probabilities(mixture, config).items():
         joint += weight * embed_sector(conditional, total, basis)
     return basis, joint
@@ -248,11 +253,9 @@ def response_matrix(basis: TruncatedBasis, model: DetectorModel) -> np.ndarray:
 def detector_response(
     p: np.ndarray, basis: TruncatedBasis, model: DetectorModel
 ) -> np.ndarray:
-    """Detected distribution after per-mode binomial thinning."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} outcomes, got {p.shape}")
-    return response_matrix(basis, model) @ p
+    """Detected law after per-mode binomial thinning, of one law or an (R, K) stack row by row."""
+    p = _as_laws(p, len(basis))
+    return (response_matrix(basis, model) @ p[..., None])[..., 0]
 
 
 def invert_detector_response(
@@ -261,18 +264,16 @@ def invert_detector_response(
     model: DetectorModel,
     project: bool = False,
 ) -> np.ndarray:
-    """Recover the incident distribution from the detected one.
+    """Recover the incident law, or an (R, K) stack, from the detected one.
 
-    Solves the triangular response system exactly; with sampled data the
-    result can carry small negative entries, which are returned as-is unless
-    ``project`` asks for the nearest point on the probability simplex.  A
-    warning is emitted when the input has visibly lost mass beyond the
-    truncation (detected events above max_total cannot be represented here).
+    Solves the triangular response system exactly (a stack in one solve); with
+    sampled data the result can carry small negative entries, which are returned
+    as-is unless ``project`` asks for the nearest point on the probability
+    simplex, row by row.  A warning is emitted when any law has visibly lost mass
+    beyond the truncation (detected events above max_total are not represented).
     """
-    q = np.asarray(p_detected, dtype=float)
-    if q.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} outcomes, got {q.shape}")
-    deficit = 1.0 - q.sum()
+    q = _as_laws(p_detected, len(basis))
+    deficit = np.max(1.0 - q.sum(axis=-1))
     if deficit > TRUNCATION_MASS_TOL:
         warnings.warn(
             f"detected distribution is missing {deficit:.3e} probability mass; "
@@ -280,7 +281,7 @@ def invert_detector_response(
             RuntimeWarning,
             stacklevel=2,
         )
-    solution = solve_triangular(response_matrix(basis, model), q, lower=False)
+    solution = solve_triangular(response_matrix(basis, model), q.T, lower=False).T
     return simplex_projection(solution) if project else solution
 
 
@@ -304,10 +305,10 @@ def reconstruct_mixture(
 
     Each record is a distribution over ``truncated_basis(max_total, M')`` for
     the matching configuration.  With a detector model the response is
-    inverted first; sectors are then post-selected (one whose mean mass is
-    below ``SECTOR_MASS_FLOOR`` counts as absent), their masses estimate the
-    weights, and each sector's state is reconstructed with the generic
-    engine.  Completeness is checked per sector at runtime rather than
+    inverted first; a sector is kept if its mass exceeds ``SECTOR_MASS_FLOOR``
+    in every record (one with no weight in it cannot be post-selected on it),
+    its masses estimate its weight, and its state is reconstructed with the
+    generic engine.  Completeness is checked per sector at runtime rather than
     assumed, and any deficient sector is reported.
     """
     if not configs:
@@ -317,21 +318,20 @@ def reconstruct_mixture(
     basis = truncated_basis(max_total, configs[0].modes)
     cleaned = _record_frequencies(np.asarray(records, dtype=float), len(configs), len(basis))
     if model is not None:
-        cleaned = [invert_detector_response(q, basis, model) for q in cleaned]
-    totals = [q.sum() for q in cleaned]
-    if min(totals) <= 0.0:
+        cleaned = invert_detector_response(cleaned, basis, model)
+    totals = cleaned.sum(axis=1)
+    if totals.min() <= 0.0:
         raise ValueError("a record carries no statistical weight")
     masses: dict[int, list[float]] = {}
     sectors = {}  # total -> (map, conditionals)
     deficits: list[tuple[int, int, int]] = []
     for total in range(max_total + 1):
-        sector = basis.sector_slice(total)
-        sector_masses = [float(q[sector].sum() / grand) for q, grand in zip(cleaned, totals)]
-        if np.mean(sector_masses) < SECTOR_MASS_FLOOR:
+        if (cleaned[:, basis.sector_slice(total)].sum(axis=1) / totals).min() <= SECTOR_MASS_FLOOR:
             continue
-        masses[total] = sector_masses
+        conditionals, sector_masses = postselect_total(cleaned, basis, total)
+        masses[total] = sector_masses.tolist()
         superop = build_superoperator(configs, total, modes)
-        sectors[total] = superop, np.array([postselect_total(q, basis, total)[0] for q in cleaned])
+        sectors[total] = superop, conditionals
         required = fock_dimension(total, modes) ** 2
         rank = gramian_rank(superop).rank
         if rank < required:

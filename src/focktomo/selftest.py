@@ -151,9 +151,7 @@ def check_mixture_roundtrip() -> None:
     rho2 = tomography.random_density_matrix(combinatorics.enumerate_fock_basis(2, 2), 32)
     mixture = imperfections.PhotonNumberMixture(((0.4, rho1), (0.6, rho2)))
     configs = [linear_optics.haar_random_unitary(2, 200 + j) for j in range(5)]
-    records = [
-        imperfections.mixture_joint_probabilities(mixture, c)[1] for c in configs
-    ]
+    records = imperfections.mixture_joint_probabilities(mixture, configs)[1]
     estimate = imperfections.reconstruct_mixture(records, configs, 2, 2)
     assert abs(estimate.weights[1] - 0.4) < 1e-10
     assert abs(estimate.weights[2] - 0.6) < 1e-10

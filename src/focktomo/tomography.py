@@ -237,14 +237,13 @@ def _restricted_lift(configs, photons: int, modes: int) -> np.ndarray:
 
 def _checked_laws(laws: np.ndarray) -> np.ndarray:
     """``laws``, one outcome law per row, once each sums to 1 and lies in [0, 1]."""
-    for p in laws:
-        total = p.sum()
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise RuntimeError(f"outcome probabilities sum to {total}, not 1")
-        if p.min() < -NEGATIVE_PROBABILITY_TOL or p.max() > 1.0 + NEGATIVE_PROBABILITY_TOL:
-            raise RuntimeError(
-                f"outcome probabilities leave [0, 1]: min {p.min():.3e}, max {p.max():.3e}"
-            )
+    totals = laws.sum(axis=-1)
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
+    if abs(worst - 1.0) > PROBABILITY_SUM_TOL:
+        raise RuntimeError(f"outcome probabilities sum to {worst}, not 1")
+    low, high = laws.min(), laws.max()
+    if low < -NEGATIVE_PROBABILITY_TOL or high > 1.0 + NEGATIVE_PROBABILITY_TOL:
+        raise RuntimeError(f"outcome probabilities leave [0, 1]: min {low:.3e}, max {high:.3e}")
     return laws
 
 
@@ -469,14 +468,13 @@ class ReconstructionResult:
 
 
 def simplex_projection(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex, row by row along the last axis."""
     v = np.asarray(v, dtype=float)
-    ordered = np.sort(v)[::-1]
-    cumulative = np.cumsum(ordered) - 1.0
-    indices = np.arange(1, len(v) + 1)
-    support = ordered - cumulative / indices > 0
-    pivot = indices[support][-1]
-    shift = cumulative[support][-1] / pivot
+    ordered = np.flip(np.sort(v, axis=-1), axis=-1)
+    cumulative = np.cumsum(ordered, axis=-1) - 1.0
+    support = ordered - cumulative / np.arange(1, v.shape[-1] + 1) > 0
+    last = v.shape[-1] - 1 - np.argmax(np.flip(support, axis=-1), axis=-1, keepdims=True)
+    shift = np.take_along_axis(cumulative, last, axis=-1) / (last + 1)
     return np.clip(v - shift, 0.0, None)
 
 

@@ -611,6 +611,18 @@ class TestBoundsTakesNoSeed:
         assert out.read_text() == first
 
 
+class TestParser:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parsing_leaves_the_cached_parser_unchanged(self, capsys):
+        first = cli.build_parser().parse_args(["bounds", "--photons", "2", "--modes", "2"])
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["bounds", "--photons", "2"])
+        assert cli.build_parser().parse_args(["bounds", "--photons", "2", "--modes", "2"]) == first
+        capsys.readouterr()
+
+
 class TestCommandLineMatchesTheLibrary:
     @pytest.mark.parametrize("shots", [0, 1000])
     @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 2, 4)])

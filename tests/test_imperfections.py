@@ -1,12 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from focktomo import imperfections as imp
 from focktomo import linear_optics as lo
 from focktomo import tomography as tg
-from focktomo.combinatorics import enumerate_fock_basis, min_configs_extended
+from focktomo.combinatorics import enumerate_fock_basis, fock_dimension, min_configs_extended
 
 
 def haar_configs(modes, count, seed):
@@ -369,3 +371,173 @@ class TestReconstructMixture:
     def test_empty_input_is_named(self):
         with pytest.raises(ValueError, match="at least one configuration"):
             imp.reconstruct_mixture([], [], 2, 1)
+
+    def test_sampled_records_through_detectors_keep_only_sectors_present_in_every_record(self):
+        # The inverted vacuum sector of sampled data is zero-mean noise: a sector
+        # kept on its mean mass failed post-selection on about half of these seeds.
+        rho1 = tg.random_density_matrix(enumerate_fock_basis(1, 2), 1)
+        rho2 = tg.random_density_matrix(enumerate_fock_basis(2, 2), 2)
+        mixture = imp.PhotonNumberMixture(((0.4, rho1), (0.6, rho2)))
+        configs = [lo.haar_random_unitary(2, 100 + j) for j in range(5)]
+        model = imp.DetectorModel.uniform(0.8, 2)
+        basis, joint = imp.mixture_joint_probabilities(mixture, configs)
+        detected = imp.detector_response(joint, basis, model)
+        for seed in range(100):
+            records = np.random.default_rng(seed).multinomial(10**5, detected) / 10**5
+            estimate = imp.reconstruct_mixture(records, configs, 2, 2, model)
+            assert abs(estimate.weights[1] - 0.4) <= 0.01
+            assert abs(estimate.weights[2] - 0.6) <= 0.01
+            assert all(w <= 0.01 for n, w in estimate.weights.items() if n not in (1, 2))
+
+    def test_a_sector_empty_in_one_record_is_absent(self):
+        mixture, _, _ = two_component_mixture(seed=5)
+        configs = haar_configs(2, 5, seed=33)
+        records = imp.mixture_joint_probabilities(mixture, configs)[1]
+        basis = imp.truncated_basis(2, 2)
+        records[0, basis.sector_slice(1)] = 0.0
+        records[0] /= records[0].sum()
+        estimate = imp.reconstruct_mixture(records, configs, 2, 2)
+        assert sorted(estimate.states) == [2]
+
+
+def _parent_simplex_projection(v):
+    # The one-law projection as written before stacks were accepted.
+    ordered = np.sort(v)[::-1]
+    cumulative = np.cumsum(ordered) - 1.0
+    indices = np.arange(1, len(v) + 1)
+    support = ordered - cumulative / indices > 0
+    shift = cumulative[support][-1] / indices[support][-1]
+    return np.clip(v - shift, 0.0, None)
+
+
+# (max_total, modes, settings): K = 35 with N = 3, M' = 4, R = 30, and a two-mode basis.
+STACKS = [(3, 4, 30), (2, 2, 5)]
+
+
+@pytest.fixture(params=STACKS, ids=["K35-R30", "K6-R5"])
+def stack(request):
+    """A mixture over every total up to max_total, its settings, and its detected laws."""
+    max_total, modes, count = request.param
+    components = tuple(
+        (1.0 / max_total, tg.random_density_matrix(enumerate_fock_basis(n, modes), n))
+        for n in range(1, max_total + 1)
+    )
+    mixture = imp.PhotonNumberMixture(components)
+    configs = haar_configs(modes, count, seed=modes)
+    basis, joint = imp.mixture_joint_probabilities(mixture, configs)
+    model = imp.DetectorModel.uniform(0.8, modes)
+    detected = imp.detector_response(joint, basis, model)
+    sampled = np.random.default_rng(1).multinomial(10**4, np.clip(detected, 0.0, None)) / 1e4
+    return mixture, configs, basis, model, joint, detected, sampled
+
+
+class TestStackedKernels:
+    def test_mixture_joint_rows_are_the_single_setting_laws_bit_for_bit(self, stack):
+        mixture, configs, basis, _, joint, _, _ = stack
+        assert joint.shape == (len(configs), len(basis))
+        for config, row in zip(configs, joint):
+            single = imp.mixture_joint_probabilities(mixture, config)[1]
+            assert np.array_equal(row, single)
+            parent = np.zeros(len(basis))
+            for weight, rho in mixture.components:
+                parent[basis.sector_slice(rho.photons)] += weight * tg.outcome_probabilities(
+                    rho, config
+                )
+            assert np.array_equal(single, parent)
+
+    def test_mixture_probabilities_stack_each_component(self, stack):
+        mixture, configs, _, _, _, _, _ = stack
+        last = imp.mixture_probabilities(mixture, configs[-1])
+        for total, (weight, laws) in imp.mixture_probabilities(mixture, configs).items():
+            assert laws.shape == (len(configs), fock_dimension(total, mixture.modes))
+            assert weight == last[total][0]
+            assert np.array_equal(laws[-1], last[total][1])
+
+    def test_embed_sector(self, stack):
+        mixture, configs, basis, _, _, _, _ = stack
+        total = mixture.max_photons
+        laws = imp.mixture_probabilities(mixture, configs)[total][1]
+        embedded = imp.embed_sector(laws, total, basis)
+        rows = np.array([imp.embed_sector(p, total, basis) for p in laws])
+        assert np.array_equal(embedded, rows)
+        parent = np.zeros(len(basis))
+        parent[basis.sector_slice(total)] = laws[0]
+        assert np.array_equal(rows[0], parent)
+        with pytest.raises(ValueError, match=r"got \(%d, %d\)" % (len(laws), laws.shape[1] - 1)):
+            imp.embed_sector(laws[:, 1:], total, basis)
+
+    def test_detector_response(self, stack):
+        _, _, basis, model, joint, detected, _ = stack
+        rows = np.array([imp.detector_response(p, basis, model) for p in joint])
+        assert np.array_equal(detected, rows)  # --efficiency laws keep their bits
+        assert np.array_equal(rows[0], imp.response_matrix(basis, model) @ joint[0])
+
+    def test_invert_detector_response(self, stack):
+        _, _, basis, model, _, _, sampled = stack
+        matrix = imp.response_matrix(basis, model)
+        for project in (False, True):
+            stacked = imp.invert_detector_response(sampled, basis, model, project=project)
+            rows = np.array(
+                [imp.invert_detector_response(q, basis, model, project=project) for q in sampled]
+            )
+            assert np.abs(stacked - rows).max() <= 1e-15
+            parent = solve_triangular(matrix, sampled[0], lower=False)
+            if project:
+                parent = _parent_simplex_projection(parent)
+            assert np.array_equal(rows[0], parent)
+        assert stacked.min() >= 0.0  # the projection acts on every row
+
+    def test_simplex_projection_rows_are_bit_identical(self, stack):
+        _, _, basis, model, _, _, sampled = stack
+        raw = imp.invert_detector_response(sampled, basis, model)
+        projected = imp.simplex_projection(raw)
+        for row, v in zip(projected, raw):
+            assert np.array_equal(row, imp.simplex_projection(v))
+            assert np.array_equal(row, _parent_simplex_projection(v))
+        np.testing.assert_allclose(projected.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_postselect_total(self, stack):
+        mixture, _, basis, _, _, detected, _ = stack
+        total = mixture.max_photons
+        conditionals, masses = imp.postselect_total(detected, basis, total)
+        rows = [imp.postselect_total(q, basis, total) for q in detected]
+        assert masses.shape == (len(detected),)
+        assert np.abs(conditionals - np.array([c for c, _ in rows])).max() <= 1e-15
+        assert np.abs(masses - [m for _, m in rows]).max() <= 1e-15
+        assert all(type(m) is float for _, m in rows)
+        sector = detected[0][basis.sector_slice(total)]
+        assert np.array_equal(rows[0][0], sector / sector.sum())
+        assert rows[0][1] == float(sector.sum() / detected[0].sum())
+
+    def test_postselect_total_raises_when_any_row_is_empty(self, stack):
+        mixture, _, basis, _, _, detected, _ = stack
+        emptied = detected.copy()
+        emptied[-1, basis.sector_slice(mixture.max_photons)] = 0.0
+        with pytest.raises(ValueError, match="no statistical weight in the"):
+            imp.postselect_total(emptied, basis, mixture.max_photons)
+        emptied[-1] = 0.0
+        with pytest.raises(ValueError, match="no statistical weight at all"):
+            imp.postselect_total(emptied, basis, mixture.max_photons)
+
+    @pytest.mark.parametrize("kernel", ["detector_response", "invert", "postselect"])
+    def test_a_wrong_trailing_length_names_the_shape(self, stack, kernel):
+        _, _, basis, model, _, detected, _ = stack
+        short = detected[:, :-1]
+        call = {
+            "detector_response": lambda p: imp.detector_response(p, basis, model),
+            "invert": lambda p: imp.invert_detector_response(p, basis, model),
+            "postselect": lambda p: imp.postselect_total(p, basis, 1),
+        }[kernel]
+        for bad in (short, short[0], detected[None]):
+            with pytest.raises(ValueError, match=r"expected %d outcomes, got \(" % len(basis)):
+                call(bad)
+
+    def test_truncation_warning_fires_when_any_row_is_short(self, stack):
+        _, _, basis, model, _, detected, _ = stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            imp.invert_detector_response(detected, basis, model)
+        short = detected.copy()
+        short[-1] *= 0.9
+        with pytest.warns(RuntimeWarning, match=r"missing 1\.000e-01"):
+            imp.invert_detector_response(short, basis, model)

@@ -156,6 +156,32 @@ class TestBatchedSettings:
         assert np.array_equal(laws, superop.apply(rho).reshape(len(configs), -1))
 
 
+class TestCheckedLaws:
+    def laws(self):
+        rng = np.random.default_rng(3)
+        laws = rng.random((4, 6))
+        return laws / laws.sum(axis=1, keepdims=True)
+
+    def test_valid_laws_pass_through(self):
+        laws = self.laws()
+        assert tg._checked_laws(laws) is laws
+
+    def test_the_worst_row_sum_is_named(self):
+        laws = self.laws()
+        laws[2] = [0.5, 0.4, 0.0, 0.0, 0.0, 0.0]
+        laws[1] *= 1.0 + 1e-11  # within tolerance
+        with pytest.raises(RuntimeError, match=r"sum to 0\.9(?!\d)"):
+            tg._checked_laws(laws)
+
+    def test_entries_outside_the_unit_interval_are_named(self):
+        laws = self.laws()
+        laws[1] = [-0.2, 1.2, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(
+            RuntimeError, match=r"leave \[0, 1\]: min -2\.000e-01, max 1\.200e\+00"
+        ):
+            tg._checked_laws(laws)
+
+
 class TestSuperoperator:
     def test_matches_outcome_probabilities(self):
         for photons, modes, meas in [(1, 2, 2), (2, 2, 3), (2, 3, 3)]:

@@ -94,7 +94,7 @@ class InterferometerConfig:
             raise ValueError(f"matrix shape {g.shape} does not match {self.modes} modes")
         g.flags.writeable = False
         self.matrix = g
-        if (residual := self.unitarity_residual) > UNITARITY_TOL:
+        if not (residual := self.unitarity_residual) <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
 
     @property

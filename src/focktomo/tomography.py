@@ -87,7 +87,7 @@ class DensityMatrix:
         if rho.shape != (d, d):
             raise ValueError(f"matrix shape {rho.shape} does not match dimension {d}")
         herm = np.abs(rho - rho.conj().T).max()
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:  # NaN fails too
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
         tr = rho.trace()
         if abs(tr - 1.0) > TRACE_TOL:
@@ -239,10 +239,10 @@ def _checked_laws(laws: np.ndarray) -> np.ndarray:
     """``laws``, one outcome law per row, once each sums to 1 and lies in [0, 1]."""
     totals = laws.sum(axis=-1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
-    if abs(worst - 1.0) > PROBABILITY_SUM_TOL:
+    if not abs(worst - 1.0) <= PROBABILITY_SUM_TOL:  # NaN fails too
         raise RuntimeError(f"outcome probabilities sum to {worst}, not 1")
     low, high = laws.min(), laws.max()
-    if low < -NEGATIVE_PROBABILITY_TOL or high > 1.0 + NEGATIVE_PROBABILITY_TOL:
+    if not (low >= -NEGATIVE_PROBABILITY_TOL and high <= 1.0 + NEGATIVE_PROBABILITY_TOL):
         raise RuntimeError(f"outcome probabilities leave [0, 1]: min {low:.3e}, max {high:.3e}")
     return laws
 
@@ -305,6 +305,11 @@ class Superoperator:
         return reflectors, tau, sigma
 
     @property
+    def singular_values(self) -> np.ndarray:
+        """L's singular values, read from the cached factor."""
+        return self._factor[2]
+
+    @property
     def n_configs(self) -> int:
         return len(self.configs)
 
@@ -322,7 +327,11 @@ def _superoperator_rows(configs, photons: int, modes: int) -> np.ndarray:
         raise ValueError(f"configuration has {counts[0]} modes, state needs at least {modes}")
     if len(counts) > 1:
         raise ValueError(f"all configurations must act on the same number of modes, got {counts}")
-    v = _restricted_lift(configs, photons, modes)  # (R, D, D')
+    return _lifted_rows(_restricted_lift(configs, photons, modes))
+
+
+def _lifted_rows(v: np.ndarray) -> np.ndarray:
+    """The map's rows from R settings' restricted lifts v, (R, D, D'): (R D', D^2)."""
     return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
 
 
@@ -381,21 +390,22 @@ def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> flo
 
 
 def gramian_rank(
-    superop: Superoperator | np.ndarray, rel_threshold: float | None = None
+    superop: Superoperator | _LevelStack | np.ndarray, rel_threshold: float | None = None
 ) -> RankReport:
     """Numerical rank of L via its singular values.
 
-    A ``Superoperator``'s singular values are read from its cached factor; an
-    array takes a values-only SVD.  The default threshold is max(rows, cols) *
-    machine-eps * sigma_max, the standard numerical-rank convention;
-    ``rel_threshold`` (times sigma_max) overrides it.
+    An array takes a values-only SVD; an object with ``singular_values`` and a 2-D
+    ``.shape`` or ``.matrix.shape`` gives them (a ``Superoperator`` from its cached
+    factor, the scan's ``_LevelStack`` level by level).  The default threshold is
+    max(rows, cols) * eps * sigma_max, or ``rel_threshold`` (times sigma_max).
     """
-    is_map = isinstance(superop, Superoperator)
-    matrix = superop.matrix if is_map else np.asarray(superop)
-    scale = _threshold_scale(matrix.shape, rel_threshold)
-    if matrix.size == 0:
+    carried = hasattr(superop, "singular_values")
+    superop = superop if carried else np.asarray(superop)
+    shape = getattr(superop, "matrix", superop).shape
+    scale = _threshold_scale(shape, rel_threshold)
+    if np.prod(shape) == 0:
         raise ValueError("empty superoperator")
-    sigma = superop._factor[2] if is_map else np.linalg.svd(matrix, compute_uv=False)
+    sigma = superop.singular_values if carried else np.linalg.svd(superop, compute_uv=False)
     sigma_max = float(sigma[0])
     threshold = scale * sigma_max
     kept = sigma > threshold
@@ -657,7 +667,8 @@ class _RowSpace:
     over D.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
     sigma_max^2.  A level so certified at k_l = d_l is frozen: its later rows are
     neither projected nor factored, and by interlacing its sigma_{d_l} stays above that
-    step's KEEP_MARGIN tau_hi, which must stay above tau_hi.
+    step's KEEP_MARGIN tau_hi, which must stay above tau_hi.  At rank D^2 every V_l is
+    complete, and ``_LevelStack`` takes the stack's sigma from them.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
@@ -718,6 +729,32 @@ class _RowSpace:
         return sum(self.ranks)
 
 
+class _LevelStack:
+    """The scan's stack of unrotated ``blocks`` once every V_l of ``space`` is complete.
+
+    Level l's rows, T-rotated from every block (frozen steps too), then lie in V_l's
+    span, so the stack's sigma are the union of those of A_l V_l^T, d_l columns each
+    (A_l's own for a square V_l: one group, as in padded cells and with D <= 4).
+    """
+
+    def __init__(self, blocks: list[np.ndarray], rotation: np.ndarray, space: _RowSpace):
+        self.shape = (sum(map(len, blocks)), space.vt[0].shape[1])
+        self._levels = blocks, np.split(rotation, space.starts[1:-1]), space.vt
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        blocks, groups, bases = self._levels
+        sigma = []
+        for t, vt in zip(groups, bases):  # products of about 128 rows: near full BLAS speed
+            square, step = len(vt) == vt.shape[1], -(-128 // len(t))
+            rows = np.empty((len(blocks) * len(t), len(vt)))  # A_l V_l^T, built in place
+            for j in range(0, len(blocks), step):
+                part = np.vstack([t @ block for block in blocks[j : j + step]])
+                rows[j * len(t) : (j + step) * len(t)] = part if square else part @ vt.T
+            sigma.append(np.linalg.svd(rows, compute_uv=False))
+        return np.sort(np.concatenate(sigma))[::-1]
+
+
 def find_min_configs(
     photons: int,
     modes: int,
@@ -729,15 +766,15 @@ def find_min_configs(
 ) -> MinConfigSearch:
     """Smallest number of freshly drawn configurations reaching full rank.
 
-    Appends one independent configuration at a time and records the rank after
-    each; stops at rank D^2 or after ``r_max`` configurations (reporting the
-    best rank achieved).  Each rank is ``gramian_rank``'s on the stacked real
-    map; ``_RowSpace`` certifies it without an SVD until a step it cannot
-    certify or a rank of D^2, and the full SVD of the unrotated stack settles
-    that step and every later one.  With M' = M each setting's outcome rows
-    are first rotated by ``_level_split``'s T into U(M) levels, certified level
-    by level; a full level is frozen.  The observed minimum is checked against
-    the counting lower bound on every run.
+    Appends one independent configuration at a time and records the rank after each;
+    stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
+    achieved).  The first min(bound, ``r_max``) are lifted in one call.  Each rank is
+    ``gramian_rank``'s on the stacked real map: ``_RowSpace`` certifies it without an
+    SVD until a step it cannot certify, which the full SVD of the unrotated stack
+    settles with every later step, or a rank of D^2, confirmed on ``_LevelStack``.
+    With M' = M each setting's outcome rows are first rotated by ``_level_split``'s T
+    into U(M) levels, certified level by level; a full level is frozen.  The observed
+    minimum is checked against the counting lower bound on every run.
     """
     if meas_modes is None:
         meas_modes = modes
@@ -750,7 +787,8 @@ def find_min_configs(
     d = fock_dimension(photons, modes)
     required = d * d
 
-    configs: list[InterferometerConfig] = []
+    configs = [draw(meas_modes) for _ in range(min(bound, r_max))]
+    lifted = list(_restricted_lift(configs, photons, modes)[:, None])  # (1, D, D') each
     blocks: list[np.ndarray] = []
     trace: list[tuple[int, int]] = []
     found: int | None = None
@@ -759,20 +797,22 @@ def find_min_configs(
     if d <= 4:  # T's rounding alone fails the certificate with D <= 4: one group, T = I
         rotation, sizes, dims = np.eye(len(rotation)), (len(rotation),), (required,)
     space: _RowSpace | None = _RowSpace(sizes, dims, rel_threshold)
-    while len(configs) < r_max:
-        config = draw(meas_modes)
-        configs.append(config)
-        blocks.append(_hermitian_coordinates(_superoperator_rows([config], photons, modes), d))
+    while len(blocks) < r_max:
+        if len(blocks) == len(configs):  # past the bound, one setting at a time
+            configs.append(draw(meas_modes))
+            lifted.append(_restricted_lift(configs[-1:], photons, modes))
+        blocks.append(_hermitian_coordinates(_lifted_rows(lifted[len(blocks)]), d))
         rank = space.extend(rotation @ blocks[-1]) if space is not None else None
-        if rank is None or rank == required:
-            space = None  # the SVD settles this step and every later one
-            rank = gramian_rank(np.vstack(blocks), rel_threshold).rank
+        if rank is None or rank == required:  # the SVD settles this step and every later one
+            levels = _LevelStack(blocks, rotation, space) if rank == required else None
+            space = None  # K_l go before the SVD
+            rank = gramian_rank(levels or np.vstack(blocks), rel_threshold).rank
         if rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
         previous_rank = rank
-        trace.append((len(configs), rank))
+        trace.append((len(blocks), rank))
         if rank == required:
-            found = len(configs)
+            found = len(blocks)
             break
     if found is not None and found < bound:
         raise RuntimeError(

@@ -422,6 +422,14 @@ class TestBadInput:
         assert cli.main(["reconstruct", "--state", str(state)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_nan_state_file_is_not_hermitian(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        record = {"photons": 1, "modes": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        record["matrix"][1][1][0] = float("nan")
+        state.write_text(json.dumps(record))  # written as the JSON extension NaN
+        assert cli.main(["reconstruct", "--state", str(state)]) == 2
+        assert "invalid input: matrix is not Hermitian (residual nan)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["photons", "modes"])
     @pytest.mark.parametrize("value", [None, [2], {"n": 2}, True])
     def test_state_counts_must_be_integers(self, field, value, tmp_path, capsys):

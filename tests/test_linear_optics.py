@@ -308,6 +308,10 @@ class TestConfigSerialization:
         with pytest.raises(ValueError):
             lo.InterferometerConfig(2, np.array([[1.0, 0.0], [0.0, 1.1]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"not unitary \(residual nan\)"):
+            lo.InterferometerConfig(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_json_round_trip_is_bit_exact(self, seed):
         config = lo.haar_random_unitary(4, seed)

@@ -51,6 +51,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             tg.DensityMatrix(basis, np.diag([1.5, -0.5]).astype(complex))
 
+    def test_a_nan_entry_is_not_hermitian(self):
+        basis = enumerate_fock_basis(1, 2)
+        with pytest.raises(ValueError, match=r"not Hermitian \(residual nan\)"):
+            tg.DensityMatrix(basis, np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
     def test_json_round_trip(self):
         basis = enumerate_fock_basis(2, 2)
         rho = tg.random_density_matrix(basis, 8)
@@ -180,6 +185,10 @@ class TestCheckedLaws:
             RuntimeError, match=r"leave \[0, 1\]: min -2\.000e-01, max 1\.200e\+00"
         ):
             tg._checked_laws(laws)
+
+    def test_nan_laws_are_rejected(self):
+        with pytest.raises(RuntimeError, match="sum to nan, not 1"):
+            tg._checked_laws(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 class TestSuperoperator:
@@ -553,6 +562,59 @@ class TestSearches:
         monkeypatch.setattr(tg, "gramian_rank", rank)
         assert tg.find_min_configs(2, 2, seed=0).found == min_configs(2, 2)
         assert rank.call_count == 1
+
+    @staticmethod
+    def confirming_report(monkeypatch, *args, **kwargs):
+        """A scan, its one ``gramian_rank`` argument and the report it gave."""
+        calls, original = [], tg.gramian_rank
+
+        def rank(superop, rel_threshold=None):
+            calls.append((superop, original(superop, rel_threshold)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(*args, **kwargs)
+        assert len(calls) == 1
+        return search, *calls[0]
+
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes", [(3, 4, 4), (4, 4, 4), (2, 6, 6), (6, 2, 2), (2, 3, 5)]
+    )
+    def test_level_confirmation_equals_the_full_svd(
+        self, monkeypatch, photons, modes, meas_modes
+    ):
+        search, stack, report = self.confirming_report(monkeypatch, photons, modes, meas_modes)
+        assert search.found == min_configs_extended(photons, modes, meas_modes)
+        d = fock_dimension(photons, modes)
+        blocks = tg._hermitian_coordinates(tg._superoperator_rows(search.configs, photons, modes), d)
+        assert getattr(stack, "matrix", stack).shape == blocks.shape  # 2-D, as the tracer reads it
+        full = tg.gramian_rank(blocks)
+        sigma = report.singular_values
+        assert sigma.shape == (d * d,) and report.rank == d * d
+        np.testing.assert_allclose(sigma, full.singular_values, rtol=0, atol=1e-12 * full.sigma_max)
+        assert abs(report.threshold - full.threshold) <= 1e-12 * full.threshold
+
+    @pytest.mark.parametrize("r_max", [None, 7])
+    def test_one_lift_covers_the_settings_up_to_the_bound(self, monkeypatch, r_max):
+        lift = mock.Mock(wraps=tg.lift_unitary)
+        monkeypatch.setattr(tg, "lift_unitary", lift)
+        search = tg.find_min_configs(3, 4, seed=0, r_max=r_max)
+        assert lift.call_count == 1
+        drawn = min(min_configs(3, 4), r_max or min_configs(3, 4))
+        assert lift.call_args_list[0].args[0].shape == (drawn, 4, 4)
+        assert len(search.configs) == len(search.rank_trace) == drawn
+        draw = tg.config_drawer("haar", 0)
+        for config in search.configs:
+            np.testing.assert_array_equal(config.matrix, draw(4).matrix)
+
+    def test_settings_past_the_bound_are_lifted_one_at_a_time(self, monkeypatch):
+        lift = mock.Mock(wraps=tg.lift_unitary)
+        monkeypatch.setattr(tg, "lift_unitary", lift)
+        search = tg.find_min_configs(2, 2, seed=1, rel_threshold=1e-3)
+        extra = search.found - min_configs(2, 2)
+        assert extra > 0 and lift.call_count == 1 + extra
+        assert all(call.args[0].shape == (1, 2, 2) for call in lift.call_args_list[1:])
+        assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 2, 1e-3)
 
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5

@@ -50,7 +50,6 @@ from .tomography import (
     GENERATORS,
     DensityMatrix,
     IncompleteConfigurationsError,
-    _checked_laws,
     _record_frequencies,
     build_superoperator,
     config_drawer,
@@ -396,7 +395,7 @@ def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
     Read off the measurement map once per run, as ``outcome_probabilities``
     reads them, so no setting is lifted again for any shot count.
     """
-    laws = _checked_laws(superop.apply(truth).reshape(superop.n_configs, -1))
+    laws = superop.laws(truth)
     if spec.efficiency is None:
         return laws, None
     model = DetectorModel.uniform(spec.efficiency, superop.meas_modes)

@@ -188,9 +188,9 @@ class MeasurementRecord:
             raise ValueError("provide exactly one of probabilities or counts")
         if self.probabilities is not None:
             p = np.asarray(self.probabilities, dtype=float)
-            if p.min() < -NEGATIVE_PROBABILITY_TOL:
+            if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
                 raise ValueError(f"negative probability {p.min():.3e}")
-            if p.sum() > 1.0 + PROBABILITY_SUM_TOL:
+            if not p.sum() <= 1.0 + PROBABILITY_SUM_TOL:
                 raise ValueError(f"probabilities sum to {p.sum()} > 1")
             self.probabilities = p
         else:
@@ -252,16 +252,13 @@ def outcome_probabilities(
 ) -> np.ndarray:
     """Photon-counting distribution over the M'-mode outcome basis.
 
-    Read off the R D' x D^2 map rows that ``build_superoperator`` holds, as
-    ``Superoperator.apply`` reads them, so both give the same laws bit for bit.
-    R settings give their R laws from one lift, row r equal bit for bit to
-    setting r's alone.  Entries may carry roundoff at the -1e-16 level and are
-    returned unclipped, so callers can see (and report) them; each law must sum
-    to 1 within ``PROBABILITY_SUM_TOL``.
+    ``Superoperator.laws`` of ``build_superoperator``'s map: R settings give R laws
+    from one lift, row r equal bit for bit to setting r's alone.  Entries may carry
+    roundoff at the -1e-16 level and are returned unclipped, so callers can see (and
+    report) them; each law must sum to 1 within ``PROBABILITY_SUM_TOL``.
     """
     configs = [config] if isinstance(config, InterferometerConfig) else list(config)
-    rows = _superoperator_rows(configs, rho.photons, rho.modes)
-    laws = _checked_laws((rows @ rho.matrix.reshape(-1)).real.reshape(len(configs), -1))
+    laws = build_superoperator(configs, rho.photons, rho.modes).laws(rho)
     return laws[0] if isinstance(config, InterferometerConfig) else laws
 
 
@@ -316,6 +313,10 @@ class Superoperator:
     def apply(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
         mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
         return (self.matrix @ mat.reshape(-1)).real
+
+    def laws(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
+        """Each setting's outcome law, (R, D'), checked by ``_checked_laws``."""
+        return _checked_laws(self.apply(rho).reshape(self.n_configs, -1))
 
 
 def _superoperator_rows(configs, photons: int, modes: int) -> np.ndarray:
@@ -396,8 +397,8 @@ def gramian_rank(
 
     An array takes a values-only SVD; an object with ``singular_values`` and a 2-D
     ``.shape`` or ``.matrix.shape`` gives them (a ``Superoperator`` from its cached
-    factor, the scan's ``_LevelStack`` level by level).  The default threshold is
-    max(rows, cols) * eps * sigma_max, or ``rel_threshold`` (times sigma_max).
+    factor, the scan's ``_LevelStack`` as its levels' union).  The default threshold
+    is max(rows, cols) * eps * sigma_max, or ``rel_threshold`` (times sigma_max).
     """
     carried = hasattr(superop, "singular_values")
     superop = superop if carried else np.asarray(superop)
@@ -544,10 +545,10 @@ def sample_shots(
     p = np.asarray(p, dtype=float)
     if shots < 0:
         raise ValueError(f"shot count must be non-negative, got {shots}")
-    if p.min() < -NEGATIVE_PROBABILITY_TOL:
+    if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
         raise ValueError(f"probability entry {p.min():.3e} is negative")
     total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
     if shots == 0:
         return np.zeros(len(p), dtype=np.int64)
@@ -656,19 +657,19 @@ class _RowSpace:
     stack's level-l rows, and K_l = sum_j P_j^T P_j, P_j being block j's
     coordinates in V_l when it was taken (0 on later directions).
 
-    Blocks come rotated by ``_level_split``'s T, so the stack A's singular values are
-    the union of the levels'.  The dropped mass e (e^2 = the sum over blocks and levels
-    of ||E_j||_2^2) plus T's rounding rho = D eps ||A||_F (0 with one group) bounds A
-    minus the stack the K_l describe, so Weyl gives rank sum_l k_l when every open K_l -
+    Blocks come rotated by ``_level_split``'s T, and the stack ranked is the direct
+    sum of the levels' rows, A = A_0 + ... + A_N (``_LevelStack``).  The dropped mass
+    e (e^2 = the sum over blocks and levels of ||E_j||_2^2) bounds each A_l minus the
+    stack K_l describes, so Weyl gives rank sum_l k_l when every open K_l -
     ((KEEP_MARGIN tau_hi + e)^2 + k_l eps ||A||_F^2) I is positive definite and e +
     sqrt(D^2) eps ||A||_F < tau_lo.  tau_lo <= tau <= tau_hi come from q^(1/2) - e <=
-    sigma_max <= ||A||_F, q = ||A x||^2 for the trace direction x = vec(I)/sqrt(D): each
-    row's first D (diagonal) coordinates, which T leaves in place, summed, squared and
-    over D.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
-    sigma_max^2.  A level so certified at k_l = d_l is frozen: its later rows are
-    neither projected nor factored, and by interlacing its sigma_{d_l} stays above that
-    step's KEEP_MARGIN tau_hi, which must stay above tau_hi.  At rank D^2 every V_l is
-    complete, and ``_LevelStack`` takes the stack's sigma from them.
+    sigma_max <= ||A||_F, q = ||A_0 x||^2 for the trace direction x = vec(I)/sqrt(D),
+    which lies in V_0: each level-0 row's first D (diagonal) coordinates, summed,
+    squared and over D.  With M' = M a setting's rows are orthonormal and sum to
+    vec(I), so q = R = sigma_max^2.  A level so certified at k_l = d_l is frozen: its
+    later rows are neither projected nor factored, and by interlacing its sigma_{d_l}
+    stays above that step's KEEP_MARGIN tau_hi, which must stay above tau_hi.  At rank
+    D^2 every V_l is complete, and ``_LevelStack`` takes A's sigma from them.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
@@ -678,7 +679,6 @@ class _RowSpace:
         self.ranks, self.floors = [0] * len(dims), [0.0] * len(dims)  # floor > 0: frozen
         self.trace_sq, self.diagonal = 0.0, round(columns**0.5)  # D = sqrt(D^2)
         self.count, self.dropped_sq, self.frobenius_sq = 0, 0.0, 0.0
-        self.rounding = np.finfo(float).eps * self.starts[-1] if len(dims) > 1 else 0.0
         self.rel_threshold = rel_threshold
 
     def _take(self, level: int, block: np.ndarray, tau_hi: float) -> None:
@@ -704,15 +704,14 @@ class _RowSpace:
         self.count += len(block)
         scale = _threshold_scale((self.count, n), self.rel_threshold)
         self.frobenius_sq += float(np.sum(block**2))
-        self.trace_sq += float(np.sum(block[:, : self.diagonal].sum(axis=1) ** 2)) / self.diagonal
+        level0 = block[: self.starts[1], : self.diagonal]
+        self.trace_sq += float(np.sum(level0.sum(axis=1) ** 2)) / self.diagonal
         frobenius = np.sqrt(self.frobenius_sq)
-        rounding = self.rounding * frobenius
-        tau_hi = scale * (frobenius + rounding)
+        tau_hi = scale * frobenius
         open_levels = [level for level, floor in enumerate(self.floors) if not floor]
         for level in open_levels:
             self._take(level, block[self.starts[level] : self.starts[level + 1]], tau_hi)
-        dropped = np.sqrt(self.dropped_sq) + rounding
-        cushion = n**0.5 * eps * (frobenius + rounding)
+        dropped, cushion = np.sqrt(self.dropped_sq), n**0.5 * eps * frobenius
         if dropped + cushion >= scale * (self.trace_sq**0.5 - dropped):
             return None
         if any(0.0 < floor <= tau_hi + cushion for floor in self.floors):
@@ -730,27 +729,25 @@ class _RowSpace:
 
 
 class _LevelStack:
-    """The scan's stack of unrotated ``blocks`` once every V_l of ``space`` is complete.
-
-    Level l's rows, T-rotated from every block (frozen steps too), then lie in V_l's
-    span, so the stack's sigma are the union of those of A_l V_l^T, d_l columns each
-    (A_l's own for a square V_l: one group, as in padded cells and with D <= 4).
+    """The direct sum of the levels A_l (rows ``starts[l]:starts[l + 1]`` of every
+    T-rotated block): sigma the union of the A_l's, shape the stack's (R D', D^2).
+    With complete V_l (``bases``), A_l V_l^T, d_l wide, stands for A_l unless square.
     """
 
-    def __init__(self, blocks: list[np.ndarray], rotation: np.ndarray, space: _RowSpace):
-        self.shape = (sum(map(len, blocks)), space.vt[0].shape[1])
-        self._levels = blocks, np.split(rotation, space.starts[1:-1]), space.vt
+    def __init__(self, blocks: list, starts: np.ndarray, bases: list | None = None):
+        self.shape = (sum(map(len, blocks)), blocks[0].shape[1])
+        self._levels = blocks, starts, bases or [None] * (len(starts) - 1)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        blocks, groups, bases = self._levels
+        blocks, starts, bases = self._levels
         sigma = []
-        for t, vt in zip(groups, bases):  # products of about 128 rows: near full BLAS speed
-            square, step = len(vt) == vt.shape[1], -(-128 // len(t))
-            rows = np.empty((len(blocks) * len(t), len(vt)))  # A_l V_l^T, built in place
+        for lo, hi, vt in zip(starts[:-1], starts[1:], bases):  # products of about 128 rows
+            z, step, narrow = hi - lo, -(-128 // (hi - lo)), vt is not None and len(vt) < len(vt.T)
+            rows = np.empty((len(blocks) * z, len(vt) if narrow else self.shape[1]))  # in place
             for j in range(0, len(blocks), step):
-                part = np.vstack([t @ block for block in blocks[j : j + step]])
-                rows[j * len(t) : (j + step) * len(t)] = part if square else part @ vt.T
+                part = np.vstack([block[lo:hi] for block in blocks[j : j + step]])
+                rows[j * z : (j + step) * z] = part @ vt.T if narrow else part
             sigma.append(np.linalg.svd(rows, compute_uv=False))
         return np.sort(np.concatenate(sigma))[::-1]
 
@@ -768,13 +765,12 @@ def find_min_configs(
 
     Appends one independent configuration at a time and records the rank after each;
     stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
-    achieved).  The first min(bound, ``r_max``) are lifted in one call.  Each rank is
-    ``gramian_rank``'s on the stacked real map: ``_RowSpace`` certifies it without an
-    SVD until a step it cannot certify, which the full SVD of the unrotated stack
-    settles with every later step, or a rank of D^2, confirmed on ``_LevelStack``.
-    With M' = M each setting's outcome rows are first rotated by ``_level_split``'s T
-    into U(M) levels, certified level by level; a full level is frozen.  The observed
-    minimum is checked against the counting lower bound on every run.
+    achieved).  The first min(bound, ``r_max``) are lifted in one call.  The rows are
+    rotated by ``_level_split``'s T into U(M) levels, and each rank is ``gramian_rank``'s
+    on their direct sum (``_LevelStack``): the full SVD's, unless a sigma lies within
+    T's rounding of the threshold.  ``_RowSpace`` certifies steps level by level; one
+    it cannot takes the levels' SVDs, and a certified D^2 is confirmed in the V_l.
+    The observed minimum is checked against the counting lower bound on every run.
     """
     if meas_modes is None:
         meas_modes = modes
@@ -789,24 +785,25 @@ def find_min_configs(
 
     configs = [draw(meas_modes) for _ in range(min(bound, r_max))]
     lifted = list(_restricted_lift(configs, photons, modes)[:, None])  # (1, D, D') each
-    blocks: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []  # T-rotated
     trace: list[tuple[int, int]] = []
     found: int | None = None
     previous_rank = 0
     rotation, sizes, dims = _level_split(photons, modes, meas_modes)
-    if d <= 4:  # T's rounding alone fails the certificate with D <= 4: one group, T = I
-        rotation, sizes, dims = np.eye(len(rotation)), (len(rotation),), (required,)
-    space: _RowSpace | None = _RowSpace(sizes, dims, rel_threshold)
+    space = _RowSpace(sizes, dims, rel_threshold)
     while len(blocks) < r_max:
         if len(blocks) == len(configs):  # past the bound, one setting at a time
             configs.append(draw(meas_modes))
             lifted.append(_restricted_lift(configs[-1:], photons, modes))
-        blocks.append(_hermitian_coordinates(_lifted_rows(lifted[len(blocks)]), d))
-        rank = space.extend(rotation @ blocks[-1]) if space is not None else None
-        if rank is None or rank == required:  # the SVD settles this step and every later one
-            levels = _LevelStack(blocks, rotation, space) if rank == required else None
-            space = None  # K_l go before the SVD
-            rank = gramian_rank(levels or np.vstack(blocks), rel_threshold).rank
+        blocks.append(rotation @ _hermitian_coordinates(_lifted_rows(lifted[len(blocks)]), d))
+        rank = space.extend(blocks[-1])
+        if rank is None:  # uncertified: the SVD of each level's rows settles the step
+            rank = gramian_rank(_LevelStack(blocks, space.starts), rel_threshold).rank
+        elif rank == required:  # confirmed on the complete V_l, once the K_l are gone
+            space.gram.clear()
+            rank = gramian_rank(_LevelStack(blocks, space.starts, space.vt), rel_threshold).rank
+            if rank < required:
+                raise RuntimeError(f"step {len(blocks)}: rank {required} certified, {rank} by SVD")
         if rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
         previous_rank = rank

@@ -160,6 +160,16 @@ class TestBatchedSettings:
         laws = tg.outcome_probabilities(rho, configs)
         assert np.array_equal(laws, superop.apply(rho).reshape(len(configs), -1))
 
+    def test_the_map_reads_checked_laws(self):
+        rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 4)
+        configs = haar_configs(3, 3, seed=9)
+        superop = tg.build_superoperator(configs, 2, 3)
+        laws = superop.laws(rho)
+        assert np.array_equal(laws, tg.outcome_probabilities(rho, configs))
+        assert np.array_equal(laws[0], tg.outcome_probabilities(rho, configs[0]))
+        with pytest.raises(RuntimeError, match="sum to"):
+            superop.laws(2.0 * rho.matrix)
+
 
 class TestCheckedLaws:
     def laws(self):
@@ -416,6 +426,14 @@ class TestReconstruct:
         assert err.value.required == 9
         assert err.value.deficit >= 1
 
+    def test_a_nan_record_is_named_before_the_solve(self):
+        configs = haar_configs(2, 5, seed=41)
+        superop = tg.build_superoperator(configs, 2, 2)
+        laws = superop.laws(tg.random_density_matrix(enumerate_fock_basis(2, 2), 2))
+        laws[3, 1] = np.nan
+        with pytest.raises(ValueError, match="negative probability nan"):
+            tg.reconstruct(superop, [tg.MeasurementRecord.exact(j, p) for j, p in enumerate(laws)])
+
     def test_rejects_misordered_records(self):
         configs = haar_configs(2, 5, seed=41)
         superop = tg.build_superoperator(configs, 2, 2)
@@ -556,12 +574,56 @@ class TestSearches:
         assert rank.call_count == 1
 
     def test_small_cell_scan_certifies_every_step(self, monkeypatch):
-        # With D <= 4 the level split's rounding allowance alone would fail
-        # every certificate; one group certifies the steps instead.
+        # With D <= 4 the level split certifies every step: the rotated stack
+        # is the one ranked, so T's rounding enters no certificate.
         rank = mock.Mock(wraps=tg.gramian_rank)
         monkeypatch.setattr(tg, "gramian_rank", rank)
         assert tg.find_min_configs(2, 2, seed=0).found == min_configs(2, 2)
         assert rank.call_count == 1
+
+    @pytest.mark.parametrize(
+        "photons,generator,seed",
+        [(1, "haar", 0), (1, "haar", 4), (1, "mesh", 3), (1, "mesh", 4), (1, "mesh", 5)]
+        + [(3, "haar", 1), (3, "mesh", 1)],
+    )
+    def test_tiny_cells_take_one_svd(self, monkeypatch, photons, generator, seed):
+        # These scans failed a certificate with T's rounding allowance and the
+        # one-group override; ranked as the level direct sum, none does.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(photons, 2, generator=generator, seed=seed)
+        assert search.found == min_configs(photons, 2)
+        assert rank.call_count == 1
+        assert search.rank_trace == oracles.complex_rank_trace(search.configs, photons, 2)
+
+    def test_an_uncertified_step_does_not_end_certification(self, monkeypatch):
+        # At 1e-3 the keep margin leaves steps unsettled; the scan takes the
+        # levels' SVD there and certifies again at the next steps.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(2, 4, seed=1, rel_threshold=1e-3)
+        assert len(search.rank_trace) == 14 and rank.call_count == 5
+        assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 4, 1e-3)
+
+    @pytest.mark.parametrize("photons,modes,meas_modes,count", [(3, 4, 4, 10), (2, 3, 5, 2)])
+    def test_level_stack_without_bases_equals_the_full_svd(
+        self, photons, modes, meas_modes, count
+    ):
+        rotation, sizes, _ = tg._level_split(photons, modes, meas_modes)
+        d = fock_dimension(photons, modes)
+        configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
+        blocks = [
+            tg._hermitian_coordinates(tg._superoperator_rows([c], photons, modes), d)
+            for c in configs
+        ]
+        stack = tg._LevelStack([rotation @ b for b in blocks], np.cumsum((0, *sizes)))
+        full = tg.gramian_rank(np.vstack(blocks))
+        report = tg.gramian_rank(stack)
+        assert stack.shape == np.vstack(blocks).shape and full.rank < d * d
+        np.testing.assert_allclose(
+            report.singular_values, full.singular_values, rtol=0, atol=1e-12 * full.sigma_max
+        )
+        assert report.rank == full.rank
 
     @staticmethod
     def confirming_report(monkeypatch, *args, **kwargs):
@@ -783,6 +845,10 @@ class TestSampleShots:
         sigma = math.sqrt(shots * (1.0 / dim) * (1.0 - 1.0 / dim))
         assert np.abs(counts - expected).max() < 5.0 * sigma
 
+    def test_nan_law_is_rejected(self):
+        with pytest.raises(ValueError, match="probability entry nan is negative"):
+            tg.sample_shots(np.array([np.nan, 1.0]), 10, seed=0)
+
     def test_determinism_and_validation(self):
         p = np.array([0.25, 0.75])
         np.testing.assert_array_equal(
@@ -847,3 +913,7 @@ class TestMeasurementRecord:
             tg.MeasurementRecord.sampled(0, np.array([3, 7]), shots=11)
         with pytest.raises(ValueError):
             tg.MeasurementRecord(0)
+
+    def test_nan_probabilities_are_rejected(self):
+        with pytest.raises(ValueError, match="negative probability nan"):
+            tg.MeasurementRecord.exact(0, np.array([np.nan, 1.0]))

@@ -199,11 +199,11 @@ def check_incremental_rank_scan() -> None:
             for count, rank in search.rank_trace:
                 full = tomography.gramian_rank(rows[: count * step], rel).rank
                 assert rank == full, (meas_modes, generator, rel, count)
-    space = tomography._RowSpace((20,), (400,), None)  # one group: no level split
+    scan = tomography._RankScan((20,), (400,), None)  # one group: no level split
     for config in tomography.find_min_configs(3, 4, seed=0).configs:
         block = tomography._superoperator_rows([config], 3, 4)
-        space.extend(tomography._hermitian_coordinates(block, 20))
-    assert space.dropped_sq < 400 * np.finfo(float).eps ** 2 * space.frobenius_sq
+        scan.extend([tomography._hermitian_coordinates(block, 20)])
+    assert scan.dropped_sq < 400 * np.finfo(float).eps ** 2 * scan.frobenius_sq
 
 
 def check_level_split() -> None:

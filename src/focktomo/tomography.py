@@ -10,8 +10,9 @@ least-squares solution.
 Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
 & Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.  The
-minimal-R scan certifies ranks without an SVD per step; with M' = M it splits
-the map by U(M) level, End(Sym^N C^M) = V_0 + ... + V_N, which no setting mixes.
+minimal-R scan splits the map by U(M) level, End(Sym^N C^M) = V_0 + ... + V_N,
+which no setting mixes (one level if M' > M), and certifies each step's rank
+from one Householder factor per level, with no SVD or Gram matrix per step.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dormqr, dpotrf
+from scipy.linalg import qr, solve_triangular, svd
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri
 
 from .combinatorics import (
     FockBasis,
@@ -186,6 +187,8 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if (self.probabilities is None) == (self.counts is None):
             raise ValueError("provide exactly one of probabilities or counts")
+        if np.size(self.counts if self.probabilities is None else self.probabilities) == 0:
+            raise ValueError(f"record {self.config_index} has an empty outcome law")
         if self.probabilities is not None:
             p = np.asarray(self.probabilities, dtype=float)
             if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
@@ -545,6 +548,8 @@ def sample_shots(
     p = np.asarray(p, dtype=float)
     if shots < 0:
         raise ValueError(f"shot count must be non-negative, got {shots}")
+    if p.size == 0:
+        raise ValueError("cannot sample shots from an empty outcome law")
     if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
         raise ValueError(f"probability entry {p.min():.3e} is negative")
     total = p.sum()
@@ -652,103 +657,193 @@ def _level_split(photons: int, modes: int, meas_modes: int) -> tuple[np.ndarray,
     return t, sizes, tuple(dims)
 
 
-class _RowSpace:
-    """Per U(M) level l, orthonormal rows V_l^T spanning the kept part of a growing
-    stack's level-l rows, and K_l = sum_j P_j^T P_j, P_j being block j's
-    coordinates in V_l when it was taken (0 on later directions).
+def _level_rows(lifted: np.ndarray, rotation: np.ndarray, sizes: Sequence[int], d: int) -> list:
+    """Each level's T-rotated real rows from R settings' restricted lifts (R, D, D')."""
+    levels = [np.empty((len(lifted), z, d * d)) for z in sizes]
+    for j, v in enumerate(lifted):  # one setting at a time: no complex copy of the stack
+        block = rotation @ _hermitian_coordinates(_lifted_rows(v[None]), d)
+        for rows, part in zip(levels, np.split(block, np.cumsum(sizes)[:-1])):
+            rows[j] = part
+    return [rows.reshape(-1, d * d) for rows in levels]
 
-    Blocks come rotated by ``_level_split``'s T, and the stack ranked is the direct
-    sum of the levels' rows, A = A_0 + ... + A_N (``_LevelStack``).  The dropped mass
-    e (e^2 = the sum over blocks and levels of ||E_j||_2^2) bounds each A_l minus the
-    stack K_l describes, so Weyl gives rank sum_l k_l when every open K_l -
-    ((KEEP_MARGIN tau_hi + e)^2 + k_l eps ||A||_F^2) I is positive definite and e +
-    sqrt(D^2) eps ||A||_F < tau_lo.  tau_lo <= tau <= tau_hi come from q^(1/2) - e <=
-    sigma_max <= ||A||_F, q = ||A_0 x||^2 for the trace direction x = vec(I)/sqrt(D),
-    which lies in V_0: each level-0 row's first D (diagonal) coordinates, summed,
-    squared and over D.  With M' = M a setting's rows are orthonormal and sum to
-    vec(I), so q = R = sigma_max^2.  A level so certified at k_l = d_l is frozen: its
-    later rows are neither projected nor factored, and by interlacing its sigma_{d_l}
-    stays above that step's KEEP_MARGIN tau_hi, which must stay above tau_hi.  At rank
-    D^2 every V_l is complete, and ``_LevelStack`` takes A's sigma from them.
+
+class _LevelFactor:
+    """One level's rows A_l = P Q^T + E: Q's Householder reflectors (D^2 x d_l), P's
+    rows block lower triangular, and ||E_j||_2 per block.  A run of blocks takes one
+    projection out of Q and one ``dgeqrf``, whose R^T holds the run's rows on their new
+    directions, block j's diagonal block having the sigma of j's residual.  The first
+    block with one under KEEP_MARGIN tau_hi takes its residual's SVD instead: the larger
+    directions are kept, the largest other sigma is ||E_j||.  A left inverse L of P,
+    bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
+    """
+
+    def __init__(self, dim: int, width: int):
+        self.dim, self.rank, self.inverse_norm_sq = dim, 0, 0.0
+        self.reflectors, self.tau = np.zeros((width, dim), order="F"), np.zeros(dim)
+        self.inverse = np.zeros((0, 0))  # L, less the zero columns of rows adding no direction
+        self.rows, self.chunks = [], []  # the rows taken; P's rows, an array or a range of R^T
+        self.records: list[tuple] = []  # per block: rank, ||L||_F^2, ||E_j||_2^2
+
+    def _rotate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Householder Q's transpose on rows^T in ``out`` (D^2 x n, F order)."""
+        out[:] = rows.T
+        if self.rank:
+            args = ("L", "T", self.reflectors[:, : self.rank], self.tau[: self.rank], out)
+            out[:] = dormqr(*args, 64 * out.shape[1] + 4160, overwrite_c=1)[0]
+        return out
+
+    def _border(self, x: np.ndarray, y_inverse: np.ndarray) -> np.ndarray:
+        """Append P's rows [x, y] given y's left inverse: ||L||_F^2 as each direction enters."""
+        g = y_inverse @ (x @ self.inverse)
+        rows_sq = np.einsum("ij,ij->i", g, g) + np.einsum("ij,ij->i", y_inverse, y_inverse)
+        norms = self.inverse_norm_sq + np.cumsum(rows_sq)
+        zero, self.rank = np.zeros((self.rank, len(x))), self.rank + len(y_inverse)
+        self.inverse_norm_sq, complete = norms[-1], self.rank == self.dim
+        self.inverse = None if complete else np.block([[self.inverse, zero], [-g, y_inverse]])
+        return norms
+
+    def take(self, rows: np.ndarray, tau_hi: np.ndarray) -> None:
+        """Factor the next ``len(tau_hi)`` blocks' rows, tau_hi at each one's step."""
+        z, start = len(rows) // len(tau_hi), 0
+        self.rows.append(rows)
+        while start < len(tau_hi):
+            blocks = min(len(tau_hi) - start, (self.dim - self.rank) // z)
+            run = slice(start * z, (start + blocks) * z)
+            accepted = blocks and self._run(rows[run], tau_hi[start : start + blocks])
+            start += accepted
+            if accepted < blocks or not blocks:  # the cut block, or all left once Q is complete
+                end = len(tau_hi) if self.rank == self.dim else start + 1
+                self._drop(rows[start * z : end * z], tau_hi[start:end])
+                start = end
+
+    def _run(self, rows: np.ndarray, tau_hi: np.ndarray) -> int:
+        """The run's blocks up to the first to fail the keep margin: how many were taken."""
+        k, m = self.rank, len(rows)
+        c, z = self._rotate(rows, self.reflectors[:, k : k + m]), m // len(tau_hi)
+        qr, tau, _, _ = dgeqrf(c[k:], lwork=64 * m, overwrite_a=1)
+        diagonal = np.triu([qr[s : s + z, s : s + z] for s in range(0, m, z)])
+        passed = np.linalg.svd(diagonal, compute_uv=False)[:, -1] > KEEP_MARGIN * tau_hi
+        m = z * (accepted := len(passed) if passed.all() else int(np.argmin(passed)))
+        if accepted:
+            self.tau[k : k + m] = tau[:m]
+            if not np.shares_memory(qr, c):  # dgeqrf works in place only when k = 0
+                c[k:, :m] = qr[:, :m]
+            inverse, info = dtrtri(np.triu(qr[:m, :m]), overwrite_c=1)
+            if info:
+                raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
+            self.chunks.append(slice(k, k + m))
+            norms = self._border(c[:k, :m].T, inverse.T)[z - 1 :: z]
+            self.records += zip(k + z * np.arange(1, accepted + 1), norms, [0.0] * accepted)
+        return accepted
+
+    def _drop(self, rows: np.ndarray, tau_hi: np.ndarray) -> None:
+        """Blocks by their residual's SVD, keeping at most d_l - k directions: so one
+        block, or any number once Q is complete."""
+        k, width = self.rank, len(self.reflectors)
+        c = self._rotate(rows, np.empty((width, len(rows)), order="F"))
+        residual = c[k:].reshape(width - k, len(tau_hi), -1 if k < width else 0).transpose(1, 0, 2)
+        w, sigma, vt = np.linalg.svd(residual, full_matrices=False)
+        keep = min(int((sigma[0] > KEEP_MARGIN * tau_hi[0]).sum()), self.dim - k)
+        y = np.zeros((len(rows), 0))
+        if keep:  # R of the kept directions is diag(+-1)
+            qr, self.tau[k : k + keep], _, _ = dgeqrf(w[0, :, :keep])
+            self.reflectors[k:, k : k + keep] = qr
+            signs = np.sign(np.diag(qr)) / sigma[0, :keep]
+            y = vt[0, :keep].T / signs
+            self._border(c[:k].T, signs[:, None] * vt[0, :keep])
+        self.chunks.append(np.hstack([c[:k].T, y]))
+        dropped = [np.max(s[keep:], initial=0.0) ** 2 for s in sigma]
+        self.records += [(self.rank, self.inverse_norm_sq, e) for e in dropped]
+
+    def coordinates(self, count: int) -> np.ndarray:
+        """P's first ``count`` rows, (count, d_l)."""
+        p, at = np.zeros((count, self.dim)), 0
+        for chunk in self.chunks:
+            if isinstance(chunk, slice):  # rows of R^T: the reflectors' upper triangle
+                rows = self.reflectors[: chunk.stop, chunk].T[: max(count - at, 0)]
+                mask = np.tri(*rows.shape, chunk.start, dtype=bool)
+                np.multiply(rows, mask, out=p[at : at + len(rows), : chunk.stop])
+            else:
+                rows = chunk[: max(count - at, 0)]
+                p[at : at + len(rows), : rows.shape[1]] = rows
+            at += len(rows)
+        return p
+
+
+class _RankScan:
+    """The certified rank of a growing stack's level direct sum A = A_0 + ... + A_N
+    (``_LevelStack``), from one ``_LevelFactor`` per U(M) level.
+
+    The dropped mass e (e^2 = the sum of ||E_j||_2^2 over blocks and open levels)
+    bounds each A_l - P Q^T, so Weyl gives rank sum_l k_l when every open level's
+    1 / ||L||_F (or, failing that, sigma_min(P)) exceeds KEEP_MARGIN tau_hi + e + c and
+    e + c < tau_lo, c = sqrt(D^2) eps ||A||_F being the SVD's cushion.  tau_lo <= tau
+    <= tau_hi come from q^(1/2) - e <= sigma_max <= ||A||_F, q = ||A_0 x||^2 for the
+    trace direction x = vec(I)/sqrt(D) in V_0: each level-0 row's first D (diagonal)
+    coordinates, summed, squared and over D.  With M' = M a setting's rows are
+    orthonormal and sum to vec(I), so q = R = sigma_max^2.  A level so certified at
+    k_l = d_l is frozen: its later blocks add no e, and by interlacing its sigma_{d_l}
+    stays above that step's KEEP_MARGIN tau_hi, which must stay above tau_hi + c.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
-        self.dims, self.starts, columns = dims, np.cumsum((0, *sizes)), sum(dims)
-        self.vt = [np.zeros((dim, columns)) for dim in dims]
-        self.gram = [np.zeros((dim, dim)) for dim in dims]
-        self.ranks, self.floors = [0] * len(dims), [0.0] * len(dims)  # floor > 0: frozen
-        self.trace_sq, self.diagonal = 0.0, round(columns**0.5)  # D = sqrt(D^2)
-        self.count, self.dropped_sq, self.frobenius_sq = 0, 0.0, 0.0
-        self.rel_threshold = rel_threshold
+        self.sizes, self.width, self.rel_threshold = sizes, sum(dims), rel_threshold
+        self.levels = [_LevelFactor(dim, self.width) for dim in dims]
+        self.floors = [0.0] * len(dims)  # floor > 0: frozen
+        self.steps = self.count = 0
+        self.trace_sq = self.dropped_sq = self.frobenius_sq = 0.0
 
-    def _take(self, level: int, block: np.ndarray, tau_hi: float) -> None:
-        """Project a level's new rows out of V_l, keep directions and add the rows to K_l."""
-        vt, gram, k = self.vt[level], self.gram[level], self.ranks[level]
-        bv = block @ vt[:k].T
-        u, sigma, _, info = dgesdd((block - bv @ vt[:k]).T, full_matrices=0)
-        if info:
-            raise np.linalg.LinAlgError(f"dgesdd failed with info {info}")
-        keep = min(int((sigma > KEEP_MARGIN * tau_hi).sum()), len(vt) - k)
-        self.dropped_sq += float(np.max(sigma[keep:], initial=0.0)) ** 2
-        self.ranks[level] = kk = k + keep
-        if keep:  # Gram-Schmidt once more, on the kept directions
-            w = u[:, :keep].T
-            reflectors, tau, _, _ = dgeqrf((w - (w @ vt[:k].T) @ vt[:k]).T)
-            vt[k:kk] = dorgqr(reflectors, tau)[0].T
-            bv = np.hstack([bv, block @ vt[k:kk].T])
-        gram[:kk, :kk] += bv.T @ bv
+    def extend(self, rows: Sequence[np.ndarray]) -> list[int | None]:
+        """Take the next blocks, as each level's rows; each step's certified rank or None."""
+        blocks, diagonal = len(rows[0]) // self.sizes[0], round(self.width**0.5)
+        frobenius = sum(np.einsum("ij,ij->i", r, r).reshape(blocks, -1).sum(axis=1) for r in rows)
+        trace = (rows[0][:, :diagonal].sum(axis=1) ** 2).reshape(blocks, -1).sum(axis=1) / diagonal
+        frobenius = self.frobenius_sq + np.cumsum(frobenius)
+        trace = self.trace_sq + np.cumsum(trace)
+        counts = self.count + sum(self.sizes) * np.arange(1, blocks + 1)
+        scales = [_threshold_scale((count, self.width), self.rel_threshold) for count in counts]
+        for level, level_rows in zip(self.levels, rows):
+            level.take(level_rows, np.multiply(scales, np.sqrt(frobenius)))
+        return [self._certify(*step) for step in zip(counts, frobenius, trace, scales)]
 
-    def extend(self, block: np.ndarray) -> int | None:
-        """Take in the next rotated block; the stack's certified rank, or None if uncertified."""
-        n, eps = self.vt[0].shape[1], np.finfo(float).eps
-        self.count += len(block)
-        scale = _threshold_scale((self.count, n), self.rel_threshold)
-        self.frobenius_sq += float(np.sum(block**2))
-        level0 = block[: self.starts[1], : self.diagonal]
-        self.trace_sq += float(np.sum(level0.sum(axis=1) ** 2)) / self.diagonal
-        frobenius = np.sqrt(self.frobenius_sq)
-        tau_hi = scale * frobenius
-        open_levels = [level for level, floor in enumerate(self.floors) if not floor]
-        for level in open_levels:
-            self._take(level, block[self.starts[level] : self.starts[level + 1]], tau_hi)
-        dropped, cushion = np.sqrt(self.dropped_sq), n**0.5 * eps * frobenius
-        if dropped + cushion >= scale * (self.trace_sq**0.5 - dropped):
+    def _certify(self, count: int, frob_sq: float, trace_sq: float, scale: float) -> int | None:
+        step, self.steps, self.count = self.steps, self.steps + 1, count
+        self.frobenius_sq, self.trace_sq = frob_sq, trace_sq
+        open_levels = [l for l, floor in enumerate(self.floors) if not floor]
+        self.dropped_sq += sum(self.levels[l].records[step][2] for l in open_levels)
+        tau_hi, dropped = scale * frob_sq**0.5, self.dropped_sq**0.5
+        cushion = (self.width * frob_sq) ** 0.5 * np.finfo(float).eps
+        if dropped + cushion >= scale * (trace_sq**0.5 - dropped):
             return None
         if any(0.0 < floor <= tau_hi + cushion for floor in self.floors):
             return None
-        for level in open_levels:
-            kk = self.ranks[level]
-            shift = (KEEP_MARGIN * tau_hi + dropped) ** 2 + kk * eps * self.frobenius_sq
-            shifted = np.array(self.gram[level][:kk, :kk].T, order="F")  # K_l is symmetric
-            shifted[np.diag_indices(kk)] -= shift
-            if dpotrf(shifted, overwrite_a=True)[1] != 0:
-                return None
-            if kk == self.dims[level]:
-                self.floors[level] = KEEP_MARGIN * tau_hi
-        return sum(self.ranks)
+        bar = KEEP_MARGIN * tau_hi + dropped + cushion
+        for l in open_levels:
+            level, (rank, inverse_sq, _) = self.levels[l], self.levels[l].records[step]
+            if inverse_sq * bar**2 >= 1.0:
+                p = level.coordinates(self.steps * self.sizes[l])[:, :rank]
+                if np.linalg.svd(p, compute_uv=False)[-1] <= bar:
+                    return None
+            if rank == level.dim:
+                self.floors[l] = KEEP_MARGIN * tau_hi
+        return int(sum(level.records[step][0] for level in self.levels))
 
 
 class _LevelStack:
-    """The direct sum of the levels A_l (rows ``starts[l]:starts[l + 1]`` of every
-    T-rotated block): sigma the union of the A_l's, shape the stack's (R D', D^2).
-    With complete V_l (``bases``), A_l V_l^T, d_l wide, stands for A_l unless square.
-    """
+    """A scan's level direct sum over its first ``steps`` steps: sigma the union of the
+    levels' (of their rows, or of their coordinates P), shape the stack's (R D', D^2)."""
 
-    def __init__(self, blocks: list, starts: np.ndarray, bases: list | None = None):
-        self.shape = (sum(map(len, blocks)), blocks[0].shape[1])
-        self._levels = blocks, starts, bases or [None] * (len(starts) - 1)
+    def __init__(self, scan: _RankScan, steps: int, factored: bool = False):
+        self.shape = (steps * sum(scan.sizes), scan.width)
+        self._levels = scan, steps, factored
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        blocks, starts, bases = self._levels
+        scan, steps, factored = self._levels
         sigma = []
-        for lo, hi, vt in zip(starts[:-1], starts[1:], bases):  # products of about 128 rows
-            z, step, narrow = hi - lo, -(-128 // (hi - lo)), vt is not None and len(vt) < len(vt.T)
-            rows = np.empty((len(blocks) * z, len(vt) if narrow else self.shape[1]))  # in place
-            for j in range(0, len(blocks), step):
-                part = np.vstack([block[lo:hi] for block in blocks[j : j + step]])
-                rows[j * z : (j + step) * z] = part @ vt.T if narrow else part
-            sigma.append(np.linalg.svd(rows, compute_uv=False))
+        for level, z in zip(scan.levels, scan.sizes):  # sigma(X) = sigma(X^T), F order
+            rows = level.coordinates(steps * z) if factored else np.vstack(level.rows)[: steps * z]
+            sigma.append(svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False))
         return np.sort(np.concatenate(sigma))[::-1]
 
 
@@ -765,11 +860,12 @@ def find_min_configs(
 
     Appends one independent configuration at a time and records the rank after each;
     stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
-    achieved).  The first min(bound, ``r_max``) are lifted in one call.  The rows are
-    rotated by ``_level_split``'s T into U(M) levels, and each rank is ``gramian_rank``'s
-    on their direct sum (``_LevelStack``): the full SVD's, unless a sigma lies within
-    T's rounding of the threshold.  ``_RowSpace`` certifies steps level by level; one
-    it cannot takes the levels' SVDs, and a certified D^2 is confirmed in the V_l.
+    achieved).  The first min(bound, ``r_max``) are lifted and factored in one call
+    per level.  The rows are rotated by ``_level_split``'s T into U(M) levels, and each
+    rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full SVD's,
+    unless a sigma lies within T's rounding of the threshold.  ``_RankScan`` certifies
+    steps from each level's triangular factor; one it cannot takes the levels' SVDs,
+    and a certified D^2 is confirmed from the factors' coordinates P_l.
     The observed minimum is checked against the counting lower bound on every run.
     """
     if meas_modes is None:
@@ -784,32 +880,31 @@ def find_min_configs(
     required = d * d
 
     configs = [draw(meas_modes) for _ in range(min(bound, r_max))]
-    lifted = list(_restricted_lift(configs, photons, modes)[:, None])  # (1, D, D') each
-    blocks: list[np.ndarray] = []  # T-rotated
+    rotation, sizes, dims = _level_split(photons, modes, meas_modes)
+    scan = _RankScan(sizes, dims, rel_threshold)
+    lifted = _restricted_lift(configs, photons, modes)
+    certified = scan.extend(_level_rows(lifted, rotation, sizes, d))
     trace: list[tuple[int, int]] = []
     found: int | None = None
     previous_rank = 0
-    rotation, sizes, dims = _level_split(photons, modes, meas_modes)
-    space = _RowSpace(sizes, dims, rel_threshold)
-    while len(blocks) < r_max:
-        if len(blocks) == len(configs):  # past the bound, one setting at a time
+    while len(trace) < r_max:
+        if len(trace) == len(configs):  # past the bound, one setting at a time
             configs.append(draw(meas_modes))
-            lifted.append(_restricted_lift(configs[-1:], photons, modes))
-        blocks.append(rotation @ _hermitian_coordinates(_lifted_rows(lifted[len(blocks)]), d))
-        rank = space.extend(blocks[-1])
+            lifted = _restricted_lift(configs[-1:], photons, modes)
+            certified += scan.extend(_level_rows(lifted, rotation, sizes, d))
+        step, rank = len(trace) + 1, certified[len(trace)]
         if rank is None:  # uncertified: the SVD of each level's rows settles the step
-            rank = gramian_rank(_LevelStack(blocks, space.starts), rel_threshold).rank
-        elif rank == required:  # confirmed on the complete V_l, once the K_l are gone
-            space.gram.clear()
-            rank = gramian_rank(_LevelStack(blocks, space.starts, space.vt), rel_threshold).rank
+            rank = gramian_rank(_LevelStack(scan, step), rel_threshold).rank
+        elif rank == required:  # confirmed from the levels' coordinates P_l
+            rank = gramian_rank(_LevelStack(scan, step, True), rel_threshold).rank
             if rank < required:
-                raise RuntimeError(f"step {len(blocks)}: rank {required} certified, {rank} by SVD")
+                raise RuntimeError(f"step {step}: rank {required} certified, {rank} by SVD")
         if rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
         previous_rank = rank
-        trace.append((len(blocks), rank))
+        trace.append((step, rank))
         if rank == required:
-            found = len(blocks)
+            found = step
             break
     if found is not None and found < bound:
         raise RuntimeError(

@@ -605,18 +605,61 @@ class TestSearches:
         assert len(search.rank_trace) == 14 and rank.call_count == 5
         assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 4, 1e-3)
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_padded_drops_inside_a_block_are_certified(self, monkeypatch, seed):
+        # Step 1 keeps 196 of 210 directions with sigma_min about 1e-7: the Gram
+        # matrix's rounding (about 1.6e-13 on sigma^2) failed it, the factor does not.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(4, 3, 7, "mesh", seed, r_max=3)
+        assert search.rank_trace == [(1, 196), (2, 225)]
+        assert rank.call_count == 1
+
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes,seed",
+        [(3, 4, 4, s) for s in range(5)] + [(4, 3, 3, 0), (2, 3, 5, 0)],
+    )
+    def test_certificate_bounds_each_level_from_below(self, photons, modes, meas_modes, seed):
+        # At every certified step, each level's 1 / ||L||_F is at most the sigma_min
+        # of its coordinates P and, less the dropped mass, of its rows' k-th sigma.
+        search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
+        rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
+        d = fock_dimension(photons, modes)
+        scan = tg._RankScan(sizes, dims, None)
+        lifted = tg._restricted_lift(search.configs, photons, modes)
+        certified = scan.extend(tg._level_rows(lifted, rotation, sizes, d))
+        expected = oracles.complex_rank_trace(search.configs, photons, modes)
+        assert sum(rank is not None for rank in certified) >= len(certified) - 1
+        for step, rank in enumerate(certified):
+            if rank is None:
+                continue
+            assert (step + 1, rank) == expected[step]
+            for level, z in zip(scan.levels, sizes):
+                k, inverse_sq, _ = level.records[step]
+                if not k:
+                    continue
+                bound = inverse_sq**-0.5
+                p = level.coordinates((step + 1) * z)[:, :k]
+                assert bound <= np.linalg.svd(p, compute_uv=False)[-1] * (1 + 1e-12)
+                rows = np.vstack(level.rows)[: (step + 1) * z]
+                sigma_k = np.linalg.svd(rows, compute_uv=False)[k - 1]
+                assert bound - scan.dropped_sq**0.5 <= sigma_k * (1 + 1e-12)
+
     @pytest.mark.parametrize("photons,modes,meas_modes,count", [(3, 4, 4, 10), (2, 3, 5, 2)])
-    def test_level_stack_without_bases_equals_the_full_svd(
+    def test_level_stack_of_the_rows_equals_the_full_svd(
         self, photons, modes, meas_modes, count
     ):
-        rotation, sizes, _ = tg._level_split(photons, modes, meas_modes)
+        rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
         blocks = [
             tg._hermitian_coordinates(tg._superoperator_rows([c], photons, modes), d)
             for c in configs
         ]
-        stack = tg._LevelStack([rotation @ b for b in blocks], np.cumsum((0, *sizes)))
+        scan = tg._RankScan(sizes, dims, None)
+        for block in blocks:
+            scan.extend(np.split(rotation @ block, np.cumsum(sizes)[:-1]))
+        stack = tg._LevelStack(scan, count)
         full = tg.gramian_rank(np.vstack(blocks))
         report = tg.gramian_rank(stack)
         assert stack.shape == np.vstack(blocks).shape and full.rank < d * d
@@ -807,13 +850,13 @@ class TestTraceDirectionBound:
         """The scan's trace-direction quotient over ``count`` Haar settings, and
         sigma_max^2 of their stacked real map."""
         rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
-        space, d = tg._RowSpace(sizes, dims, None), fock_dimension(photons, modes)
+        scan, d = tg._RankScan(sizes, dims, None), fock_dimension(photons, modes)
         blocks = []
         for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
             rows = tg._superoperator_rows([config], photons, modes)
             blocks.append(tg._hermitian_coordinates(rows, d))
-            space.extend(rotation @ blocks[-1])
-        return space.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
+            scan.extend(np.split(rotation @ blocks[-1], np.cumsum(sizes)[:-1]))
+        return scan.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
 
     @pytest.mark.parametrize("photons,modes", [(2, 3), (3, 4), (6, 2)])
     def test_quotient_is_sigma_max_squared_without_padding(self, photons, modes):
@@ -848,6 +891,10 @@ class TestSampleShots:
     def test_nan_law_is_rejected(self):
         with pytest.raises(ValueError, match="probability entry nan is negative"):
             tg.sample_shots(np.array([np.nan, 1.0]), 10, seed=0)
+
+    def test_empty_law_is_rejected(self):
+        with pytest.raises(ValueError, match="empty outcome law"):
+            tg.sample_shots(np.array([]), 10, seed=0)
 
     def test_determinism_and_validation(self):
         p = np.array([0.25, 0.75])
@@ -917,3 +964,11 @@ class TestMeasurementRecord:
     def test_nan_probabilities_are_rejected(self):
         with pytest.raises(ValueError, match="negative probability nan"):
             tg.MeasurementRecord.exact(0, np.array([np.nan, 1.0]))
+
+    def test_empty_probabilities_are_rejected(self):
+        with pytest.raises(ValueError, match="record 4 has an empty outcome law"):
+            tg.MeasurementRecord.exact(4, np.array([]))
+
+    def test_empty_counts_are_rejected(self):
+        with pytest.raises(ValueError, match="record 2 has an empty outcome law"):
+            tg.MeasurementRecord.sampled(2, np.array([], dtype=np.int64))

@@ -745,12 +745,12 @@ class _LevelFactor:
         w, sigma, vt = np.linalg.svd(residual, full_matrices=False)
         keep = min(int((sigma[0] > KEEP_MARGIN * tau_hi[0]).sum()), self.dim - k)
         y = np.zeros((len(rows), 0))
-        if keep:  # R of the kept directions is diag(+-1)
+        if keep:  # reflectors of the kept directions W, whose R is a sign matrix S
             qr, self.tau[k : k + keep], _, _ = dgeqrf(w[0, :, :keep])
             self.reflectors[k:, k : k + keep] = qr
-            signs = np.sign(np.diag(qr)) / sigma[0, :keep]
-            y = vt[0, :keep].T / signs
-            self._border(c[:k].T, signs[:, None] * vt[0, :keep])
+            sign, kept = np.sign(np.diag(qr)), sigma[0, :keep]
+            y = vt[0, :keep].T * (kept * sign)  # V Sigma S, with left inverse S Sigma^-1 V^T
+            self._border(c[:k].T, (sign / kept)[:, None] * vt[0, :keep])
         self.chunks.append(np.hstack([c[:k].T, y]))
         dropped = [np.max(s[keep:], initial=0.0) ** 2 for s in sigma]
         self.records += [(self.rank, self.inverse_norm_sq, e) for e in dropped]

@@ -55,7 +55,6 @@ from .tomography import (
     config_drawer,
     find_min_configs,
     find_min_modes,
-    gramian_rank,
     random_density_matrix,
     reconstruct,
     sample_records,
@@ -408,7 +407,7 @@ def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, sho
     """One reconstruction pass; returns (result, sector_masses or None)."""
     records = sample_records(laws, shots, spec.seed)
     if detectors is None:
-        return reconstruct(superop, records), None
+        return reconstruct(superop, records, spec.rank_tolerance), None
     basis, model = detectors
     detected = _record_frequencies(records, superop.n_configs)
     if spec.invert_detector:
@@ -417,7 +416,7 @@ def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, sho
     # The N-photon sector of an inverted record is the detected sector over
     # eta^N, so it is never negative; lower sectors can be, but post-selection
     # drops them.
-    return reconstruct(superop, conditionals), masses.tolist()
+    return reconstruct(superop, conditionals, spec.rank_tolerance), masses.tolist()
 
 
 def cmd_reconstruct(spec: ExperimentSpec) -> int:
@@ -434,11 +433,6 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
     configs = _build_configs(spec, photons, modes, meas_modes)
 
     superop = build_superoperator(configs, photons, modes)
-    report = gramian_rank(superop, spec.rank_tolerance)
-    required = fock_dimension(photons, modes) ** 2
-    if report.rank < required:
-        raise IncompleteConfigurationsError(report.rank, required)
-
     laws, detectors = _exact_laws(spec, truth, superop)
     sweep = []
     final = None
@@ -469,16 +463,16 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
         spec,
         "focktomo.reconstruct.v1",
         {
-            "rank": report.rank,
-            "required_rank": required,
+            "rank": final.rank,
+            "required_rank": fock_dimension(photons, modes) ** 2,
             "configs": [c.to_json_dict() for c in configs],
             "sweep": sweep,
             "raw_estimate": encode_complex_matrix(final.raw),
             "projected_estimate": encode_complex_matrix(final.projected.matrix),
         },
         table=table if spec.out_csv else None,
-        summary=[  # complete is 1: an incomplete map raised above
-            (photons, modes, meas_modes, len(configs), report.rank, 1, e["residual"])
+        summary=[  # complete is 1: reconstruct raises on an incomplete map
+            (photons, modes, meas_modes, len(configs), final.rank, 1, e["residual"])
             for e in sweep
         ],
     )

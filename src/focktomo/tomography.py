@@ -9,10 +9,12 @@ least-squares solution.
 
 Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
-& Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.  The
-minimal-R scan splits the map by U(M) level, End(Sym^N C^M) = V_0 + ... + V_N,
-which no setting mixes (one level if M' > M), and certifies each step's rank
-from one Householder factor per level, with no SVD or Gram matrix per step.
+& Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.  Rank
+comes from that factor by certificate, 1 / ||R^-1||_F <= sigma_min; the singular
+values are computed only when read or when the certificate fails.  The minimal-R
+scan splits the map by U(M) level, End(Sym^N C^M) = V_0 + ... + V_N, which no
+setting mixes (one level if M' > M), and certifies each step's rank from one
+Householder factor per level, with no SVD or Gram matrix per step.
 """
 
 from __future__ import annotations
@@ -296,18 +298,26 @@ class Superoperator:
         self.matrix.flags.writeable = False
 
     @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw Householder QR (reflectors, tau) of the real form, and R's (= L's) sigma."""
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Raw Householder QR (reflectors, tau) of the real form; R is their upper triangle."""
         real = _hermitian_coordinates(self.matrix, self.basis_in.dimension)
-        (reflectors, tau), r = qr(real, overwrite_a=True, mode="raw")
-        sigma = np.linalg.svd(r, compute_uv=False)
-        sigma.flags.writeable = False
-        return reflectors, tau, sigma
+        (reflectors, tau), _ = qr(real, overwrite_a=True, mode="raw")
+        return reflectors, tau
 
-    @property
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        """1 / ||R^-1||_F <= sigma_min(L) (0 if R is short or singular), ||R||_F >= sigma_max."""
+        r = np.triu(self._factor[0][: self.matrix.shape[1]])
+        frobenius, square = float(np.linalg.norm(r)), r.shape[0] == r.shape[1]
+        inverse, info = dtrtri(r.T, lower=1, overwrite_c=1) if square else (None, 1)
+        return 0.0 if info else 1.0 / float(np.linalg.norm(inverse)), frobenius
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        """L's singular values, read from the cached factor."""
-        return self._factor[2]
+        """L's singular values, R's, by an SVD taken on first read."""
+        sigma = np.linalg.svd(np.triu(self._factor[0][: self.matrix.shape[1]]), compute_uv=False)
+        sigma.flags.writeable = False
+        return sigma
 
     @property
     def n_configs(self) -> int:
@@ -364,16 +374,28 @@ def build_superoperator(
     return Superoperator(photons, modes, configs[0].modes, tuple(configs), rows)
 
 
-@dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of the measurement map and the singular values behind it."""
+    """Numerical rank of the measurement map.  The singular values behind it (and
+    sigma_max, threshold, smallest_kept, largest_dropped) are taken on first read, which
+    raises ``RuntimeError`` if they give another rank than ``rank``."""
 
-    rank: int
-    threshold: float
-    sigma_max: float
-    smallest_kept: float | None
-    largest_dropped: float | None
-    singular_values: np.ndarray
+    def __init__(self, rank: int, read_sigma: Callable[[], np.ndarray], scale: float):
+        self.rank, self._read_sigma, self._scale = rank, read_sigma, scale
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        sigma = self._read_sigma()
+        if (rank := int((sigma > self._scale * sigma[0]).sum())) != self.rank:
+            raise RuntimeError(f"rank {self.rank} certified, {rank} by SVD")
+        return sigma
+
+    def _sigma_at(self, i: int) -> float | None:
+        return float(self.singular_values[i]) if 0 <= i < len(self.singular_values) else None
+
+    sigma_max = property(lambda self: self._sigma_at(0))
+    threshold = property(lambda self: self._scale * self.sigma_max)
+    smallest_kept = property(lambda self: self._sigma_at(self.rank - 1))
+    largest_dropped = property(lambda self: self._sigma_at(self.rank))
 
     def summary(self) -> str:
         kept = "-" if self.smallest_kept is None else f"{self.smallest_kept:.3e}"
@@ -396,32 +418,28 @@ def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> flo
 def gramian_rank(
     superop: Superoperator | _LevelStack | np.ndarray, rel_threshold: float | None = None
 ) -> RankReport:
-    """Numerical rank of L via its singular values.
+    """Numerical rank of L: its singular values above max(rows, cols) * eps * sigma_max,
+    or ``rel_threshold`` times sigma_max.
 
-    An array takes a values-only SVD; an object with ``singular_values`` and a 2-D
-    ``.shape`` or ``.matrix.shape`` gives them (a ``Superoperator`` from its cached
-    factor, the scan's ``_LevelStack`` as its levels' union).  The default threshold
-    is max(rows, cols) * eps * sigma_max, or ``rel_threshold`` (times sigma_max).
+    A ``Superoperator`` is full rank if 1 / ||R^-1||_F >= KEEP_MARGIN (tau + c), tau
+    the threshold at sigma_max <= ||R||_F and c = sqrt(D^2) eps ||R||_F the SVD's
+    cushion.  Else an array takes a values-only SVD; an object with ``singular_values``
+    and a 2-D ``.shape`` or ``.matrix.shape`` (a ``Superoperator``, the scan's
+    ``_LevelStack``) gives them.
     """
-    carried = hasattr(superop, "singular_values")
+    certifiable = isinstance(superop, Superoperator)  # before hasattr, which reads sigma
+    carried = certifiable or hasattr(superop, "singular_values")
     superop = superop if carried else np.asarray(superop)
     shape = getattr(superop, "matrix", superop).shape
     scale = _threshold_scale(shape, rel_threshold)
     if np.prod(shape) == 0:
         raise ValueError("empty superoperator")
+    if certifiable:
+        low, frobenius = superop._bounds
+        if low >= KEEP_MARGIN * (scale + shape[1] ** 0.5 * np.finfo(float).eps) * frobenius:
+            return RankReport(shape[1], lambda: superop.singular_values, scale)
     sigma = superop.singular_values if carried else np.linalg.svd(superop, compute_uv=False)
-    sigma_max = float(sigma[0])
-    threshold = scale * sigma_max
-    kept = sigma > threshold
-    rank = int(kept.sum())
-    return RankReport(
-        rank=rank,
-        threshold=threshold,
-        sigma_max=sigma_max,
-        smallest_kept=float(sigma[rank - 1]) if rank > 0 else None,
-        largest_dropped=float(sigma[rank]) if rank < len(sigma) else None,
-        singular_values=sigma,
-    )
+    return RankReport(int((sigma > scale * sigma[0]).sum()), lambda: sigma, scale)
 
 
 def is_complete(
@@ -509,22 +527,23 @@ def project_to_state(basis: FockBasis, matrix: np.ndarray) -> DensityMatrix:
 def reconstruct(
     superop: Superoperator,
     records: Sequence[MeasurementRecord] | np.ndarray,
+    rel_threshold: float | None = None,
 ) -> ReconstructionResult:
     """Recover the state from outcome statistics by least squares on the real form.
 
     Reads the map's cached QR factor: p is rotated by Q^T and its leading D^2
     entries are solved through R; the rest give the residual.  At full rank
     this equals the normal-equation solution (L^dag L)^{-1} L^dag p while
-    conditioning better; a superoperator below rank D^2 at the default
+    conditioning better; a superoperator below rank D^2 at ``gramian_rank``'s
     threshold raises ``IncompleteConfigurationsError`` with the deficit.
     """
     p = _record_frequencies(records, superop.n_configs, superop.basis_out.dimension).reshape(-1)
     d = superop.basis_in.dimension
     required = d * d
-    rank = gramian_rank(superop).rank
+    rank = gramian_rank(superop, rel_threshold).rank
     if rank < required:
         raise IncompleteConfigurationsError(rank=rank, required=required)
-    reflectors, tau, _ = superop._factor
+    reflectors, tau = superop._factor
     rotated, _, info = dormqr("L", "T", reflectors, tau, p[:, None], lwork=1)
     if info != 0:
         raise ValueError(f"dormqr rejected argument {-info}")

@@ -348,6 +348,17 @@ class TestReconstructCommand:
         assert cli.main(argv) == 0
         assert qr.call_count == 1
 
+    def test_rank_is_decided_once_at_the_given_tolerance(self, tmp_path, capsys):
+        state, out = tmp_path / "state.json", tmp_path / "out.json"
+        write_state(state, photons=3, modes=4, seed=1)
+        argv = ["reconstruct", "--state", str(state), "--configs", "29", "--json", str(out)]
+        assert cli.main(argv) == 3
+        assert "rank 390 < 400 (deficit 10)" in capsys.readouterr().err
+        # a tolerance tighter than the default is not overruled by the default
+        assert cli.main(argv + ["--tolerance-rank", "1e-30"]) == 0
+        assert json.loads(out.read_text())["rank"] == 400
+        assert cli.main(argv + ["--tolerance-rank", "-1"]) == 2
+
 
 class TestBadInput:
     @pytest.mark.parametrize(

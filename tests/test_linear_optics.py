@@ -191,6 +191,22 @@ class TestBatchedLift:
         with pytest.raises(ValueError, match="not orthonormal"):
             lo.lift_unitary(stack, 2)
 
+    def test_a_nan_member_is_rejected(self):
+        stack = np.stack([lo.haar_random_unitary(3, seed).matrix for seed in range(3)])
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"not orthonormal \(residual nan\)"):
+            lo.lift_unitary(stack, 2)
+
+    @pytest.mark.parametrize("members", [None, 1, 3])
+    def test_the_residual_is_the_general_products(self, members):
+        lifted = lo.lift_unitary(lo.haar_random_unitary(3, 5).matrix, 2)
+        rng = np.random.default_rng(members)
+        u = lifted.matrix if members is None else np.stack([lifted.matrix] * members)
+        u = u + 1e-3 * rng.standard_normal(u.shape)  # members differ, with one worst
+        expected = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max()
+        with pytest.raises(ValueError, match=rf"residual {expected:.3e}\)"):
+            lo.FockUnitary(lifted.basis, u)
+
     @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3, 3), (2, 2, 3, 3)])
     def test_non_square_empty_and_deeper_stacks_are_rejected(self, shape):
         with pytest.raises(ValueError):

@@ -331,6 +331,94 @@ class TestRealCoordinates:
         assert qr.call_count == 1
 
 
+def parity_corpus():
+    """(label, map) pairs: complete, incomplete, duplicated-setting and padded maps."""
+    corpus = []
+    cells = [(1, 2, 2), (2, 2, 2), (2, 3, 3), (3, 3, 3), (2, 3, 5), (1, 3, 4)]
+    for photons, modes, meas_modes in cells:  # the last two padded, M' > M
+        bound = min_configs_extended(photons, modes, meas_modes)
+        configs = haar_configs(meas_modes, bound + 1, seed=photons + 10 * modes + meas_modes)
+        short = configs[: max(bound - 1, 1)]
+        for label, chosen in [
+            ("complete", configs),
+            ("short", short),
+            ("duplicated", configs[:bound] + configs[:2]),
+            ("duplicated short", short + configs[:2]),
+        ]:
+            superop = tg.build_superoperator(chosen, photons, modes)
+            corpus.append((f"{label} {photons},{modes},{meas_modes}", superop))
+    return corpus
+
+
+def count_svds(monkeypatch):
+    """Mocks counting the values-only SVDs of numpy and scipy that the module can take."""
+    numpy_svd, scipy_svd = mock.Mock(wraps=np.linalg.svd), mock.Mock(wraps=tg.svd)
+    monkeypatch.setattr(np.linalg, "svd", numpy_svd)
+    monkeypatch.setattr(tg, "svd", scipy_svd)
+    return lambda: numpy_svd.call_count + scipy_svd.call_count
+
+
+class TestCertifiedRank:
+    @pytest.mark.parametrize("rel_threshold", [None, 1e-3, 1e-30])
+    def test_certified_rank_equals_the_svd_rank_on_the_parity_corpus(self, rel_threshold):
+        corpus, certified = parity_corpus(), set()
+        for label, superop in corpus:
+            n = superop.matrix.shape[1]
+            sigma = np.linalg.svd(np.triu(superop._factor[0][:n]), compute_uv=False)
+            scale = rel_threshold or max(superop.matrix.shape) * np.finfo(float).eps
+            expected = int((sigma > scale * sigma[0]).sum())
+            report = tg.gramian_rank(superop, rel_threshold)
+            if "singular_values" not in vars(superop):  # no SVD taken: certified
+                certified.add(label)
+            assert report.rank == expected, label
+            real = tg._hermitian_coordinates(superop.matrix, superop.basis_in.dimension)
+            assert tg.gramian_rank(real, rel_threshold).rank == expected, label
+            np.testing.assert_array_equal(report.singular_values, sigma)
+        full = {label for label, _ in corpus if "short" not in label}
+        assert certified <= full and (rel_threshold == 1e-3 or certified == full)
+
+    def test_reconstruct_on_a_complete_map_takes_no_svd(self, monkeypatch):
+        configs = haar_configs(4, min_configs(3, 4), seed=2)
+        superop = tg.build_superoperator(configs, 3, 4)
+        rho = tg.random_density_matrix(enumerate_fock_basis(3, 4), 1)
+        records = tg.simulate_records(rho, configs)
+        svds = count_svds(monkeypatch)
+        result = tg.reconstruct(superop, records)
+        assert result.rank == 400 and svds() == 0
+        assert tg.is_complete(configs, 3, 4) and svds() == 0
+
+    def test_reading_sigma_takes_one_svd_equal_to_the_eager_one(self, monkeypatch):
+        configs = haar_configs(3, min_configs(2, 3) + 1, seed=4)
+        superop = tg.build_superoperator(configs, 2, 3)
+        full = np.linalg.svd(tg._hermitian_coordinates(superop.matrix, 6), compute_uv=False)
+        svds = count_svds(monkeypatch)
+        report, again = tg.gramian_rank(superop), tg.gramian_rank(superop, 1e-12)
+        assert report.rank == again.rank == 36 and svds() == 0
+        np.testing.assert_allclose(report.singular_values, full, rtol=0, atol=1e-12 * full[0])
+        assert report.sigma_max == report.singular_values[0] and report.largest_dropped is None
+        assert report.smallest_kept == report.singular_values[-1]
+        assert again.threshold == 1e-12 * report.sigma_max and svds() == 1
+
+    def test_a_report_whose_sigma_disagree_raises(self):
+        report = tg.RankReport(3, lambda: np.array([2.0, 1.0, 1e-20]), 1e-12)
+        assert report.rank == 3
+        with pytest.raises(RuntimeError, match="rank 3 certified, 2 by SVD"):
+            report.summary()
+
+    def test_reconstruct_ranks_at_its_threshold(self):
+        configs = haar_configs(3, 6, seed=3)
+        configs += configs[:2]  # duplicates add rows but no rank
+        superop = tg.build_superoperator(configs, 2, 3)
+        rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 1)
+        records = tg.simulate_records(rho, configs)
+        assert tg.gramian_rank(superop).rank < 36 == tg.gramian_rank(superop, 1e-30).rank
+        with pytest.raises(tg.IncompleteConfigurationsError, match="rank 27 < 36"):
+            tg.reconstruct(superop, records)
+        assert tg.reconstruct(superop, records, rel_threshold=1e-30).rank == 36
+        with pytest.raises(ValueError, match="rel_threshold must be positive"):
+            tg.reconstruct(superop, records, rel_threshold=-1.0)
+
+
 class TestCompletenessThresholds:
     @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 2), (2, 3)])
     def test_threshold_at_the_counting_bound(self, photons, modes):

@@ -208,19 +208,32 @@ def check_incremental_rank_scan() -> None:
 
 def check_level_split() -> None:
     # Rotated by T, the identity's and a Haar setting's outcome rows fall into U(M)
-    # levels: rows of different levels are orthogonal, and the stack's singular
-    # values are the union of the levels'.
-    rotation, sizes, _ = tomography._level_split(2, 3, 3)
+    # levels: rows of different levels are orthogonal, and the stack's singular values
+    # are the union of the levels'.  The level bases W_l are orthonormal and keep each
+    # level's row norms, so no row has a part outside its level's W_l.
+    bases = tomography._level_bases(2, 3, 3)
     configs = [linear_optics.InterferometerConfig(3, np.eye(3))]
     configs.append(linear_optics.haar_random_unitary(3, 600))
-    real = tomography._hermitian_coordinates(tomography._superoperator_rows(configs, 2, 3), 6)
-    rows = rotation @ real.reshape(2, 6, 36)
-    levels = [x.reshape(-1, 36) for x in np.split(rows, np.cumsum(sizes)[:-1], axis=1)]
+    matrix = tomography._superoperator_rows(configs, 2, 3)
+    rows = bases.rotation @ tomography._hermitian_coordinates(matrix, 6).reshape(2, 6, 36)
+    levels = [x.reshape(-1, 36) for x in np.split(rows, np.cumsum(bases.sizes)[:-1], axis=1)]
+    scale = np.linalg.norm(rows)
     for i, level in enumerate(levels):
-        assert all(np.abs(level @ x.T).max() <= 1e-13 * np.linalg.norm(rows) for x in levels[i + 1 :])
+        assert all(np.abs(level @ x.T).max() <= 1e-13 * scale for x in levels[i + 1 :])
     full = np.linalg.svd(rows.reshape(-1, 36), compute_uv=False)
     union = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in levels]))[::-1]
     assert np.abs(union[: len(full)] - full).max() <= 1e-13 * full[0]
+    columns = []  # W's columns: the coordinates of the matrix whose W_l coordinates are e_j
+    for level, dim in enumerate(bases.dims):
+        for j in range(dim):
+            x = [np.zeros(k) for k in bases.dims]
+            x[level][j] = 1.0
+            h = tomography._level_estimate(bases, x).T.reshape(1, -1)
+            columns.append(tomography._hermitian_coordinates(h, 6)[0])
+    w = np.array(columns)
+    assert np.abs(w @ w.T - np.eye(36)).max() <= 1e-13
+    for level, kept in zip(levels, tomography._level_coordinates(bases, matrix)):
+        assert abs(np.linalg.norm(kept) - np.linalg.norm(level)) <= 1e-13 * scale
 
 
 CHECKS: list[tuple[str, Callable[[], None]]] = [

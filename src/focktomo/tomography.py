@@ -9,23 +9,25 @@ least-squares solution.
 
 Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
-& Krammer, J. Phys. A 41, 235303 (2008)), factored once per map by QR.  Rank
-comes from that factor by certificate, 1 / ||R^-1||_F <= sigma_min; the singular
-values are computed only when read or when the certificate fails.  The minimal-R
-scan splits the map by U(M) level, End(Sym^N C^M) = V_0 + ... + V_N, which no
-setting mixes (one level if M' > M), and certifies each step's rank from one
-Householder factor per level, with no SVD or Gram matrix per step.
+& Krammer, J. Phys. A 41, 235303 (2008)), split by U(M) level, End(Sym^N C^M) =
+V_0 + ... + V_N, which no setting mixes (one group if M' > M or D = 1).  A map is
+factored once, by one QR per level of its T-rotated rows in the levels' bases W_l,
+and its rank, the levels' direct sum's, comes by certificate, min_l 1 / ||R_l^-1||_F
+<= sigma_min; singular values are computed only when read or when the certificate
+fails.  The minimal-R scan certifies each step's rank from one Householder factor
+per level, with no SVD or Gram matrix per step.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular, svd
-from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri
+from scipy.linalg import svd
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
 
 from .combinatorics import (
     FockBasis,
@@ -274,7 +276,8 @@ class Superoperator:
     Row (config j, outcome nu') holds conj(<alpha|U_j|nu'>) <beta|U_j|nu'> at
     column (alpha, beta); rows are config-major in the given order, outcomes
     in canonical Fock order, and columns row-major over (alpha, beta).  The
-    matrix is read-only, so the factor cached from it cannot go stale.
+    matrix is read-only, so the factors cached from it (one QR per U(M) level)
+    cannot go stale.
     """
 
     photons: int
@@ -297,25 +300,50 @@ class Superoperator:
         self.matrix = self.matrix.view()
         self.matrix.flags.writeable = False
 
+    @property
+    def _bases(self) -> _LevelBases | None:
+        """``_level_bases`` of the map's rows, or None for one group (M' > M or D = 1)."""
+        one = self.meas_modes > self.modes or self.basis_in.dimension == 1
+        return None if one else _level_bases(self.photons, self.modes, self.meas_modes)
+
     @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw Householder QR (reflectors, tau) of the real form; R is their upper triangle."""
-        real = _hermitian_coordinates(self.matrix, self.basis_in.dimension)
-        (reflectors, tau), _ = qr(real, overwrite_a=True, mode="raw")
-        return reflectors, tau
+    def _factor(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Raw Householder QR (reflectors, tau) of each level's T-rotated rows in W_l
+        coordinates (one group: of the real form); R_l is their upper triangle."""
+        if (bases := self._bases) is None:
+            levels = [_hermitian_coordinates(self.matrix, self.basis_in.dimension)]
+        else:
+            levels = _level_coordinates(bases, self.matrix)
+        factors = []
+        for rows in levels:
+            reflectors, tau, _, info = dgeqrf(rows, lwork=64 * rows.shape[1], overwrite_a=1)
+            if info:
+                raise ValueError(f"dgeqrf rejected argument {-info}")
+            factors.append((reflectors, tau))
+        return factors
+
+    def _triangles(self) -> list[np.ndarray]:
+        """Each level's R_l, min(rows, d_l) x d_l."""
+        return [np.triu(reflectors[: reflectors.shape[1]]) for reflectors, _ in self._factor]
 
     @cached_property
     def _bounds(self) -> tuple[float, float]:
-        """1 / ||R^-1||_F <= sigma_min(L) (0 if R is short or singular), ||R||_F >= sigma_max."""
-        r = np.triu(self._factor[0][: self.matrix.shape[1]])
-        frobenius, square = float(np.linalg.norm(r)), r.shape[0] == r.shape[1]
-        inverse, info = dtrtri(r.T, lower=1, overwrite_c=1) if square else (None, 1)
-        return 0.0 if info else 1.0 / float(np.linalg.norm(inverse)), frobenius
+        """min_l 1 / ||R_l^-1||_F <= sigma_min(L) (0 if an R_l is short or singular), and
+        max_l ||R_l||_F >= sigma_max(L): L's sigma are the union of the levels'."""
+        low, frobenius = np.inf, 0.0
+        for r in self._triangles():
+            frobenius, square = max(frobenius, float(np.linalg.norm(r))), r.shape[0] == r.shape[1]
+            inverse, info = dtrtri(r.T, lower=1, overwrite_c=1) if square else (None, 1)
+            low = min(low, 0.0 if info else 1.0 / float(np.linalg.norm(inverse)))
+        return low, frobenius
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """L's singular values, R's, by an SVD taken on first read."""
-        sigma = np.linalg.svd(np.triu(self._factor[0][: self.matrix.shape[1]]), compute_uv=False)
+        """L's singular values, the R_l's (one SVD each, on first read) and then the
+        direct sum's exact zeros, to min(R D', D^2)."""
+        union = [np.linalg.svd(r, compute_uv=False) for r in self._triangles()]
+        sigma = np.sort(np.concatenate(union + [np.zeros(min(self.matrix.shape))]))[::-1]
+        sigma = sigma[: min(self.matrix.shape)]
         sigma.flags.writeable = False
         return sigma
 
@@ -421,11 +449,12 @@ def gramian_rank(
     """Numerical rank of L: its singular values above max(rows, cols) * eps * sigma_max,
     or ``rel_threshold`` times sigma_max.
 
-    A ``Superoperator`` is full rank if 1 / ||R^-1||_F >= KEEP_MARGIN (tau + c), tau
-    the threshold at sigma_max <= ||R||_F and c = sqrt(D^2) eps ||R||_F the SVD's
-    cushion.  Else an array takes a values-only SVD; an object with ``singular_values``
-    and a 2-D ``.shape`` or ``.matrix.shape`` (a ``Superoperator``, the scan's
-    ``_LevelStack``) gives them.
+    A ``Superoperator``'s singular values, so its rank, are those of its U(M) levels'
+    direct sum; it is full rank if min_l 1 / ||R_l^-1||_F >= KEEP_MARGIN (tau + c),
+    tau the threshold at sigma_max <= max_l ||R_l||_F and c = sqrt(D^2) eps times that
+    bound the SVD's cushion.  Else an array takes a values-only SVD; an object with
+    ``singular_values`` and a 2-D ``.shape`` or ``.matrix.shape`` (a ``Superoperator``,
+    the scan's ``_LevelStack``) gives them.
     """
     certifiable = isinstance(superop, Superoperator)  # before hasattr, which reads sigma
     carried = certifiable or hasattr(superop, "singular_values")
@@ -531,11 +560,12 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Recover the state from outcome statistics by least squares on the real form.
 
-    Reads the map's cached QR factor: p is rotated by Q^T and its leading D^2
-    entries are solved through R; the rest give the residual.  At full rank
-    this equals the normal-equation solution (L^dag L)^{-1} L^dag p while
-    conditioning better; a superoperator below rank D^2 at ``gramian_rank``'s
-    threshold raises ``IncompleteConfigurationsError`` with the deficit.
+    Reads the map's cached factors: each setting's p is rotated by T, each level's
+    part by Q_l^T, its leading d_l entries are solved through R_l and mapped back
+    through W_l; the rest give the residual.  At full rank this equals the normal-
+    equation solution (L^dag L)^{-1} L^dag p while conditioning better; a map
+    below rank D^2 at ``gramian_rank``'s threshold raises
+    ``IncompleteConfigurationsError`` with the deficit.
     """
     p = _record_frequencies(records, superop.n_configs, superop.basis_out.dimension).reshape(-1)
     d = superop.basis_in.dimension
@@ -543,15 +573,30 @@ def reconstruct(
     rank = gramian_rank(superop, rel_threshold).rank
     if rank < required:
         raise IncompleteConfigurationsError(rank=rank, required=required)
-    reflectors, tau = superop._factor
-    rotated, _, info = dormqr("L", "T", reflectors, tau, p[:, None], lwork=1)
-    if info != 0:
-        raise ValueError(f"dormqr rejected argument {-info}")
-    solution = solve_triangular(reflectors[:required], rotated[:required, 0])
+    bases, levels = superop._bases, [p]
+    if bases is not None:  # each setting's outcomes rotated by T, then split by level
+        p = p.reshape(superop.n_configs, -1) @ bases.rotation.T
+        levels = np.split(p, np.cumsum(bases.sizes)[:-1], axis=1)
+    solutions, tails = [], []
+    for (reflectors, tau), rows in zip(superop._factor, levels):
+        rotated, _, info = dormqr("L", "T", reflectors, tau, rows.reshape(-1, 1), lwork=1)
+        if info != 0:
+            raise ValueError(f"dormqr rejected argument {-info}")
+        dim = reflectors.shape[1]
+        r, lower = reflectors[:dim], not reflectors[:dim].flags.f_contiguous
+        # R^-1 Q^T p, as scipy's solve_triangular takes it but without its checks
+        solution, info = dtrtrs(r.T if lower else r, rotated[:dim], lower=lower, trans=lower)
+        if info:
+            raise np.linalg.LinAlgError(f"singular R_l: resolution failed at diagonal {info - 1}")
+        solutions.append(solution[:, 0])
+        tails.append(rotated[dim:, 0])
     # A row vec(H) meets rho as sum_ab H_ab rho_ab = coords(H) . coords(rho^T), so
     # the solution y holds rho^T's coordinates: rho_ab = (y_re - i y_im) / sqrt2.
-    raw = _hermitian_matrix(solution, d).T
-    residual = float(np.linalg.norm(rotated[required:]))
+    if bases is None:
+        raw = _hermitian_matrix(solutions[0], d).T
+    else:
+        raw = _level_estimate(bases, solutions)
+    residual = float(np.linalg.norm(np.concatenate(tails)))
     projected = project_to_state(superop.basis_in, raw)
     return ReconstructionResult(raw=raw, projected=projected, residual=residual, rank=rank)
 
@@ -646,34 +691,104 @@ class MinConfigSearch:
         return max(rank for _, rank in self.rank_trace)
 
 
+_LevelBases = namedtuple("_LevelBases", "rotation sizes dims entries blocks picks")
+
+
 @lru_cache(maxsize=None)
-def _level_split(photons: int, modes: int, meas_modes: int) -> tuple[np.ndarray, tuple, tuple]:
-    """Rotation T of a setting's outcome rows, its row groups' sizes z_l and the levels' d_l.
+def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
+    """Rotation T of a setting's outcome rows, its row groups' sizes z_l, the levels' d_l
+    and their orthonormal bases W_l in real Hermitian coordinates, by weight block.
 
     End(Sym^N C^M) = V_0 + ... + V_N, no setting mixes the V_l, and the U(M) Casimir
-    C(X) = sum_ij [E_ij, [E_ji, X]], E_ij = a_i^dag a_j, is 2l(l+M-1) on V_l.  With
-    M' = M the outcome projectors are diagonal, and on X = diag(x) C is the D x D
-    matrix 2N(N+M-1) I - 2 sum_ij (E_ij)^2, squared entrywise.  Each entry of E_ij is
-    one product <t|a_i^dag|s><s|a_j|t'>, so that sum is B^T B, B[t - e_i, t] = t_i.
-    Its eigenvectors in ascending order are T's rows, group l the z_l diagonal
-    operators of V_l.  With M' > M there is one group: T = I and d_0 = D^2.
+    C(X) = sum_ij [E_ij, [E_ji, X]], E_ij = a_i^dag a_j, is 2l(l+M-1) on V_l.  As
+    sum_ij E_ij E_ji = N(N+M-1), C = 2N(N+M-1) - 2 B^T B, B = sum_i a_i (x) a_i mapping
+    |s><t| to sum_i sqrt(s_i t_i) |s - e_i><t - e_i|: one ``eigh`` per weight s - t.  At
+    weight 0, home of the M' = M outcome projectors, its eigenvectors are T's rows,
+    group l the z_l of V_l.  Weights mu and -mu give Re and Im coordinates of |s><t| +
+    h.c.  H's half form is its ``entries`` (flat s D + t): from each block's ``start``,
+    c weights of n operators (the diagonal first), eigenvectors (c, n, n).  W_l reads
+    it so transformed, as reals (Re, Im interleaved), at ``picks[l]``.  One group
+    (M' > M, or D = 1) has T = I and d_0 = D^2.
     """
-    d_out = fock_dimension(photons, meas_modes)
-    if meas_modes > modes:
-        return np.eye(d_out), (d_out,), (fock_dimension(photons, modes) ** 2,)
+    d, d_out = fock_dimension(photons, modes), fock_dimension(photons, meas_modes)
+    if meas_modes > modes or d == 1:
+        return _LevelBases(np.eye(d_out), (d_out,), (d * d,), None, (), ())
     lower, root, _ = _sector_tables(photons, modes)
-    b = np.zeros((fock_dimension(photons - 1, modes), d_out))
-    np.add.at(b, (lower, np.arange(d_out)[:, None]), root**2)  # t_i = 0 adds 0 at lower = 0
-    casimir = 2 * photons * (photons + modes - 1) * np.eye(d_out) - 2 * b.T @ b
-    values, vectors = np.linalg.eigh(casimir)
-    levels = range(photons + 1)
+    below, levels = fock_dimension(photons - 1, modes), np.arange(photons + 1)
+    spectrum = 2 * levels * (levels + modes - 1)
+
+    def casimir(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """C's eigenpairs on c weights' operators |s><t|, (c, n): B's image is named by
+        s - e_i, which fixes t - e_i (s_i t_i = 0 adds 0 at index 0)."""
+        c, n = s.shape
+        b = np.zeros((c, below, n))
+        at = (np.arange(c)[:, None, None], lower[s], np.arange(n)[:, None])
+        np.add.at(b, at, root[s] * root[t])
+        return np.linalg.eigh(spectrum[-1] * np.eye(n) - 2 * b.transpose(0, 2, 1) @ b)  # 2N(N+M-1)
+
+    values, vectors = casimir(*2 * (np.arange(d)[None],))
+    a, b = np.triu_indices(d, 1)
+    occupations = np.array(enumerate_fock_basis(photons, modes).states)
+    weight = occupations[a] - occupations[b]
+    flip = weight[np.arange(len(a)), np.argmax(weight != 0, axis=1)] < 0
+    weight[flip] *= -1  # |s><t| with s - t leading positive stands for the pair
+    order = np.lexsort(weight.T)  # equal weights adjacent
+    klass = np.cumsum(np.r_[0, np.any(np.diff(weight[order], axis=0), axis=1)])
+    n = np.bincount(klass)[klass]
+    order = order[np.lexsort((klass, n))]  # by block size, then weight
+    pairs, n = (np.where(flip, b, a) * d + np.where(flip, a, b))[order], np.sort(n)
+    entries, blocks, eigenvalues = [np.arange(d) * (d + 1)], [(0, vectors)], [values.ravel()]
+    for size in np.unique(n):
+        start, block = sum(map(len, entries)), pairs[n == size]
+        block_values, block_vectors = casimir(*np.divmod(block.reshape(-1, size), d))
+        entries.append(block)
+        blocks.append((start, block_vectors))
+        eigenvalues += 2 * [block_values.ravel()]
     sizes = tuple(zero_weight_dim(l, modes) for l in levels)
-    if np.abs(values - np.repeat([2 * l * (l + modes - 1) for l in levels], sizes)).max() > 1.0:
+    dims = tuple(weyl_dimension(adjoint_tower_signature(l, modes), modes) for l in levels)
+    if max(np.abs(values[0] - np.repeat(spectrum, sizes)).max(),
+           np.abs(np.sort(np.concatenate(eigenvalues)) - np.repeat(spectrum, dims)).max()) > 1.0:
         raise AssertionError(f"the Casimir of N={photons}, M={modes} has the wrong spectrum")
-    t = vectors.T
-    t.flags.writeable = False
-    dims = [weyl_dimension(adjoint_tower_signature(l, modes), modes) for l in levels]
-    return t, sizes, tuple(dims)
+    level = np.searchsorted((spectrum[1:] + spectrum[:-1]) / 2, np.concatenate(eigenvalues[1::2]))
+    groups, picks = np.cumsum((0,) + sizes), []
+    for l in levels:
+        eigen = 2 * (d + np.flatnonzero(level == l))
+        picks.append(np.r_[2 * np.arange(groups[l], groups[l + 1]), eigen, eigen + 1])
+    rotation = vectors[0].T
+    rotation.flags.writeable = False
+    return _LevelBases(rotation, sizes, dims, np.concatenate(entries), tuple(blocks), tuple(picks))
+
+
+def _level_coordinates(bases: _LevelBases, rows: np.ndarray) -> list[np.ndarray]:
+    """Each level's T-rotated rows of the map ``rows`` (R D', D^2) in W_l coordinates,
+    (R z_l, d_l)."""
+    d, half = len(bases.rotation), np.take(rows, bases.entries, axis=1)
+    half[:, d:] *= np.sqrt(2.0)  # sqrt2 Re and Im |s><t| are H's coordinates
+    for start, vectors in bases.blocks:
+        c, n, _ = vectors.shape
+        block = half[:, start : start + c * n].reshape(-1, c, n).transpose(1, 0, 2)
+        np.matmul(block, vectors, out=block)
+    groups = np.split(bases.rotation, np.cumsum(bases.sizes)[:-1])
+    levels = [np.take(half.view(float), p, axis=1).reshape(-1, d, len(p)) for p in bases.picks]
+    return [np.matmul(t, x).reshape(-1, x.shape[2]) for t, x in zip(groups, levels)]
+
+
+def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.ndarray:
+    """The matrix whose W_l coordinates are ``solutions``, transposed: a row vec(H)
+    meets rho as coords(H) . coords(rho^T), so the solutions hold rho^T's."""
+    d = len(bases.rotation)
+    pairs = bases.entries[d:]
+    half, rho = np.zeros(len(bases.entries), dtype=complex), np.empty(d * d, dtype=complex)
+    for x, p in zip(solutions, bases.picks):
+        half.view(float)[p] = x
+    for start, vectors in bases.blocks:
+        c, n, _ = vectors.shape
+        block = half[start : start + c * n].reshape(c, n, 1)
+        block[:] = vectors @ block
+    rho[:: d + 1] = half[:d].real
+    rho[(pairs % d) * d + pairs // d] = half[d:] / np.sqrt(2.0)  # rho_ts = H_st
+    rho[pairs] = half[d:].conj() / np.sqrt(2.0)
+    return rho.reshape(d, d)
 
 
 def _level_rows(lifted: np.ndarray, rotation: np.ndarray, sizes: Sequence[int], d: int) -> list:
@@ -880,7 +995,7 @@ def find_min_configs(
     Appends one independent configuration at a time and records the rank after each;
     stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
     achieved).  The first min(bound, ``r_max``) are lifted and factored in one call
-    per level.  The rows are rotated by ``_level_split``'s T into U(M) levels, and each
+    per level.  The rows are rotated by ``_level_bases``'s T into U(M) levels, and each
     rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full SVD's,
     unless a sigma lies within T's rounding of the threshold.  ``_RankScan`` certifies
     steps from each level's triangular factor; one it cannot takes the levels' SVDs,
@@ -899,7 +1014,7 @@ def find_min_configs(
     required = d * d
 
     configs = [draw(meas_modes) for _ in range(min(bound, r_max))]
-    rotation, sizes, dims = _level_split(photons, modes, meas_modes)
+    rotation, sizes, dims = _level_bases(photons, modes, meas_modes)[:3]
     scan = _RankScan(sizes, dims, rel_threshold)
     lifted = _restricted_lift(configs, photons, modes)
     certified = scan.extend(_level_rows(lifted, rotation, sizes, d))

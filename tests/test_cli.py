@@ -338,25 +338,27 @@ class TestReconstructCommand:
         assert code == 2
 
 
-    def test_one_factorisation_serves_every_shot_count(self, tmp_path, monkeypatch):
-        qr = mock.Mock(wraps=tg.qr)
-        monkeypatch.setattr(tg, "qr", qr)
+    def test_one_factorisation_per_level_serves_every_shot_count(self, tmp_path, monkeypatch):
+        factor = mock.Mock(wraps=tg.dgeqrf)
+        monkeypatch.setattr(tg, "dgeqrf", factor)
         state = tmp_path / "state.json"
         write_state(state)
         argv = ["reconstruct", "--state", str(state), "--shots", "0,10000,1000000",
                 "--efficiency", "0.9", "--invert-detector"]
         assert cli.main(argv) == 0
-        assert qr.call_count == 1
+        assert factor.call_count == len(tg._level_bases(2, 2, 2).dims) == 3
 
     def test_rank_is_decided_once_at_the_given_tolerance(self, tmp_path, capsys):
         state, out = tmp_path / "state.json", tmp_path / "out.json"
         write_state(state, photons=3, modes=4, seed=1)
-        argv = ["reconstruct", "--state", str(state), "--configs", "29", "--json", str(out)]
-        assert cli.main(argv) == 3
+        argv = ["reconstruct", "--state", str(state), "--json", str(out)]
+        assert cli.main(argv + ["--configs", "29"]) == 3
         assert "rank 390 < 400 (deficit 10)" in capsys.readouterr().err
-        # a tolerance tighter than the default is not overruled by the default
-        assert cli.main(argv + ["--tolerance-rank", "1e-30"]) == 0
-        assert json.loads(out.read_text())["rank"] == 400
+        assert cli.main(argv) == 0 and json.loads(out.read_text())["rank"] == 400
+        # a tolerance looser than the complete map's sigma_min / sigma_max (~1.6e-4)
+        # is not overruled by the default
+        assert cli.main(argv + ["--tolerance-rank", "1e-2"]) == 3
+        assert "< 400" in capsys.readouterr().err
         assert cli.main(argv + ["--tolerance-rank", "-1"]) == 2
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from unittest import mock
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from focktomo import analytic_m2
 from focktomo import imperfections as imp
 from focktomo import linear_optics as lo
 from focktomo import tomography as tg
@@ -316,19 +319,21 @@ class TestRealCoordinates:
         back = tg._hermitian_coordinates(tg._hermitian_matrix(y, d).reshape(1, -1), d)
         np.testing.assert_allclose(back[0], y, atol=1e-14)
 
-    def test_matrix_is_read_only_and_factored_once(self, monkeypatch):
-        qr = mock.Mock(wraps=tg.qr)
-        monkeypatch.setattr(tg, "qr", qr)
+    def test_matrix_is_read_only_and_factored_once_per_level(self, monkeypatch):
+        factor = mock.Mock(wraps=tg.dgeqrf)
+        monkeypatch.setattr(tg, "dgeqrf", factor)
         configs = haar_configs(2, 6, seed=29)
         superop = tg.build_superoperator(configs, 2, 2)
         with pytest.raises(ValueError):
             superop.matrix[0, 0] = 1.0
         rho = tg.random_density_matrix(enumerate_fock_basis(2, 2), 3)
-        for _ in range(2):
-            assert tg.gramian_rank(superop).rank == 9
+        assert tg.gramian_rank(superop).rank == 9
+        levels = len(tg._level_bases(2, 2, 2).dims)
+        assert levels == 3 and factor.call_count == levels  # all on first use
+        assert tg.gramian_rank(superop).rank == 9
         for shots in (0, 1000, 100_000):
             tg.reconstruct(superop, tg.simulate_records(rho, configs, shots, seed=1))
-        assert qr.call_count == 1
+        assert factor.call_count == levels  # none after
 
 
 def parity_corpus():
@@ -359,23 +364,26 @@ def count_svds(monkeypatch):
 
 
 class TestCertifiedRank:
-    @pytest.mark.parametrize("rel_threshold", [None, 1e-3, 1e-30])
+    @pytest.mark.parametrize("rel_threshold", [None, 1e-3, 1e-10])
     def test_certified_rank_equals_the_svd_rank_on_the_parity_corpus(self, rel_threshold):
         corpus, certified = parity_corpus(), set()
         for label, superop in corpus:
-            n = superop.matrix.shape[1]
-            sigma = np.linalg.svd(np.triu(superop._factor[0][:n]), compute_uv=False)
+            real = tg._hermitian_coordinates(superop.matrix, superop.basis_in.dimension)
+            sigma = np.linalg.svd(real, compute_uv=False)
             scale = rel_threshold or max(superop.matrix.shape) * np.finfo(float).eps
             expected = int((sigma > scale * sigma[0]).sum())
             report = tg.gramian_rank(superop, rel_threshold)
             if "singular_values" not in vars(superop):  # no SVD taken: certified
                 certified.add(label)
             assert report.rank == expected, label
-            real = tg._hermitian_coordinates(superop.matrix, superop.basis_in.dimension)
-            assert tg.gramian_rank(real, rel_threshold).rank == expected, label
-            np.testing.assert_array_equal(report.singular_values, sigma)
+            union = np.zeros(min(real.shape))  # the levels' sigma, then structural zeros
+            levels = [np.triu(q[: q.shape[1]]) for q, _ in superop._factor]
+            values = np.concatenate([np.linalg.svd(r, compute_uv=False) for r in levels])
+            union[: len(values)] = np.sort(values)[::-1]
+            np.testing.assert_array_equal(report.singular_values, union)
         full = {label for label, _ in corpus if "short" not in label}
         assert certified <= full and (rel_threshold == 1e-3 or certified == full)
+        assert len(certified) >= 6  # sigma_max <= max_l ||R_l||_F, not ||R||_F
 
     def test_reconstruct_on_a_complete_map_takes_no_svd(self, monkeypatch):
         configs = haar_configs(4, min_configs(3, 4), seed=2)
@@ -387,7 +395,7 @@ class TestCertifiedRank:
         assert result.rank == 400 and svds() == 0
         assert tg.is_complete(configs, 3, 4) and svds() == 0
 
-    def test_reading_sigma_takes_one_svd_equal_to_the_eager_one(self, monkeypatch):
+    def test_reading_sigma_takes_one_svd_per_level_equal_to_the_eager_one(self, monkeypatch):
         configs = haar_configs(3, min_configs(2, 3) + 1, seed=4)
         superop = tg.build_superoperator(configs, 2, 3)
         full = np.linalg.svd(tg._hermitian_coordinates(superop.matrix, 6), compute_uv=False)
@@ -395,9 +403,10 @@ class TestCertifiedRank:
         report, again = tg.gramian_rank(superop), tg.gramian_rank(superop, 1e-12)
         assert report.rank == again.rank == 36 and svds() == 0
         np.testing.assert_allclose(report.singular_values, full, rtol=0, atol=1e-12 * full[0])
+        assert svds() == len(tg._level_bases(2, 3, 3).dims) == 3  # on first read only
         assert report.sigma_max == report.singular_values[0] and report.largest_dropped is None
         assert report.smallest_kept == report.singular_values[-1]
-        assert again.threshold == 1e-12 * report.sigma_max and svds() == 1
+        assert again.threshold == 1e-12 * report.sigma_max and svds() == 3
 
     def test_a_report_whose_sigma_disagree_raises(self):
         report = tg.RankReport(3, lambda: np.array([2.0, 1.0, 1e-20]), 1e-12)
@@ -406,15 +415,20 @@ class TestCertifiedRank:
             report.summary()
 
     def test_reconstruct_ranks_at_its_threshold(self):
-        configs = haar_configs(3, 6, seed=3)
-        configs += configs[:2]  # duplicates add rows but no rank
-        superop = tg.build_superoperator(configs, 2, 3)
+        configs = haar_configs(3, 6, seed=3)  # rank 27 of 36
+        g = np.random.default_rng(0).standard_normal((3, 3, 2)) @ [1, 1j]
+        near = lo.InterferometerConfig(3, configs[0].matrix @ expm(3e-15j * (g + g.conj().T)))
+        superop = tg.build_superoperator(configs + [near], 2, 3)
         rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 1)
-        records = tg.simulate_records(rho, configs)
-        assert tg.gramian_rank(superop).rank < 36 == tg.gramian_rank(superop, 1e-30).rank
+        records = tg.simulate_records(rho, configs + [near])
+        # the near-duplicate adds three sigma between a tighter tolerance and the default
+        report, tight = tg.gramian_rank(superop), tg.gramian_rank(superop, 5e-16)
+        assert (report.rank, tight.rank) == (27, 30)
+        assert tight.threshold < tight.smallest_kept and report.largest_dropped < report.threshold
         with pytest.raises(tg.IncompleteConfigurationsError, match="rank 27 < 36"):
             tg.reconstruct(superop, records)
-        assert tg.reconstruct(superop, records, rel_threshold=1e-30).rank == 36
+        with pytest.raises(tg.IncompleteConfigurationsError, match="rank 30 < 36"):
+            tg.reconstruct(superop, records, rel_threshold=5e-16)
         with pytest.raises(ValueError, match="rel_threshold must be positive"):
             tg.reconstruct(superop, records, rel_threshold=-1.0)
 
@@ -711,7 +725,7 @@ class TestSearches:
         # At every certified step, each level's 1 / ||L||_F is at most the sigma_min
         # of its coordinates P and, less the dropped mass, of its rows' k-th sigma.
         search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
-        rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
+        rotation, sizes, dims = tg._level_bases(photons, modes, meas_modes)[:3]
         d = fock_dimension(photons, modes)
         scan = tg._RankScan(sizes, dims, None)
         lifted = tg._restricted_lift(search.configs, photons, modes)
@@ -737,7 +751,7 @@ class TestSearches:
     def test_level_stack_of_the_rows_equals_the_full_svd(
         self, photons, modes, meas_modes, count
     ):
-        rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
+        rotation, sizes, dims = tg._level_bases(photons, modes, meas_modes)[:3]
         d = fock_dimension(photons, modes)
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
         blocks = [
@@ -843,7 +857,7 @@ class TestLevelSplit:
     @staticmethod
     def rotated_levels(photons, modes, generator):
         """Each level's rows over R_{N,M} rotated settings, and the whole stack."""
-        rotation, sizes, _ = tg._level_split(photons, modes, modes)
+        rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         draw, d = tg.config_drawer(generator, 5), fock_dimension(photons, modes)
         configs = [draw(modes) for _ in range(min_configs(photons, modes))]
         real = tg._hermitian_coordinates(tg._superoperator_rows(configs, photons, modes), d)
@@ -853,7 +867,7 @@ class TestLevelSplit:
 
     @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4), (8, 3)])
     def test_rotation_is_orthonormal_with_zero_weight_groups(self, photons, modes):
-        rotation, sizes, dims = tg._level_split(photons, modes, modes)
+        rotation, sizes, dims = tg._level_bases(photons, modes, modes)[:3]
         d = fock_dimension(photons, modes)
         assert np.abs(rotation @ rotation.T - np.eye(d)).max() < 1e-13
         levels = range(photons + 1)
@@ -862,7 +876,7 @@ class TestLevelSplit:
             weyl_dimension(adjoint_tower_signature(level, modes), modes) for level in levels
         )
         assert sum(dims) == d * d
-        assert tg._level_split(photons, modes, modes)[0] is rotation  # cached
+        assert tg._level_bases(photons, modes, modes).rotation is rotation  # cached
 
     @staticmethod
     def hops(photons, modes):
@@ -880,7 +894,7 @@ class TestLevelSplit:
     @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4)])
     def test_row_groups_are_casimir_eigenvectors(self, photons, modes):
         # sum_ij [E_ij, [E_ji, X]] = 2l(l+M-1) X on the diagonal operators of V_l.
-        rotation, sizes, _ = tg._level_split(photons, modes, modes)
+        rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         hops = self.hops(photons, modes)
         for level, group in enumerate(np.split(rotation, np.cumsum(sizes)[:-1])):
             for row in group:
@@ -897,7 +911,7 @@ class TestLevelSplit:
     @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4)])
     def test_low_groups_span_the_low_degree_monomials(self, photons, modes):
         # Groups 0..l span the polynomials of degree <= l in the occupation numbers.
-        rotation, sizes, _ = tg._level_split(photons, modes, modes)
+        rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         nu = np.array(enumerate_fock_basis(photons, modes).states, dtype=float)
         for level in range(photons + 1):
             monomials = np.array(
@@ -913,7 +927,7 @@ class TestLevelSplit:
             assert np.linalg.matrix_rank(monomials) == len(low)
 
     def test_padded_settings_keep_one_group(self):
-        rotation, sizes, dims = tg._level_split(2, 3, 5)
+        rotation, sizes, dims = tg._level_bases(2, 3, 5)[:3]
         np.testing.assert_array_equal(rotation, np.eye(15))
         assert (sizes, dims) == ((15,), (36,))
 
@@ -925,11 +939,99 @@ class TestLevelSplit:
         for i, level in enumerate(levels):
             for other in levels[i + 1 :]:
                 assert np.abs(level @ other.T).max() <= 1e-13 * scale
-        _, _, dims = tg._level_split(photons, modes, modes)
+        _, _, dims = tg._level_bases(photons, modes, modes)[:3]
         assert [tg.gramian_rank(level).rank for level in levels] == list(dims)
         full = np.linalg.svd(stack, compute_uv=False)
         union = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in levels]))
         np.testing.assert_allclose(union[::-1][: len(full)], full, rtol=0, atol=1e-13 * full[0])
+
+
+@functools.lru_cache(maxsize=None)
+def dense_level_bases(photons, modes):
+    """Each W_l as a dense (D^2, d_l) matrix of real Hermitian coordinates, read off
+    ``_level_estimate``: coordinates e_j give rho = H^T, H having coordinates W e_j."""
+    bases, d = tg._level_bases(photons, modes, modes), fock_dimension(photons, modes)
+    levels = []
+    for level, dim in enumerate(bases.dims):
+        columns = []
+        for j in range(dim):
+            x = [np.zeros(k) for k in bases.dims]
+            x[level][j] = 1.0
+            h = tg._level_estimate(bases, x).T
+            columns.append(tg._hermitian_coordinates(h.reshape(1, -1), d)[0])
+        levels.append(np.array(columns).T)
+    return levels
+
+
+LEVEL_CELLS = [(1, 2), (2, 3), (3, 4), (6, 2), (4, 4), (2, 6)]
+
+
+class TestLevelBases:
+    @pytest.mark.parametrize("photons,modes", LEVEL_CELLS)
+    def test_bases_are_orthonormal_with_weyl_dimensions(self, photons, modes):
+        levels, d = dense_level_bases(photons, modes), fock_dimension(photons, modes)
+        w = np.hstack(levels)
+        assert np.abs(w.T @ w - np.eye(d * d)).max() <= 1e-13
+        assert [level.shape[1] for level in levels] == [
+            weyl_dimension(adjoint_tower_signature(level, modes), modes)
+            for level in range(photons + 1)
+        ]
+
+    @pytest.mark.parametrize("photons,modes", LEVEL_CELLS)
+    def test_each_column_is_a_casimir_eigenvector(self, photons, modes):
+        # sum_ij [E_ij, [E_ji, X]] = 2l(l+M-1) X for every column X of W_l.
+        hops, d = TestLevelSplit.hops(photons, modes), fock_dimension(photons, modes)
+        for level, w in enumerate(dense_level_bases(photons, modes)):
+            x = np.array([tg._hermitian_matrix(column, d) for column in w.T])
+            casimir = np.zeros_like(x)
+            for i in range(modes):
+                for j in range(modes):
+                    inner = hops[j][i] @ x - x @ hops[j][i]
+                    casimir += hops[i][j] @ inner - inner @ hops[i][j]
+            expected = 2 * level * (level + modes - 1) * x
+            assert np.abs(casimir - expected).max() <= 1e-12 * max(1, level * modes)
+
+    @pytest.mark.parametrize("photons,modes", LEVEL_CELLS)
+    def test_rotated_rows_stay_in_their_level(self, photons, modes):
+        # A Haar setting's T-rotated rows lie in span W_l, and the kernel's coordinates
+        # are their projections onto it.
+        bases, d = tg._level_bases(photons, modes, modes), fock_dimension(photons, modes)
+        rows = tg._superoperator_rows(haar_configs(modes, 1, seed=photons + modes), photons, modes)
+        rotated = bases.rotation @ tg._hermitian_coordinates(rows, d)
+        scale = np.linalg.norm(rotated)
+        groups = np.split(rotated, np.cumsum(bases.sizes)[:-1])
+        coordinates = tg._level_coordinates(bases, rows)
+        for group, w, fast in zip(groups, dense_level_bases(photons, modes), coordinates):
+            assert np.abs(group - (group @ w) @ w.T).max() <= 1e-13 * scale
+            assert np.abs(fast - group @ w).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case", ["(3,4)", "2N+1 at N=6", "vacuum", "one mode"])
+    def test_raw_equals_the_normal_equation_solution(self, case):
+        configs, photons, modes = {
+            "(3,4)": (haar_configs(4, min_configs(3, 4), seed=0), 3, 4),
+            "2N+1 at N=6": (list(analytic_m2.newton_young_configs(6).configs), 6, 2),
+            "vacuum": (haar_configs(3, 2, seed=1), 0, 3),
+            "one mode": ([lo.InterferometerConfig(1, np.array([[np.exp(0.3j)]]))], 4, 1),
+        }[case]
+        superop = tg.build_superoperator(configs, photons, modes)
+        exact = superop.apply(tg.random_density_matrix(superop.basis_in, 2))
+        noisy = exact + 1e-3 * np.random.default_rng(0).standard_normal(len(exact))
+        for p in (exact, noisy):
+            explicit = oracles.normal_equation_solve(superop.matrix, p.astype(complex))
+            assert np.abs(tg.reconstruct(superop, p).raw.reshape(-1) - explicit).max() < 1e-10
+        if case == "(3,4)":  # one (R z_l x d_l) factor per level
+            shapes = [reflectors.shape for reflectors, _ in superop._factor]
+            assert shapes == [(30, 1), (90, 15), (180, 84), (300, 300)]
+
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(2, 3, 5), (6, 2, 6), (0, 2, 2)])
+    def test_one_group_takes_one_factorisation(self, monkeypatch, photons, modes, meas_modes):
+        factor = mock.Mock(wraps=tg.dgeqrf)
+        monkeypatch.setattr(tg, "dgeqrf", factor)
+        count = min_configs_extended(photons, modes, meas_modes) if photons else 2
+        superop = tg.build_superoperator(haar_configs(meas_modes, count, seed=7), photons, modes)
+        rho = tg.random_density_matrix(superop.basis_in, 1)
+        tg.reconstruct(superop, superop.apply(rho))
+        assert factor.call_count == 1 and superop._bases is None
 
 
 class TestTraceDirectionBound:
@@ -937,7 +1039,7 @@ class TestTraceDirectionBound:
     def quotient_and_sigma_max(photons, modes, meas_modes, count):
         """The scan's trace-direction quotient over ``count`` Haar settings, and
         sigma_max^2 of their stacked real map."""
-        rotation, sizes, dims = tg._level_split(photons, modes, meas_modes)
+        rotation, sizes, dims = tg._level_bases(photons, modes, meas_modes)[:3]
         scan, d = tg._RankScan(sizes, dims, None), fock_dimension(photons, modes)
         blocks = []
         for config in haar_configs(meas_modes, count, seed=photons + meas_modes):

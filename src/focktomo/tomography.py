@@ -10,12 +10,14 @@ least-squares solution.
 Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
 & Krammer, J. Phys. A 41, 235303 (2008)), split by U(M) level, End(Sym^N C^M) =
-V_0 + ... + V_N, which no setting mixes (one group if M' > M or D = 1).  A map is
-factored once, by one QR per level of its T-rotated rows in the levels' bases W_l,
-and its rank, the levels' direct sum's, comes by certificate, min_l 1 / ||R_l^-1||_F
-<= sigma_min; singular values are computed only when read or when the certificate
-fails.  The minimal-R scan certifies each step's rank from one Householder factor
-per level, with no SVD or Gram matrix per step.
+V_0 + ... + V_N, which no setting mixes (one group if M' > M or D = 1).  One kernel,
+``_level_coordinates``, takes a map's rows to each level's T-rotated rows in its basis
+W_l, d_l wide.  A map is factored once, by one QR per level of these, and its rank,
+the levels' direct sum's, comes by certificate, min_l 1 / ||R_l^-1||_F <= sigma_min;
+singular values are computed only when read or when the certificate fails.  The
+minimal-R scan takes the same coordinates one setting at a time and certifies each
+step's rank from one d_l x d_l Householder factor per level, with no SVD or Gram
+matrix per step.
 """
 
 from __future__ import annotations
@@ -301,21 +303,15 @@ class Superoperator:
         self.matrix.flags.writeable = False
 
     @property
-    def _bases(self) -> _LevelBases | None:
-        """``_level_bases`` of the map's rows, or None for one group (M' > M or D = 1)."""
-        one = self.meas_modes > self.modes or self.basis_in.dimension == 1
-        return None if one else _level_bases(self.photons, self.modes, self.meas_modes)
+    def _bases(self) -> _LevelBases:
+        return _level_bases(self.photons, self.modes, self.meas_modes)
 
     @cached_property
     def _factor(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Raw Householder QR (reflectors, tau) of each level's T-rotated rows in W_l
-        coordinates (one group: of the real form); R_l is their upper triangle."""
-        if (bases := self._bases) is None:
-            levels = [_hermitian_coordinates(self.matrix, self.basis_in.dimension)]
-        else:
-            levels = _level_coordinates(bases, self.matrix)
+        """Raw Householder QR (reflectors, tau) of each level's ``_level_coordinates``;
+        R_l is their upper triangle."""
         factors = []
-        for rows in levels:
+        for rows in _level_coordinates(self._bases, self.matrix):
             reflectors, tau, _, info = dgeqrf(rows, lwork=64 * rows.shape[1], overwrite_a=1)
             if info:
                 raise ValueError(f"dgeqrf rejected argument {-info}")
@@ -560,23 +556,21 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Recover the state from outcome statistics by least squares on the real form.
 
-    Reads the map's cached factors: each setting's p is rotated by T, each level's
-    part by Q_l^T, its leading d_l entries are solved through R_l and mapped back
-    through W_l; the rest give the residual.  At full rank this equals the normal-
-    equation solution (L^dag L)^{-1} L^dag p while conditioning better; a map
-    below rank D^2 at ``gramian_rank``'s threshold raises
+    Reads the map's cached factors: each setting's p is rotated by T (one group: not
+    at all), each level's part by Q_l^T, its leading d_l entries are solved through R_l
+    and mapped back through W_l; the rest give the residual.  At full rank this equals
+    the normal-equation solution (L^dag L)^{-1} L^dag p while conditioning better; a
+    map below rank D^2 at ``gramian_rank``'s threshold raises
     ``IncompleteConfigurationsError`` with the deficit.
     """
     p = _record_frequencies(records, superop.n_configs, superop.basis_out.dimension).reshape(-1)
-    d = superop.basis_in.dimension
-    required = d * d
+    required = superop.basis_in.dimension ** 2
     rank = gramian_rank(superop, rel_threshold).rank
     if rank < required:
         raise IncompleteConfigurationsError(rank=rank, required=required)
-    bases, levels = superop._bases, [p]
-    if bases is not None:  # each setting's outcomes rotated by T, then split by level
-        p = p.reshape(superop.n_configs, -1) @ bases.rotation.T
-        levels = np.split(p, np.cumsum(bases.sizes)[:-1], axis=1)
+    bases, p = superop._bases, p.reshape(superop.n_configs, -1)
+    t = bases.rotation  # each setting's outcomes rotated by T, then split by level
+    levels = np.split(p if t is None else p @ t.T, np.cumsum(bases.sizes)[:-1], axis=1)
     solutions, tails = [], []
     for (reflectors, tau), rows in zip(superop._factor, levels):
         rotated, _, info = dormqr("L", "T", reflectors, tau, rows.reshape(-1, 1), lwork=1)
@@ -590,12 +584,7 @@ def reconstruct(
             raise np.linalg.LinAlgError(f"singular R_l: resolution failed at diagonal {info - 1}")
         solutions.append(solution[:, 0])
         tails.append(rotated[dim:, 0])
-    # A row vec(H) meets rho as sum_ab H_ab rho_ab = coords(H) . coords(rho^T), so
-    # the solution y holds rho^T's coordinates: rho_ab = (y_re - i y_im) / sqrt2.
-    if bases is None:
-        raw = _hermitian_matrix(solutions[0], d).T
-    else:
-        raw = _level_estimate(bases, solutions)
+    raw = _level_estimate(bases, solutions)
     residual = float(np.linalg.norm(np.concatenate(tails)))
     projected = project_to_state(superop.basis_in, raw)
     return ReconstructionResult(raw=raw, projected=projected, residual=residual, rank=rank)
@@ -708,11 +697,12 @@ def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
     h.c.  H's half form is its ``entries`` (flat s D + t): from each block's ``start``,
     c weights of n operators (the diagonal first), eigenvectors (c, n, n).  W_l reads
     it so transformed, as reals (Re, Im interleaved), at ``picks[l]``.  One group
-    (M' > M, or D = 1) has T = I and d_0 = D^2.
+    (M' > M, or D = 1) has no rotation, z_0 = D' and d_0 = D^2: its coordinates are the
+    real Hermitian ones.
     """
     d, d_out = fock_dimension(photons, modes), fock_dimension(photons, meas_modes)
     if meas_modes > modes or d == 1:
-        return _LevelBases(np.eye(d_out), (d_out,), (d * d,), None, (), ())
+        return _LevelBases(None, (d_out,), (d * d,), None, (), ())
     lower, root, _ = _sector_tables(photons, modes)
     below, levels = fock_dimension(photons - 1, modes), np.arange(photons + 1)
     spectrum = 2 * levels * (levels + modes - 1)
@@ -761,7 +751,9 @@ def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
 
 def _level_coordinates(bases: _LevelBases, rows: np.ndarray) -> list[np.ndarray]:
     """Each level's T-rotated rows of the map ``rows`` (R D', D^2) in W_l coordinates,
-    (R z_l, d_l)."""
+    (R z_l, d_l); one group's are the real Hermitian coordinates, (R D', D^2)."""
+    if bases.rotation is None:
+        return [_hermitian_coordinates(rows, round(bases.dims[0] ** 0.5))]
     d, half = len(bases.rotation), np.take(rows, bases.entries, axis=1)
     half[:, d:] *= np.sqrt(2.0)  # sqrt2 Re and Im |s><t| are H's coordinates
     for start, vectors in bases.blocks:
@@ -776,6 +768,8 @@ def _level_coordinates(bases: _LevelBases, rows: np.ndarray) -> list[np.ndarray]
 def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.ndarray:
     """The matrix whose W_l coordinates are ``solutions``, transposed: a row vec(H)
     meets rho as coords(H) . coords(rho^T), so the solutions hold rho^T's."""
+    if bases.rotation is None:  # rho_ab = (y_re - i y_im) / sqrt2
+        return _hermitian_matrix(solutions[0], round(bases.dims[0] ** 0.5)).T
     d = len(bases.rotation)
     pairs = bases.entries[d:]
     half, rho = np.zeros(len(bases.entries), dtype=complex), np.empty(d * d, dtype=complex)
@@ -791,18 +785,17 @@ def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.n
     return rho.reshape(d, d)
 
 
-def _level_rows(lifted: np.ndarray, rotation: np.ndarray, sizes: Sequence[int], d: int) -> list:
-    """Each level's T-rotated real rows from R settings' restricted lifts (R, D, D')."""
-    levels = [np.empty((len(lifted), z, d * d)) for z in sizes]
-    for j, v in enumerate(lifted):  # one setting at a time: no complex copy of the stack
-        block = rotation @ _hermitian_coordinates(_lifted_rows(v[None]), d)
-        for rows, part in zip(levels, np.split(block, np.cumsum(sizes)[:-1])):
+def _level_rows(bases: _LevelBases, lifted: np.ndarray) -> list[np.ndarray]:
+    """``_level_coordinates`` of R settings' rows from their restricted lifts (R, D, D')."""
+    levels = [np.empty((len(lifted), z, dim)) for z, dim in zip(bases.sizes, bases.dims)]
+    for j, v in enumerate(lifted):  # one setting at a time: no complex (R D', D^2) stack
+        for rows, part in zip(levels, _level_coordinates(bases, _lifted_rows(v[None]))):
             rows[j] = part
-    return [rows.reshape(-1, d * d) for rows in levels]
+    return [rows.reshape(-1, rows.shape[2]) for rows in levels]
 
 
 class _LevelFactor:
-    """One level's rows A_l = P Q^T + E: Q's Householder reflectors (D^2 x d_l), P's
+    """One level's rows A_l = P Q^T + E: Q's Householder reflectors (d_l x d_l), P's
     rows block lower triangular, and ||E_j||_2 per block.  A run of blocks takes one
     projection out of Q and one ``dgeqrf``, whose R^T holds the run's rows on their new
     directions, block j's diagonal block having the sigma of j's residual.  The first
@@ -811,15 +804,15 @@ class _LevelFactor:
     bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
     """
 
-    def __init__(self, dim: int, width: int):
+    def __init__(self, dim: int):
         self.dim, self.rank, self.inverse_norm_sq = dim, 0, 0.0
-        self.reflectors, self.tau = np.zeros((width, dim), order="F"), np.zeros(dim)
+        self.reflectors, self.tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
         self.inverse = np.zeros((0, 0))  # L, less the zero columns of rows adding no direction
         self.rows, self.chunks = [], []  # the rows taken; P's rows, an array or a range of R^T
         self.records: list[tuple] = []  # per block: rank, ||L||_F^2, ||E_j||_2^2
 
     def _rotate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Householder Q's transpose on rows^T in ``out`` (D^2 x n, F order)."""
+        """Householder Q's transpose on rows^T in ``out`` (d_l x n, F order)."""
         out[:] = rows.T
         if self.rank:
             args = ("L", "T", self.reflectors[:, : self.rank], self.tau[: self.rank], out)
@@ -873,9 +866,9 @@ class _LevelFactor:
     def _drop(self, rows: np.ndarray, tau_hi: np.ndarray) -> None:
         """Blocks by their residual's SVD, keeping at most d_l - k directions: so one
         block, or any number once Q is complete."""
-        k, width = self.rank, len(self.reflectors)
-        c = self._rotate(rows, np.empty((width, len(rows)), order="F"))
-        residual = c[k:].reshape(width - k, len(tau_hi), -1 if k < width else 0).transpose(1, 0, 2)
+        k, dim = self.rank, self.dim
+        c = self._rotate(rows, np.empty((dim, len(rows)), order="F"))
+        residual = c[k:].reshape(dim - k, len(tau_hi), -1 if k < dim else 0).transpose(1, 0, 2)
         w, sigma, vt = np.linalg.svd(residual, full_matrices=False)
         keep = min(int((sigma[0] > KEEP_MARGIN * tau_hi[0]).sum()), self.dim - k)
         y = np.zeros((len(rows), 0))
@@ -913,23 +906,25 @@ class _RankScan:
     1 / ||L||_F (or, failing that, sigma_min(P)) exceeds KEEP_MARGIN tau_hi + e + c and
     e + c < tau_lo, c = sqrt(D^2) eps ||A||_F being the SVD's cushion.  tau_lo <= tau
     <= tau_hi come from q^(1/2) - e <= sigma_max <= ||A||_F, q = ||A_0 x||^2 for the
-    trace direction x = vec(I)/sqrt(D) in V_0: each level-0 row's first D (diagonal)
-    coordinates, summed, squared and over D.  With M' = M a setting's rows are
-    orthonormal and sum to vec(I), so q = R = sigma_max^2.  A level so certified at
-    k_l = d_l is frozen: its later blocks add no e, and by interlacing its sigma_{d_l}
-    stays above that step's KEEP_MARGIN tau_hi, which must stay above tau_hi + c.
+    trace direction x = vec(I)/sqrt(D) in V_0: each level-0 row's first sqrt(d_0)
+    coordinates, summed, squared and over sqrt(d_0).  Split by level, d_0 = 1 and W_0 =
+    +-x, so that is the row's one coordinate squared; one group's are the D diagonal
+    ones.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
+    sigma_max^2.  A level so certified at k_l = d_l is frozen: its later blocks add no
+    e, and by interlacing its sigma_{d_l} stays above that step's KEEP_MARGIN tau_hi,
+    which must stay above tau_hi + c.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
         self.sizes, self.width, self.rel_threshold = sizes, sum(dims), rel_threshold
-        self.levels = [_LevelFactor(dim, self.width) for dim in dims]
+        self.levels = [_LevelFactor(dim) for dim in dims]
         self.floors = [0.0] * len(dims)  # floor > 0: frozen
         self.steps = self.count = 0
         self.trace_sq = self.dropped_sq = self.frobenius_sq = 0.0
 
     def extend(self, rows: Sequence[np.ndarray]) -> list[int | None]:
         """Take the next blocks, as each level's rows; each step's certified rank or None."""
-        blocks, diagonal = len(rows[0]) // self.sizes[0], round(self.width**0.5)
+        blocks, diagonal = len(rows[0]) // self.sizes[0], round(self.levels[0].dim ** 0.5)
         frobenius = sum(np.einsum("ij,ij->i", r, r).reshape(blocks, -1).sum(axis=1) for r in rows)
         trace = (rows[0][:, :diagonal].sum(axis=1) ** 2).reshape(blocks, -1).sum(axis=1) / diagonal
         frobenius = self.frobenius_sq + np.cumsum(frobenius)
@@ -965,20 +960,21 @@ class _RankScan:
 
 class _LevelStack:
     """A scan's level direct sum over its first ``steps`` steps: sigma the union of the
-    levels' (of their rows, or of their coordinates P), shape the stack's (R D', D^2)."""
+    levels' rows', each d_l wide, and then the direct sum's exact zeros, to min(R D', D^2);
+    shape the stack's (R D', D^2)."""
 
-    def __init__(self, scan: _RankScan, steps: int, factored: bool = False):
+    def __init__(self, scan: _RankScan, steps: int):
         self.shape = (steps * sum(scan.sizes), scan.width)
-        self._levels = scan, steps, factored
+        self._levels = scan, steps
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        scan, steps, factored = self._levels
+        scan, steps = self._levels
         sigma = []
         for level, z in zip(scan.levels, scan.sizes):  # sigma(X) = sigma(X^T), F order
-            rows = level.coordinates(steps * z) if factored else np.vstack(level.rows)[: steps * z]
+            rows = np.vstack(level.rows)[: steps * z]
             sigma.append(svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False))
-        return np.sort(np.concatenate(sigma))[::-1]
+        return np.sort(np.concatenate(sigma + [np.zeros(min(self.shape))]))[::-1][: min(self.shape)]
 
 
 def find_min_configs(
@@ -995,11 +991,11 @@ def find_min_configs(
     Appends one independent configuration at a time and records the rank after each;
     stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
     achieved).  The first min(bound, ``r_max``) are lifted and factored in one call
-    per level.  The rows are rotated by ``_level_bases``'s T into U(M) levels, and each
-    rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full SVD's,
-    unless a sigma lies within T's rounding of the threshold.  ``_RankScan`` certifies
-    steps from each level's triangular factor; one it cannot takes the levels' SVDs,
-    and a certified D^2 is confirmed from the factors' coordinates P_l.
+    per level.  Each setting's rows are taken to ``_level_coordinates``, d_l wide, and
+    each rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full
+    SVD's, unless a sigma lies within the levels' rounding of the threshold.
+    ``_RankScan`` certifies steps from each level's triangular factor; the levels' SVDs
+    settle a step it cannot, and confirm a certified D^2.
     The observed minimum is checked against the counting lower bound on every run.
     """
     if meas_modes is None:
@@ -1010,14 +1006,12 @@ def find_min_configs(
         r_max = bound + 8
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
-    d = fock_dimension(photons, modes)
-    required = d * d
+    required = fock_dimension(photons, modes) ** 2
 
     configs = [draw(meas_modes) for _ in range(min(bound, r_max))]
-    rotation, sizes, dims = _level_bases(photons, modes, meas_modes)[:3]
-    scan = _RankScan(sizes, dims, rel_threshold)
-    lifted = _restricted_lift(configs, photons, modes)
-    certified = scan.extend(_level_rows(lifted, rotation, sizes, d))
+    bases = _level_bases(photons, modes, meas_modes)
+    scan = _RankScan(bases.sizes, bases.dims, rel_threshold)
+    certified = scan.extend(_level_rows(bases, _restricted_lift(configs, photons, modes)))
     trace: list[tuple[int, int]] = []
     found: int | None = None
     previous_rank = 0
@@ -1025,14 +1019,13 @@ def find_min_configs(
         if len(trace) == len(configs):  # past the bound, one setting at a time
             configs.append(draw(meas_modes))
             lifted = _restricted_lift(configs[-1:], photons, modes)
-            certified += scan.extend(_level_rows(lifted, rotation, sizes, d))
+            certified += scan.extend(_level_rows(bases, lifted))
         step, rank = len(trace) + 1, certified[len(trace)]
-        if rank is None:  # uncertified: the SVD of each level's rows settles the step
-            rank = gramian_rank(_LevelStack(scan, step), rel_threshold).rank
-        elif rank == required:  # confirmed from the levels' coordinates P_l
-            rank = gramian_rank(_LevelStack(scan, step, True), rel_threshold).rank
-            if rank < required:
-                raise RuntimeError(f"step {step}: rank {required} certified, {rank} by SVD")
+        if rank is None or rank == required:  # the levels' SVDs settle or confirm the step
+            checked = gramian_rank(_LevelStack(scan, step), rel_threshold).rank
+            if rank == required != checked:
+                raise RuntimeError(f"step {step}: rank {required} certified, {checked} by SVD")
+            rank = checked
         if rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
         previous_rank = rank

@@ -725,18 +725,17 @@ class TestSearches:
         # At every certified step, each level's 1 / ||L||_F is at most the sigma_min
         # of its coordinates P and, less the dropped mass, of its rows' k-th sigma.
         search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
-        rotation, sizes, dims = tg._level_bases(photons, modes, meas_modes)[:3]
-        d = fock_dimension(photons, modes)
-        scan = tg._RankScan(sizes, dims, None)
+        bases = tg._level_bases(photons, modes, meas_modes)
+        scan = tg._RankScan(bases.sizes, bases.dims, None)
         lifted = tg._restricted_lift(search.configs, photons, modes)
-        certified = scan.extend(tg._level_rows(lifted, rotation, sizes, d))
+        certified = scan.extend(tg._level_rows(bases, lifted))
         expected = oracles.complex_rank_trace(search.configs, photons, modes)
         assert sum(rank is not None for rank in certified) >= len(certified) - 1
         for step, rank in enumerate(certified):
             if rank is None:
                 continue
             assert (step + 1, rank) == expected[step]
-            for level, z in zip(scan.levels, sizes):
+            for level, z in zip(scan.levels, bases.sizes):
                 k, inverse_sq, _ = level.records[step]
                 if not k:
                     continue
@@ -751,16 +750,14 @@ class TestSearches:
     def test_level_stack_of_the_rows_equals_the_full_svd(
         self, photons, modes, meas_modes, count
     ):
-        rotation, sizes, dims = tg._level_bases(photons, modes, meas_modes)[:3]
+        bases = tg._level_bases(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
-        blocks = [
-            tg._hermitian_coordinates(tg._superoperator_rows([c], photons, modes), d)
-            for c in configs
-        ]
-        scan = tg._RankScan(sizes, dims, None)
-        for block in blocks:
-            scan.extend(np.split(rotation @ block, np.cumsum(sizes)[:-1]))
+        rows = [tg._superoperator_rows([c], photons, modes) for c in configs]
+        blocks = [tg._hermitian_coordinates(block, d) for block in rows]
+        scan = tg._RankScan(bases.sizes, bases.dims, None)
+        for block in rows:
+            scan.extend(tg._level_coordinates(bases, block))
         stack = tg._LevelStack(scan, count)
         full = tg.gramian_rank(np.vstack(blocks))
         report = tg.gramian_rank(stack)
@@ -769,6 +766,26 @@ class TestSearches:
             report.singular_values, full.singular_values, rtol=0, atol=1e-12 * full.sigma_max
         )
         assert report.rank == full.rank
+
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 3, 5)])
+    def test_the_scan_keeps_no_d2_wide_array(self, monkeypatch, photons, modes, meas_modes):
+        # Each level's reflectors are d_l x d_l and its stored rows d_l wide (with one
+        # group, d_0 = D^2): nothing is D^2 wide per level.
+        scans = []
+
+        class Recorded(tg._RankScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scans.append(self)
+
+        monkeypatch.setattr(tg, "_RankScan", Recorded)
+        search = tg.find_min_configs(photons, modes, meas_modes, seed=0)
+        (scan,) = scans
+        dims = tg._level_bases(photons, modes, meas_modes).dims
+        assert search.found is not None and len(scan.levels) == len(dims)
+        for level, dim in zip(scan.levels, dims):
+            assert level.reflectors.shape == (dim, dim)
+            assert level.rows and all(rows.shape[1] == dim for rows in level.rows)
 
     @staticmethod
     def confirming_report(monkeypatch, *args, **kwargs):
@@ -928,7 +945,7 @@ class TestLevelSplit:
 
     def test_padded_settings_keep_one_group(self):
         rotation, sizes, dims = tg._level_bases(2, 3, 5)[:3]
-        np.testing.assert_array_equal(rotation, np.eye(15))
+        assert rotation is None
         assert (sizes, dims) == ((15,), (36,))
 
     @pytest.mark.parametrize("generator", ["haar", "mesh"])
@@ -1031,7 +1048,7 @@ class TestLevelBases:
         superop = tg.build_superoperator(haar_configs(meas_modes, count, seed=7), photons, modes)
         rho = tg.random_density_matrix(superop.basis_in, 1)
         tg.reconstruct(superop, superop.apply(rho))
-        assert factor.call_count == 1 and superop._bases is None
+        assert factor.call_count == 1 and superop._bases.rotation is None
 
 
 class TestTraceDirectionBound:
@@ -1039,13 +1056,13 @@ class TestTraceDirectionBound:
     def quotient_and_sigma_max(photons, modes, meas_modes, count):
         """The scan's trace-direction quotient over ``count`` Haar settings, and
         sigma_max^2 of their stacked real map."""
-        rotation, sizes, dims = tg._level_bases(photons, modes, meas_modes)[:3]
-        scan, d = tg._RankScan(sizes, dims, None), fock_dimension(photons, modes)
+        bases = tg._level_bases(photons, modes, meas_modes)
+        scan, d = tg._RankScan(bases.sizes, bases.dims, None), fock_dimension(photons, modes)
         blocks = []
         for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
             rows = tg._superoperator_rows([config], photons, modes)
             blocks.append(tg._hermitian_coordinates(rows, d))
-            scan.extend(np.split(rotation @ blocks[-1], np.cumsum(sizes)[:-1]))
+            scan.extend(tg._level_coordinates(bases, rows))
         return scan.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
 
     @pytest.mark.parametrize("photons,modes", [(2, 3), (3, 4), (6, 2)])

@@ -16,8 +16,8 @@ W_l, d_l wide.  A map is factored once, by one QR per level of these, and its ra
 the levels' direct sum's, comes by certificate, min_l 1 / ||R_l^-1||_F <= sigma_min;
 singular values are computed only when read or when the certificate fails.  The
 minimal-R scan takes the same coordinates one setting at a time and certifies each
-step's rank from one d_l x d_l Householder factor per level, with no SVD or Gram
-matrix per step.
+step's rank from one d_l x d_l Householder factor per level (one SVD for the level the
+counting bound makes square), with no SVD or Gram matrix per step.
 """
 
 from __future__ import annotations
@@ -434,8 +434,8 @@ def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> flo
     """The rank threshold over sigma_max: max(rows, cols) * eps, or ``rel_threshold``."""
     if rel_threshold is None:
         return max(shape) * np.finfo(float).eps
-    if not (np.isfinite(rel_threshold) and rel_threshold > 0):
-        raise ValueError(f"rel_threshold must be positive and finite, got {rel_threshold}")
+    if not 0.0 < rel_threshold < 1.0:  # at 1 or above no sigma could pass
+        raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     return rel_threshold
 
 
@@ -802,14 +802,15 @@ class _LevelFactor:
     block with one under KEEP_MARGIN tau_hi takes its residual's SVD instead: the larger
     directions are kept, the largest other sigma is ||E_j||.  A left inverse L of P,
     bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
+    A square top level ranked by its SVD's ``sigma`` (``low`` = sigma_min - c > 0) has no Q.
     """
 
     def __init__(self, dim: int):
-        self.dim, self.rank, self.inverse_norm_sq = dim, 0, 0.0
-        self.reflectors, self.tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
+        self.dim, self.rank, self.inverse_norm_sq, self.low = dim, 0, 0.0, 0.0
+        self.reflectors, self.tau, self.sigma = np.zeros((dim, dim), order="F"), np.zeros(dim), ()
         self.inverse = np.zeros((0, 0))  # L, less the zero columns of rows adding no direction
         self.rows, self.chunks = [], []  # the rows taken; P's rows, an array or a range of R^T
-        self.records: list[tuple] = []  # per block: rank, ||L||_F^2, ||E_j||_2^2
+        self.records: list[tuple] = []  # per block: rank, 1 / ||L||_F (or low), ||E_j||_2^2
 
     def _rotate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Householder Q's transpose on rows^T in ``out`` (d_l x n, F order)."""
@@ -833,6 +834,10 @@ class _LevelFactor:
         """Factor the next ``len(tau_hi)`` blocks' rows, tau_hi at each one's step."""
         z, start = len(rows) // len(tau_hi), 0
         self.rows.append(rows)
+        if self.low:  # ranked by its square SVD: rank min(s z, d_l) at step s, sigma >= low
+            steps = len(self.records) + np.arange(1, len(tau_hi) + 1)
+            self.records += [(min(s * z, self.dim), self.low, 0.0) for s in steps]
+            return
         while start < len(tau_hi):
             blocks = min(len(tau_hi) - start, (self.dim - self.rank) // z)
             run = slice(start * z, (start + blocks) * z)
@@ -859,8 +864,8 @@ class _LevelFactor:
             if info:
                 raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
             self.chunks.append(slice(k, k + m))
-            norms = self._border(c[:k, :m].T, inverse.T)[z - 1 :: z]
-            self.records += zip(k + z * np.arange(1, accepted + 1), norms, [0.0] * accepted)
+            lows = self._border(c[:k, :m].T, inverse.T)[z - 1 :: z] ** -0.5
+            self.records += zip(k + z * np.arange(1, accepted + 1), lows, [0.0] * accepted)
         return accepted
 
     def _drop(self, rows: np.ndarray, tau_hi: np.ndarray) -> None:
@@ -880,7 +885,8 @@ class _LevelFactor:
             self._border(c[:k].T, (sign / kept)[:, None] * vt[0, :keep])
         self.chunks.append(np.hstack([c[:k].T, y]))
         dropped = [np.max(s[keep:], initial=0.0) ** 2 for s in sigma]
-        self.records += [(self.rank, self.inverse_norm_sq, e) for e in dropped]
+        low = self.inverse_norm_sq**-0.5 if self.rank else np.inf
+        self.records += [(self.rank, low, e) for e in dropped]
 
     def coordinates(self, count: int) -> np.ndarray:
         """P's first ``count`` rows, (count, d_l)."""
@@ -911,8 +917,10 @@ class _RankScan:
     +-x, so that is the row's one coordinate squared; one group's are the D diagonal
     ones.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
     sigma_max^2.  A level so certified at k_l = d_l is frozen: its later blocks add no
-    e, and by interlacing its sigma_{d_l} stays above that step's KEEP_MARGIN tau_hi,
-    which must stay above tau_hi + c.
+    e, and by interlacing its sigma_{d_l} stays above its bound less e, which must stay
+    above tau_hi + c.  If the first batch leaves the top level square (R z_N = d_N), its
+    values-only SVD ranks it when low = sigma_min - c clears the batch's last, largest
+    bar: by interlacing each step's s z_N sigma are >= low, its bound, with no e.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
@@ -931,8 +939,16 @@ class _RankScan:
         trace = self.trace_sq + np.cumsum(trace)
         counts = self.count + sum(self.sizes) * np.arange(1, blocks + 1)
         scales = [_threshold_scale((count, self.width), self.rel_threshold) for count in counts]
+        tau_hi, top = np.multiply(scales, np.sqrt(frobenius)), self.levels[-1]
+        square = not self.steps and len(rows) > 1 and len(rows[-1]) == top.dim  # split, 1st batch
         for level, level_rows in zip(self.levels, rows):
-            level.take(level_rows, np.multiply(scales, np.sqrt(frobenius)))
+            if level is top and square:  # its one SVD ranks it if sigma_min - c clears the bar
+                cushion = (self.width * frobenius[-1]) ** 0.5 * np.finfo(float).eps
+                top.sigma = svd(level_rows.T, compute_uv=False, check_finite=False)
+                dropped = sum(r[2] for other in self.levels for r in other.records) ** 0.5
+                if top.sigma[-1] - cushion > KEEP_MARGIN * tau_hi[-1] + dropped + cushion:
+                    top.low = top.sigma[-1] - cushion
+            level.take(level_rows, tau_hi)
         return [self._certify(*step) for step in zip(counts, frobenius, trace, scales)]
 
     def _certify(self, count: int, frob_sq: float, trace_sq: float, scale: float) -> int | None:
@@ -948,20 +964,21 @@ class _RankScan:
             return None
         bar = KEEP_MARGIN * tau_hi + dropped + cushion
         for l in open_levels:
-            level, (rank, inverse_sq, _) = self.levels[l], self.levels[l].records[step]
-            if inverse_sq * bar**2 >= 1.0:
+            level, (rank, low, _) = self.levels[l], self.levels[l].records[step]
+            if low <= bar and not level.low:
                 p = level.coordinates(self.steps * self.sizes[l])[:, :rank]
-                if np.linalg.svd(p, compute_uv=False)[-1] <= bar:
-                    return None
-            if rank == level.dim:
-                self.floors[l] = KEEP_MARGIN * tau_hi
+                low = np.linalg.svd(p, compute_uv=False)[-1]
+            if low <= bar:
+                return None
+            if rank == level.dim:  # sigma_{d_l} >= low, less e unless low bounds A_l itself
+                self.floors[l] = low if level.low else low - dropped
         return int(sum(level.records[step][0] for level in self.levels))
 
 
 class _LevelStack:
     """A scan's level direct sum over its first ``steps`` steps: sigma the union of the
-    levels' rows', each d_l wide, and then the direct sum's exact zeros, to min(R D', D^2);
-    shape the stack's (R D', D^2)."""
+    levels' rows' (a square first batch's as ``extend`` took them), each d_l wide, and then
+    the direct sum's exact zeros, to min(R D', D^2); shape the stack's (R D', D^2)."""
 
     def __init__(self, scan: _RankScan, steps: int):
         self.shape = (steps * sum(scan.sizes), scan.width)
@@ -972,6 +989,9 @@ class _LevelStack:
         scan, steps = self._levels
         sigma = []
         for level, z in zip(scan.levels, scan.sizes):  # sigma(X) = sigma(X^T), F order
+            if steps * z == len(level.sigma):  # the square first batch's, from ``extend``
+                sigma.append(level.sigma)
+                continue
             rows = np.vstack(level.rows)[: steps * z]
             sigma.append(svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False))
         return np.sort(np.concatenate(sigma + [np.zeros(min(self.shape))]))[::-1][: min(self.shape)]
@@ -994,8 +1014,8 @@ def find_min_configs(
     per level.  Each setting's rows are taken to ``_level_coordinates``, d_l wide, and
     each rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full
     SVD's, unless a sigma lies within the levels' rounding of the threshold.
-    ``_RankScan`` certifies steps from each level's triangular factor; the levels' SVDs
-    settle a step it cannot, and confirm a certified D^2.
+    ``_RankScan`` certifies steps from each level's triangular factor (or square SVD); the
+    levels' SVDs settle a step it cannot, and confirm a certified D^2.
     The observed minimum is checked against the counting lower bound on every run.
     """
     if meas_modes is None:

@@ -368,10 +368,12 @@ class TestBadInput:
         [
             (["reconstruct", "--configs", "0"], "--configs must be at least 1, got 0"),
             (["rank-scan", "--r-max", "0"], "r_max must be at least 1, got 0"),
-            (["rank-scan", "--tolerance-rank", "-1"],
-             "rel_threshold must be positive and finite, got -1.0"),
-            (["rank-scan", "--tolerance-rank", "nan"],
-             "rel_threshold must be positive and finite, got nan"),
+            (["rank-scan", "--tolerance-rank", "-1"], "rel_threshold must lie in (0, 1), got -1.0"),
+            (["rank-scan", "--tolerance-rank", "nan"], "rel_threshold must lie in (0, 1), got nan"),
+            # at a tolerance of 1 or more no singular value could count
+            (["rank-scan", "--tolerance-rank", "1"], "rel_threshold must lie in (0, 1), got 1.0"),
+            (["min-modes", "--tolerance-rank", "1"], "rel_threshold must lie in (0, 1), got 1.0"),
+            (["reconstruct", "--tolerance-rank", "2"], "rel_threshold must lie in (0, 1), got 2.0"),
             (["reconstruct", "--generator", "newton-young", "--configs", "3"],
              "--configs does not apply to newton-young"),
             (["reconstruct", "--invert-detector"], "--invert-detector needs --efficiency"),

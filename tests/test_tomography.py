@@ -28,6 +28,18 @@ import oracles
 BS_5050 = lo.InterferometerConfig(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
+def record_shapes(monkeypatch, name):
+    """Wrap ``tomography.<name>``: the list of its first argument's shapes, call by call."""
+    original, shapes = getattr(tg, name), []
+
+    def call(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(tg, name, call)
+    return shapes
+
+
 def haar_configs(modes, count, seed):
     rng = np.random.default_rng(seed)
     return [lo.haar_random_unitary(modes, int(rng.integers(2**63))) for _ in range(count)]
@@ -429,8 +441,9 @@ class TestCertifiedRank:
             tg.reconstruct(superop, records)
         with pytest.raises(tg.IncompleteConfigurationsError, match="rank 30 < 36"):
             tg.reconstruct(superop, records, rel_threshold=5e-16)
-        with pytest.raises(ValueError, match="rel_threshold must be positive"):
-            tg.reconstruct(superop, records, rel_threshold=-1.0)
+        for bad in (-1.0, 1.0, 2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"rel_threshold must lie in \(0, 1\)"):
+                tg.reconstruct(superop, records, rel_threshold=bad)
 
 
 class TestCompletenessThresholds:
@@ -723,7 +736,8 @@ class TestSearches:
     )
     def test_certificate_bounds_each_level_from_below(self, photons, modes, meas_modes, seed):
         # At every certified step, each level's 1 / ||L||_F is at most the sigma_min
-        # of its coordinates P and, less the dropped mass, of its rows' k-th sigma.
+        # of its coordinates P and, less the dropped mass, of its rows' k-th sigma;
+        # the level the bound makes square bounds its rows' k-th sigma itself.
         search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
         bases = tg._level_bases(photons, modes, meas_modes)
         scan = tg._RankScan(bases.sizes, bases.dims, None)
@@ -736,15 +750,75 @@ class TestSearches:
                 continue
             assert (step + 1, rank) == expected[step]
             for level, z in zip(scan.levels, bases.sizes):
-                k, inverse_sq, _ = level.records[step]
+                k, bound, _ = level.records[step]
                 if not k:
                     continue
-                bound = inverse_sq**-0.5
-                p = level.coordinates((step + 1) * z)[:, :k]
-                assert bound <= np.linalg.svd(p, compute_uv=False)[-1] * (1 + 1e-12)
                 rows = np.vstack(level.rows)[: (step + 1) * z]
                 sigma_k = np.linalg.svd(rows, compute_uv=False)[k - 1]
+                if level.low:
+                    assert bound == level.low <= sigma_k and k == (step + 1) * z
+                    continue
+                p = level.coordinates((step + 1) * z)[:, :k]
+                assert bound <= np.linalg.svd(p, compute_uv=False)[-1] * (1 + 1e-12)
                 assert bound - scan.dropped_sq**0.5 <= sigma_k * (1 + 1e-12)
+        square = [level.low > 0 for level in scan.levels]
+        assert square == [meas_modes == modes and l == photons for l in range(len(square))]
+
+    @pytest.mark.parametrize(
+        "photons,modes,seed", [(3, 4, 0), (3, 4, 1), (3, 4, 2), (4, 3, 0), (2, 5, 0), (6, 2, 0)]
+    )
+    def test_the_square_level_takes_one_svd_and_no_householder_factor(
+        self, monkeypatch, photons, modes, seed
+    ):
+        # At the bound the top level's rows are square: its one values-only SVD ranks
+        # every step and confirms full rank, and no dgeqrf or dtrtri touches it.
+        width = tg._level_bases(photons, modes, modes).dims[-1]
+        calls = {name: record_shapes(monkeypatch, name) for name in ("svd", "dgeqrf", "dtrtri")}
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(photons, modes, seed=seed)
+        assert search.found == min_configs(photons, modes) and rank.call_count == 1
+        wide = {name: [s for s in shapes if s[0] == width] for name, shapes in calls.items()}
+        assert wide == {"svd": [(width, width)], "dgeqrf": [], "dtrtri": []}
+
+    def test_a_singular_square_level_falls_back_to_the_householder_factor(self, monkeypatch):
+        # A repeated setting leaves the square level singular at the bound: it is
+        # factored as any other level, and its kept sigma spare the confirmation an SVD.
+        scans, draw = [], tg.config_drawer("haar", 0)
+        drawn = [draw(3) for _ in range(12)]
+        drawn[8] = drawn[0]
+
+        class Recorded(tg._RankScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scans.append(self)
+
+        monkeypatch.setattr(tg, "_RankScan", Recorded)
+        monkeypatch.setattr(tg, "config_drawer", lambda *args: lambda modes: drawn.pop(0))
+        svds = record_shapes(monkeypatch, "svd")
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(2, 3, r_max=12)
+        (scan,) = scans
+        square = scan.levels[-1]
+        assert square.low == 0.0 and len(square.sigma) == square.dim == 27
+        assert square.chunks and square.records[8][0] < 27
+        assert search.found == 10
+        assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 3)
+        assert sum(s[0] == 27 for s in svds) <= rank.call_count + 1
+
+    @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 2), (1, 3)])
+    def test_a_frozen_level_stays_certified_as_the_threshold_grows(self, photons, modes):
+        # The threshold grows with the stack, 80 settings fed one at a time; a level's
+        # floor is its certificate's own bound, not the keep margin at its freeze.
+        bases = tg._level_bases(photons, modes, modes)
+        scan = tg._RankScan(bases.sizes, bases.dims, None)
+        certified = []
+        for config in haar_configs(modes, 80, seed=0):
+            rows = tg._superoperator_rows([config], photons, modes)
+            certified += scan.extend(tg._level_coordinates(bases, rows))
+        assert None not in certified and certified[-1] == fock_dimension(photons, modes) ** 2
+        assert all(floor > 0 for floor in scan.floors)
 
     @pytest.mark.parametrize("photons,modes,meas_modes,count", [(3, 4, 4, 10), (2, 3, 5, 2)])
     def test_level_stack_of_the_rows_equals_the_full_svd(
@@ -839,6 +913,18 @@ class TestSearches:
         assert extra > 0 and lift.call_count == 1 + extra
         assert all(call.args[0].shape == (1, 2, 2) for call in lift.call_args_list[1:])
         assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 2, 1e-3)
+
+    @pytest.mark.parametrize("rel_threshold", [1.0, 1.5])
+    def test_a_tolerance_of_one_or_more_is_rejected(self, rel_threshold):
+        # no sigma exceeds sigma_max, so such a rank would be 0 whatever the settings
+        configs, match = haar_configs(3, 9, seed=0), r"rel_threshold must lie in \(0, 1\)"
+        for search in (tg.find_min_configs, tg.find_min_modes):
+            with pytest.raises(ValueError, match=match):
+                search(2, 3, rel_threshold=rel_threshold)
+        with pytest.raises(ValueError, match=match):
+            tg.is_complete(configs, 2, 3, rel_threshold)
+        with pytest.raises(ValueError, match=match):
+            tg.gramian_rank(np.eye(3), rel_threshold)
 
     def test_min_configs_mesh_generator(self):
         assert tg.find_min_configs(2, 2, generator="mesh", seed=6).found == 5

@@ -199,6 +199,14 @@ def check_incremental_rank_scan() -> None:
             for count, rank in search.rank_trace:
                 full = tomography.gramian_rank(rows[: count * step], rel).rank
                 assert rank == full, (meas_modes, generator, rel, count)
+    # A certified full rank stands unread; reading its report's sigma checks it.
+    configs = tomography.find_min_configs(2, 3, seed=0).configs
+    bases = tomography._level_bases(2, 3, 3)
+    scan = tomography._RankScan(bases.sizes, bases.dims, None)
+    lifted = tomography._restricted_lift(configs, 2, 3)
+    rank = scan.extend(tomography._level_rows(bases, lifted))[-1]
+    report = tomography.gramian_rank(tomography._LevelStack(scan, len(configs), rank))
+    assert rank == 36 and report.singular_values[35] > report.threshold
     scan = tomography._RankScan((20,), (400,), None)  # one group: no level split
     for config in tomography.find_min_configs(3, 4, seed=0).configs:
         block = tomography._superoperator_rows([config], 3, 4)

@@ -16,8 +16,8 @@ W_l, d_l wide.  A map is factored once, by one QR per level of these, and its ra
 the levels' direct sum's, comes by certificate, min_l 1 / ||R_l^-1||_F <= sigma_min;
 singular values are computed only when read or when the certificate fails.  The
 minimal-R scan takes the same coordinates one setting at a time and certifies each
-step's rank from one d_l x d_l Householder factor per level (one SVD for the level the
-counting bound makes square), with no SVD or Gram matrix per step.
+step's rank from one d_l x d_l Householder factor per level, with no SVD or Gram matrix
+per step, and lets a certified full rank stand as a map's does.
 """
 
 from __future__ import annotations
@@ -445,24 +445,32 @@ def gramian_rank(
     """Numerical rank of L: its singular values above max(rows, cols) * eps * sigma_max,
     or ``rel_threshold`` times sigma_max.
 
-    A ``Superoperator``'s singular values, so its rank, are those of its U(M) levels'
-    direct sum; it is full rank if min_l 1 / ||R_l^-1||_F >= KEEP_MARGIN (tau + c),
-    tau the threshold at sigma_max <= max_l ||R_l||_F and c = sqrt(D^2) eps times that
-    bound the SVD's cushion.  Else an array takes a values-only SVD; an object with
-    ``singular_values`` and a 2-D ``.shape`` or ``.matrix.shape`` (a ``Superoperator``,
-    the scan's ``_LevelStack``) gives them.
+    One rank policy: a rank certified at this threshold stands, a ``Superoperator``'s full
+    rank from its levels' factors or a scan's (``_LevelStack``), and its singular values are
+    taken only when the report's are read, which raises if they disagree.  Else an array
+    takes a values-only SVD; an object with ``singular_values`` and a 2-D ``.shape`` or
+    ``.matrix.shape`` gives them.  Both certify a level by 1 / ||L||_F, L a left inverse of
+    its triangular factor, against a bar KEEP_MARGIN (tau + c) in a map and KEEP_MARGIN tau
+    + e + c in a scan (e + c < tau), tau the threshold at a bound on sigma_max, c = sqrt(D^2)
+    eps ||A||_F.  One rounding allowance covers both: c is the factor's backward error, as
+    the SVD's; the computed 1 / ||L||_F (``dtrtri``, the bordering) errs by a relative d_l
+    eps ||A||_F ||L||_F at most, about 1 / KEEP_MARGIN at the bar with the default tau (>=
+    D^2 eps ||A||_F), and a bound off by 15/17 still clears tau + e + c.  A smaller
+    ``rel_threshold`` asks for sigma that no SVD resolves better than c.
     """
-    certifiable = isinstance(superop, Superoperator)  # before hasattr, which reads sigma
-    carried = certifiable or hasattr(superop, "singular_values")
+    stack = isinstance(superop, _LevelStack)  # tested before hasattr, which reads sigma
+    carried = stack or isinstance(superop, Superoperator) or hasattr(superop, "singular_values")
     superop = superop if carried else np.asarray(superop)
     shape = getattr(superop, "matrix", superop).shape
     scale = _threshold_scale(shape, rel_threshold)
     if np.prod(shape) == 0:
         raise ValueError("empty superoperator")
-    if certifiable:
+    if isinstance(superop, Superoperator):
         low, frobenius = superop._bounds
         if low >= KEEP_MARGIN * (scale + shape[1] ** 0.5 * np.finfo(float).eps) * frobenius:
             return RankReport(shape[1], lambda: superop.singular_values, scale)
+    elif stack and superop.rank is not None and superop.scale == scale:
+        return RankReport(superop.rank, lambda: superop.singular_values, scale)
     sigma = superop.singular_values if carried else np.linalg.svd(superop, compute_uv=False)
     return RankReport(int((sigma > scale * sigma[0]).sum()), lambda: sigma, scale)
 
@@ -802,15 +810,16 @@ class _LevelFactor:
     block with one under KEEP_MARGIN tau_hi takes its residual's SVD instead: the larger
     directions are kept, the largest other sigma is ||E_j||.  A left inverse L of P,
     bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
-    A square top level ranked by its SVD's ``sigma`` (``low`` = sigma_min - c > 0) has no Q.
+    KEEP_MARGIN lets its computed value (``dtrtri``, the bordering) be off by a relative
+    15/17, the rounding allowance that ``gramian_rank`` names.
     """
 
     def __init__(self, dim: int):
-        self.dim, self.rank, self.inverse_norm_sq, self.low = dim, 0, 0.0, 0.0
-        self.reflectors, self.tau, self.sigma = np.zeros((dim, dim), order="F"), np.zeros(dim), ()
+        self.dim, self.rank, self.inverse_norm_sq = dim, 0, 0.0
+        self.reflectors, self.tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
         self.inverse = np.zeros((0, 0))  # L, less the zero columns of rows adding no direction
         self.rows, self.chunks = [], []  # the rows taken; P's rows, an array or a range of R^T
-        self.records: list[tuple] = []  # per block: rank, 1 / ||L||_F (or low), ||E_j||_2^2
+        self.records: list[tuple] = []  # per block: rank, 1 / ||L||_F, ||E_j||_2^2
 
     def _rotate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Householder Q's transpose on rows^T in ``out`` (d_l x n, F order)."""
@@ -834,10 +843,6 @@ class _LevelFactor:
         """Factor the next ``len(tau_hi)`` blocks' rows, tau_hi at each one's step."""
         z, start = len(rows) // len(tau_hi), 0
         self.rows.append(rows)
-        if self.low:  # ranked by its square SVD: rank min(s z, d_l) at step s, sigma >= low
-            steps = len(self.records) + np.arange(1, len(tau_hi) + 1)
-            self.records += [(min(s * z, self.dim), self.low, 0.0) for s in steps]
-            return
         while start < len(tau_hi):
             blocks = min(len(tau_hi) - start, (self.dim - self.rank) // z)
             run = slice(start * z, (start + blocks) * z)
@@ -860,7 +865,8 @@ class _LevelFactor:
             self.tau[k : k + m] = tau[:m]
             if not np.shares_memory(qr, c):  # dgeqrf works in place only when k = 0
                 c[k:, :m] = qr[:, :m]
-            inverse, info = dtrtri(np.triu(qr[:m, :m]), overwrite_c=1)
+            r = qr[:m, :m] * np.tri(m, dtype=bool).T  # R in F order: inverted in place
+            inverse, info = dtrtri(r, overwrite_c=1)
             if info:
                 raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
             self.chunks.append(slice(k, k + m))
@@ -918,9 +924,9 @@ class _RankScan:
     ones.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
     sigma_max^2.  A level so certified at k_l = d_l is frozen: its later blocks add no
     e, and by interlacing its sigma_{d_l} stays above its bound less e, which must stay
-    above tau_hi + c.  If the first batch leaves the top level square (R z_N = d_N), its
-    values-only SVD ranks it when low = sigma_min - c clears the batch's last, largest
-    bar: by interlacing each step's s z_N sigma are >= low, its bound, with no e.
+    above tau_hi + c.  KEEP_MARGIN is the rounding allowance of the computed 1 / ||L||_F, c
+    that of the factor, as ``gramian_rank`` argues for maps and scans alike: a certified
+    D^2 needs no SVD to confirm it.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
@@ -939,15 +945,8 @@ class _RankScan:
         trace = self.trace_sq + np.cumsum(trace)
         counts = self.count + sum(self.sizes) * np.arange(1, blocks + 1)
         scales = [_threshold_scale((count, self.width), self.rel_threshold) for count in counts]
-        tau_hi, top = np.multiply(scales, np.sqrt(frobenius)), self.levels[-1]
-        square = not self.steps and len(rows) > 1 and len(rows[-1]) == top.dim  # split, 1st batch
+        tau_hi = np.multiply(scales, np.sqrt(frobenius))
         for level, level_rows in zip(self.levels, rows):
-            if level is top and square:  # its one SVD ranks it if sigma_min - c clears the bar
-                cushion = (self.width * frobenius[-1]) ** 0.5 * np.finfo(float).eps
-                top.sigma = svd(level_rows.T, compute_uv=False, check_finite=False)
-                dropped = sum(r[2] for other in self.levels for r in other.records) ** 0.5
-                if top.sigma[-1] - cushion > KEEP_MARGIN * tau_hi[-1] + dropped + cushion:
-                    top.low = top.sigma[-1] - cushion
             level.take(level_rows, tau_hi)
         return [self._certify(*step) for step in zip(counts, frobenius, trace, scales)]
 
@@ -965,23 +964,25 @@ class _RankScan:
         bar = KEEP_MARGIN * tau_hi + dropped + cushion
         for l in open_levels:
             level, (rank, low, _) = self.levels[l], self.levels[l].records[step]
-            if low <= bar and not level.low:
+            if low <= bar:
                 p = level.coordinates(self.steps * self.sizes[l])[:, :rank]
                 low = np.linalg.svd(p, compute_uv=False)[-1]
             if low <= bar:
                 return None
-            if rank == level.dim:  # sigma_{d_l} >= low, less e unless low bounds A_l itself
-                self.floors[l] = low if level.low else low - dropped
+            if rank == level.dim:  # sigma_{d_l}(A_l) >= low - e
+                self.floors[l] = low - dropped
         return int(sum(level.records[step][0] for level in self.levels))
 
 
 class _LevelStack:
     """A scan's level direct sum over its first ``steps`` steps: sigma the union of the
-    levels' rows' (a square first batch's as ``extend`` took them), each d_l wide, and then
-    the direct sum's exact zeros, to min(R D', D^2); shape the stack's (R D', D^2)."""
+    levels' stored rows' (one values-only SVD each, on first read), each d_l wide, and then
+    the direct sum's exact zeros, to min(R D', D^2); shape the stack's (R D', D^2).
+    ``rank`` is the scan's certified rank at that step, or None, at threshold ``scale``."""
 
-    def __init__(self, scan: _RankScan, steps: int):
+    def __init__(self, scan: _RankScan, steps: int, rank: int | None = None):
         self.shape = (steps * sum(scan.sizes), scan.width)
+        self.rank, self.scale = rank, _threshold_scale(self.shape, scan.rel_threshold)
         self._levels = scan, steps
 
     @cached_property
@@ -989,9 +990,6 @@ class _LevelStack:
         scan, steps = self._levels
         sigma = []
         for level, z in zip(scan.levels, scan.sizes):  # sigma(X) = sigma(X^T), F order
-            if steps * z == len(level.sigma):  # the square first batch's, from ``extend``
-                sigma.append(level.sigma)
-                continue
             rows = np.vstack(level.rows)[: steps * z]
             sigma.append(svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False))
         return np.sort(np.concatenate(sigma + [np.zeros(min(self.shape))]))[::-1][: min(self.shape)]
@@ -1014,8 +1012,8 @@ def find_min_configs(
     per level.  Each setting's rows are taken to ``_level_coordinates``, d_l wide, and
     each rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full
     SVD's, unless a sigma lies within the levels' rounding of the threshold.
-    ``_RankScan`` certifies steps from each level's triangular factor (or square SVD); the
-    levels' SVDs settle a step it cannot, and confirm a certified D^2.
+    ``_RankScan`` certifies steps from each level's triangular factor; the levels' SVDs
+    settle a step it cannot, and a certified D^2 stands, its sigma left unread.
     The observed minimum is checked against the counting lower bound on every run.
     """
     if meas_modes is None:
@@ -1041,11 +1039,8 @@ def find_min_configs(
             lifted = _restricted_lift(configs[-1:], photons, modes)
             certified += scan.extend(_level_rows(bases, lifted))
         step, rank = len(trace) + 1, certified[len(trace)]
-        if rank is None or rank == required:  # the levels' SVDs settle or confirm the step
-            checked = gramian_rank(_LevelStack(scan, step), rel_threshold).rank
-            if rank == required != checked:
-                raise RuntimeError(f"step {step}: rank {required} certified, {checked} by SVD")
-            rank = checked
+        if rank is None or rank == required:  # the levels' SVDs settle it; a certified D^2 stands
+            rank = gramian_rank(_LevelStack(scan, step, rank), rel_threshold).rank
         if rank < previous_rank:
             raise RuntimeError("rank decreased while appending configurations")
         previous_rank = rank

@@ -736,8 +736,7 @@ class TestSearches:
     )
     def test_certificate_bounds_each_level_from_below(self, photons, modes, meas_modes, seed):
         # At every certified step, each level's 1 / ||L||_F is at most the sigma_min
-        # of its coordinates P and, less the dropped mass, of its rows' k-th sigma;
-        # the level the bound makes square bounds its rows' k-th sigma itself.
+        # of its coordinates P and, less the dropped mass, of its rows' k-th sigma.
         search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
         bases = tg._level_bases(photons, modes, meas_modes)
         scan = tg._RankScan(bases.sizes, bases.dims, None)
@@ -755,35 +754,34 @@ class TestSearches:
                     continue
                 rows = np.vstack(level.rows)[: (step + 1) * z]
                 sigma_k = np.linalg.svd(rows, compute_uv=False)[k - 1]
-                if level.low:
-                    assert bound == level.low <= sigma_k and k == (step + 1) * z
-                    continue
                 p = level.coordinates((step + 1) * z)[:, :k]
                 assert bound <= np.linalg.svd(p, compute_uv=False)[-1] * (1 + 1e-12)
                 assert bound - scan.dropped_sq**0.5 <= sigma_k * (1 + 1e-12)
-        square = [level.low > 0 for level in scan.levels]
-        assert square == [meas_modes == modes and l == photons for l in range(len(square))]
 
     @pytest.mark.parametrize(
         "photons,modes,seed", [(3, 4, 0), (3, 4, 1), (3, 4, 2), (4, 3, 0), (2, 5, 0), (6, 2, 0)]
     )
-    def test_the_square_level_takes_one_svd_and_no_householder_factor(
+    def test_a_certified_scan_takes_no_svd_of_a_whole_level(
         self, monkeypatch, photons, modes, seed
     ):
-        # At the bound the top level's rows are square: its one values-only SVD ranks
-        # every step and confirms full rank, and no dgeqrf or dtrtri touches it.
-        width = tg._level_bases(photons, modes, modes).dims[-1]
-        calls = {name: record_shapes(monkeypatch, name) for name in ("svd", "dgeqrf", "dtrtri")}
+        # Every step certified, full rank too: the one gramian_rank call lets it stand,
+        # and neither a level's rows (the stack's SVD) nor its P take a values-only SVD.
+        stacks, whole, original = record_shapes(monkeypatch, "svd"), [], np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            whole.extend([np.shape(a)] if np.ndim(a) == 2 else [])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
         rank = mock.Mock(wraps=tg.gramian_rank)
         monkeypatch.setattr(tg, "gramian_rank", rank)
         search = tg.find_min_configs(photons, modes, seed=seed)
         assert search.found == min_configs(photons, modes) and rank.call_count == 1
-        wide = {name: [s for s in shapes if s[0] == width] for name, shapes in calls.items()}
-        assert wide == {"svd": [(width, width)], "dgeqrf": [], "dtrtri": []}
+        assert stacks == [] and whole == []
 
-    def test_a_singular_square_level_falls_back_to_the_householder_factor(self, monkeypatch):
-        # A repeated setting leaves the square level singular at the bound: it is
-        # factored as any other level, and its kept sigma spare the confirmation an SVD.
+    def test_a_singular_square_level_is_settled_by_its_factor(self, monkeypatch):
+        # A repeated setting leaves the square level singular at the bound: its factor
+        # finds the short rank, and only the steps it leaves unsettled take an SVD.
         scans, draw = [], tg.config_drawer("haar", 0)
         drawn = [draw(3) for _ in range(12)]
         drawn[8] = drawn[0]
@@ -801,11 +799,10 @@ class TestSearches:
         search = tg.find_min_configs(2, 3, r_max=12)
         (scan,) = scans
         square = scan.levels[-1]
-        assert square.low == 0.0 and len(square.sigma) == square.dim == 27
-        assert square.chunks and square.records[8][0] < 27
+        assert square.dim == 27 and square.chunks and square.records[8][0] < 27
         assert search.found == 10
         assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 3)
-        assert sum(s[0] == 27 for s in svds) <= rank.call_count + 1
+        assert sum(s[0] == 27 for s in svds) <= rank.call_count
 
     @pytest.mark.parametrize("photons,modes", [(1, 2), (2, 2), (1, 3)])
     def test_a_frozen_level_stays_certified_as_the_threshold_grows(self, photons, modes):
@@ -887,10 +884,22 @@ class TestSearches:
         blocks = tg._hermitian_coordinates(tg._superoperator_rows(search.configs, photons, modes), d)
         assert getattr(stack, "matrix", stack).shape == blocks.shape  # 2-D, as the tracer reads it
         full = tg.gramian_rank(blocks)
+        assert report.rank == d * d and "singular_values" not in vars(stack)  # not yet read
         sigma = report.singular_values
-        assert sigma.shape == (d * d,) and report.rank == d * d
+        assert sigma.shape == (d * d,)
         np.testing.assert_allclose(sigma, full.singular_values, rtol=0, atol=1e-12 * full.sigma_max)
         assert abs(report.threshold - full.threshold) <= 1e-12 * full.threshold
+
+    def test_a_certified_full_rank_is_checked_when_its_sigma_are_read(self, monkeypatch):
+        # The certificate stands unread; reading the report's sigma still checks it, so
+        # a stack whose SVD lost one sigma makes the read raise.
+        stack_sigma = tg._LevelStack.singular_values.func
+        short = property(lambda stack: stack_sigma(stack)[:-1])
+        monkeypatch.setattr(tg._LevelStack, "singular_values", short)
+        search, _, report = self.confirming_report(monkeypatch, 3, 4, 4)
+        assert search.found == min_configs(3, 4) and report.rank == 400
+        with pytest.raises(RuntimeError, match="rank 400 certified, 399 by SVD"):
+            report.singular_values
 
     @pytest.mark.parametrize("r_max", [None, 7])
     def test_one_lift_covers_the_settings_up_to_the_bound(self, monkeypatch, r_max):

@@ -448,8 +448,8 @@ def gramian_rank(
     One rank policy: a rank certified at this threshold stands, a ``Superoperator``'s full
     rank from its levels' factors or a scan's (``_LevelStack``), and its singular values are
     taken only when the report's are read, which raises if they disagree.  Else an array
-    takes a values-only SVD; an object with ``singular_values`` and a 2-D ``.shape`` or
-    ``.matrix.shape`` gives them.  Both certify a level by 1 / ||L||_F, L a left inverse of
+    takes a values-only SVD, and a map or a stack its levels' ``singular_values``.  Both
+    certify a level by 1 / ||L||_F, L a left inverse of
     its triangular factor, against a bar KEEP_MARGIN (tau + c) in a map and KEEP_MARGIN tau
     + e + c in a scan (e + c < tau), tau the threshold at a bound on sigma_max, c = sqrt(D^2)
     eps ||A||_F.  One rounding allowance covers both: c is the factor's backward error, as
@@ -458,8 +458,7 @@ def gramian_rank(
     D^2 eps ||A||_F), and a bound off by 15/17 still clears tau + e + c.  A smaller
     ``rel_threshold`` asks for sigma that no SVD resolves better than c.
     """
-    stack = isinstance(superop, _LevelStack)  # tested before hasattr, which reads sigma
-    carried = stack or isinstance(superop, Superoperator) or hasattr(superop, "singular_values")
+    carried = isinstance(superop, (Superoperator, _LevelStack))
     superop = superop if carried else np.asarray(superop)
     shape = getattr(superop, "matrix", superop).shape
     scale = _threshold_scale(shape, rel_threshold)
@@ -469,7 +468,7 @@ def gramian_rank(
         low, frobenius = superop._bounds
         if low >= KEEP_MARGIN * (scale + shape[1] ** 0.5 * np.finfo(float).eps) * frobenius:
             return RankReport(shape[1], lambda: superop.singular_values, scale)
-    elif stack and superop.rank is not None and superop.scale == scale:
+    elif carried and superop.rank is not None and superop.scale == scale:
         return RankReport(superop.rank, lambda: superop.singular_values, scale)
     sigma = superop.singular_values if carried else np.linalg.svd(superop, compute_uv=False)
     return RankReport(int((sigma > scale * sigma[0]).sum()), lambda: sigma, scale)
@@ -811,14 +810,16 @@ class _LevelFactor:
     directions are kept, the largest other sigma is ||E_j||.  A left inverse L of P,
     bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
     KEEP_MARGIN lets its computed value (``dtrtri``, the bordering) be off by a relative
-    15/17, the rounding allowance that ``gramian_rank`` names.
+    15/17, the rounding allowance that ``gramian_rank`` names.  P itself is not kept: the
+    stored rows' ``sigma`` stand in for it.  Once k_l = d_l, later blocks add no direction
+    and no mass, so they are recorded unrotated and Q is released.
     """
 
     def __init__(self, dim: int):
         self.dim, self.rank, self.inverse_norm_sq = dim, 0, 0.0
         self.reflectors, self.tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
         self.inverse = np.zeros((0, 0))  # L, less the zero columns of rows adding no direction
-        self.rows, self.chunks = [], []  # the rows taken; P's rows, an array or a range of R^T
+        self.rows: list[np.ndarray] = []  # the rows taken, which ``sigma`` reads
         self.records: list[tuple] = []  # per block: rank, 1 / ||L||_F, ||E_j||_2^2
 
     def _rotate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -843,15 +844,17 @@ class _LevelFactor:
         """Factor the next ``len(tau_hi)`` blocks' rows, tau_hi at each one's step."""
         z, start = len(rows) // len(tau_hi), 0
         self.rows.append(rows)
-        while start < len(tau_hi):
+        while start < len(tau_hi) and self.rank < self.dim:
             blocks = min(len(tau_hi) - start, (self.dim - self.rank) // z)
             run = slice(start * z, (start + blocks) * z)
             accepted = blocks and self._run(rows[run], tau_hi[start : start + blocks])
             start += accepted
-            if accepted < blocks or not blocks:  # the cut block, or all left once Q is complete
-                end = len(tau_hi) if self.rank == self.dim else start + 1
-                self._drop(rows[start * z : end * z], tau_hi[start:end])
-                start = end
+            if accepted < blocks or not blocks:  # the cut block
+                self._drop(rows[start * z : (start + 1) * z], tau_hi[start])
+                start += 1
+        if self.rank == self.dim:  # complete: Q is read no more
+            self.reflectors = self.tau = None
+            self.records += [(self.dim, self.inverse_norm_sq**-0.5, 0.0)] * (len(tau_hi) - start)
 
     def _run(self, rows: np.ndarray, tau_hi: np.ndarray) -> int:
         """The run's blocks up to the first to fail the keep margin: how many were taken."""
@@ -869,44 +872,28 @@ class _LevelFactor:
             inverse, info = dtrtri(r, overwrite_c=1)
             if info:
                 raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
-            self.chunks.append(slice(k, k + m))
             lows = self._border(c[:k, :m].T, inverse.T)[z - 1 :: z] ** -0.5
             self.records += zip(k + z * np.arange(1, accepted + 1), lows, [0.0] * accepted)
         return accepted
 
-    def _drop(self, rows: np.ndarray, tau_hi: np.ndarray) -> None:
-        """Blocks by their residual's SVD, keeping at most d_l - k directions: so one
-        block, or any number once Q is complete."""
-        k, dim = self.rank, self.dim
-        c = self._rotate(rows, np.empty((dim, len(rows)), order="F"))
-        residual = c[k:].reshape(dim - k, len(tau_hi), -1 if k < dim else 0).transpose(1, 0, 2)
-        w, sigma, vt = np.linalg.svd(residual, full_matrices=False)
-        keep = min(int((sigma[0] > KEEP_MARGIN * tau_hi[0]).sum()), self.dim - k)
-        y = np.zeros((len(rows), 0))
+    def _drop(self, rows: np.ndarray, tau_hi: float) -> None:
+        """One block by its residual's SVD, keeping at most d_l - k directions."""
+        k = self.rank
+        c = self._rotate(rows, np.empty((self.dim, len(rows)), order="F"))
+        w, sigma, vt = np.linalg.svd(c[k:], full_matrices=False)
+        keep = int((sigma > KEEP_MARGIN * tau_hi).sum())
         if keep:  # reflectors of the kept directions W, whose R is a sign matrix S
-            qr, self.tau[k : k + keep], _, _ = dgeqrf(w[0, :, :keep])
+            qr, self.tau[k : k + keep], _, _ = dgeqrf(w[:, :keep])
             self.reflectors[k:, k : k + keep] = qr
-            sign, kept = np.sign(np.diag(qr)), sigma[0, :keep]
-            y = vt[0, :keep].T * (kept * sign)  # V Sigma S, with left inverse S Sigma^-1 V^T
-            self._border(c[:k].T, (sign / kept)[:, None] * vt[0, :keep])
-        self.chunks.append(np.hstack([c[:k].T, y]))
-        dropped = [np.max(s[keep:], initial=0.0) ** 2 for s in sigma]
+            sign = np.sign(np.diag(qr))  # P's new rows V Sigma S: left inverse S Sigma^-1 V^T
+            self._border(c[:k].T, (sign / sigma[:keep])[:, None] * vt[:keep])
         low = self.inverse_norm_sq**-0.5 if self.rank else np.inf
-        self.records += [(self.rank, low, e) for e in dropped]
+        self.records.append((self.rank, low, np.max(sigma[keep:], initial=0.0) ** 2))
 
-    def coordinates(self, count: int) -> np.ndarray:
-        """P's first ``count`` rows, (count, d_l)."""
-        p, at = np.zeros((count, self.dim)), 0
-        for chunk in self.chunks:
-            if isinstance(chunk, slice):  # rows of R^T: the reflectors' upper triangle
-                rows = self.reflectors[: chunk.stop, chunk].T[: max(count - at, 0)]
-                mask = np.tri(*rows.shape, chunk.start, dtype=bool)
-                np.multiply(rows, mask, out=p[at : at + len(rows), : chunk.stop])
-            else:
-                rows = chunk[: max(count - at, 0)]
-                p[at : at + len(rows), : rows.shape[1]] = rows
-            at += len(rows)
-        return p
+    def sigma(self, count: int) -> np.ndarray:
+        """The singular values of the first ``count`` stored rows (one values-only SVD)."""
+        rows = np.vstack(self.rows)[:count]  # sigma(X) = sigma(X^T), F order
+        return svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False)
 
 
 class _RankScan:
@@ -915,18 +902,18 @@ class _RankScan:
 
     The dropped mass e (e^2 = the sum of ||E_j||_2^2 over blocks and open levels)
     bounds each A_l - P Q^T, so Weyl gives rank sum_l k_l when every open level's
-    1 / ||L||_F (or, failing that, sigma_min(P)) exceeds KEEP_MARGIN tau_hi + e + c and
-    e + c < tau_lo, c = sqrt(D^2) eps ||A||_F being the SVD's cushion.  tau_lo <= tau
-    <= tau_hi come from q^(1/2) - e <= sigma_max <= ||A||_F, q = ||A_0 x||^2 for the
-    trace direction x = vec(I)/sqrt(D) in V_0: each level-0 row's first sqrt(d_0)
-    coordinates, summed, squared and over sqrt(d_0).  Split by level, d_0 = 1 and W_0 =
-    +-x, so that is the row's one coordinate squared; one group's are the D diagonal
-    ones.  With M' = M a setting's rows are orthonormal and sum to vec(I), so q = R =
-    sigma_max^2.  A level so certified at k_l = d_l is frozen: its later blocks add no
-    e, and by interlacing its sigma_{d_l} stays above its bound less e, which must stay
-    above tau_hi + c.  KEEP_MARGIN is the rounding allowance of the computed 1 / ||L||_F, c
-    that of the factor, as ``gramian_rank`` argues for maps and scans alike: a certified
-    D^2 needs no SVD to confirm it.
+    1 / ||L||_F (or, failing that, its rows' own sigma_k plus e, at least sigma_min(P))
+    exceeds KEEP_MARGIN tau_hi + e + c and e + c < tau_lo, c = sqrt(D^2) eps ||A||_F
+    being the SVD's cushion.  tau_lo <= tau <= tau_hi come from q^(1/2) - e <= sigma_max
+    <= ||A||_F, q = ||A_0 x||^2 for the trace direction x = vec(I)/sqrt(D) in V_0: each
+    level-0 row's first sqrt(d_0) coordinates, summed, squared and over sqrt(d_0).
+    Split by level, d_0 = 1 and W_0 = +-x, so that is the row's one coordinate squared;
+    one group's are the D diagonal ones.  With M' = M a setting's rows are orthonormal
+    and sum to vec(I), so q = R = sigma_max^2.  A level so certified at k_l = d_l is
+    frozen: its later blocks add no e, and by interlacing its sigma_{d_l} stays above its
+    bound less e, which must stay above tau_hi + c.  KEEP_MARGIN is the rounding
+    allowance of the computed 1 / ||L||_F, c that of the factor, as ``gramian_rank``
+    argues for maps and scans alike: a certified D^2 needs no SVD to confirm it.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
@@ -964,9 +951,8 @@ class _RankScan:
         bar = KEEP_MARGIN * tau_hi + dropped + cushion
         for l in open_levels:
             level, (rank, low, _) = self.levels[l], self.levels[l].records[step]
-            if low <= bar:
-                p = level.coordinates(self.steps * self.sizes[l])[:, :rank]
-                low = np.linalg.svd(p, compute_uv=False)[-1]
+            if low <= bar:  # sigma_k(A_l) + e >= sigma_k(P): the rows' own sigma_k
+                low = level.sigma(self.steps * self.sizes[l])[rank - 1] + dropped
             if low <= bar:
                 return None
             if rank == level.dim:  # sigma_{d_l}(A_l) >= low - e
@@ -976,7 +962,7 @@ class _RankScan:
 
 class _LevelStack:
     """A scan's level direct sum over its first ``steps`` steps: sigma the union of the
-    levels' stored rows' (one values-only SVD each, on first read), each d_l wide, and then
+    levels' stored rows' (each level's ``sigma``, on first read), each d_l wide, and then
     the direct sum's exact zeros, to min(R D', D^2); shape the stack's (R D', D^2).
     ``rank`` is the scan's certified rank at that step, or None, at threshold ``scale``."""
 
@@ -988,10 +974,7 @@ class _LevelStack:
     @cached_property
     def singular_values(self) -> np.ndarray:
         scan, steps = self._levels
-        sigma = []
-        for level, z in zip(scan.levels, scan.sizes):  # sigma(X) = sigma(X^T), F order
-            rows = np.vstack(level.rows)[: steps * z]
-            sigma.append(svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False))
+        sigma = [level.sigma(steps * z) for level, z in zip(scan.levels, scan.sizes)]
         return np.sort(np.concatenate(sigma + [np.zeros(min(self.shape))]))[::-1][: min(self.shape)]
 
 

@@ -62,15 +62,32 @@ def _half_integer_units(value: float, name: str) -> int:
     return int(rounded)
 
 
+@lru_cache(maxsize=None)
+def _jy_eigenpairs(two_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """J_y's eigenvalues and eigenvectors on spin two_s / 2, rows m = S, S-1, ..., -S."""
+    spin, m = two_s / 2.0, two_s / 2.0 - np.arange(two_s)  # J_+ |m-1> = c_m |m>
+    raising = np.diag(np.sqrt((spin + m) * (spin - m + 1.0)), 1)
+    _, vectors = np.linalg.eigh(0.5j * (raising.T - raising))  # J_y = (J_+ - J_-) / 2i
+    # The spectrum -S..S taken exact, so that exp(-2 pi i J_y) = (-1)^2S to roundoff.
+    return np.arange(-two_s, two_s + 1, 2) / 2.0, vectors
+
+
+def _rotation(two_s: int, angle: float | np.ndarray, columns=slice(None)) -> np.ndarray:
+    """The ``columns`` of exp(-i angle J_y) = V exp(-i angle Lambda) V^dag, per angle."""
+    values, vectors = _jy_eigenpairs(two_s)
+    phases = np.exp(-1j * np.multiply.outer(angle, values))
+    return np.einsum("...k,ik,jk->...ij", phases, vectors, vectors[columns].conj()).real
+
+
 def wigner_small_d(
     spin: float, m_out: float, m_in: float, angle: float | np.ndarray
 ) -> float | np.ndarray:
     """Matrix element <spin, m_out| exp(-i angle J_y) |spin, m_in>.
 
-    Evaluated with the standard explicit finite sum; exact at special angles
-    up to roundoff.  ``spin`` may be integer or half-integer, and m_out, m_in
-    must differ from it by integers.  An array of angles is evaluated
-    elementwise, each term of the sum on all angles at once.
+    Read from J_y's eigendecomposition (``spin_rotation_matrix``), which keeps
+    the rotation orthogonal to roundoff at every spin.  ``spin`` may be integer
+    or half-integer, and m_out, m_in must differ from it by integers.  An array
+    of angles gives the element at each.
     """
     two_s = _half_integer_units(spin, "spin")
     two_mo = _half_integer_units(m_out, "m_out")
@@ -84,55 +101,22 @@ def wigner_small_d(
             f"m values must differ from spin by integers: "
             f"spin={spin}, m_out={m_out}, m_in={m_in}"
         )
-
-    s_plus_mi = (two_s + two_mi) // 2
-    s_minus_mi = (two_s - two_mi) // 2
-    s_plus_mo = (two_s + two_mo) // 2
-    s_minus_mo = (two_s - two_mo) // 2
-    mo_minus_mi = (two_mo - two_mi) // 2
-
-    prefactor = math.sqrt(
-        math.factorial(s_plus_mo)
-        * math.factorial(s_minus_mo)
-        * math.factorial(s_plus_mi)
-        * math.factorial(s_minus_mi)
-    )
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-
-    total = 0.0
-    for k in range(max(0, -mo_minus_mi), min(s_plus_mi, s_minus_mo) + 1):
-        denom = (
-            math.factorial(s_plus_mi - k)
-            * math.factorial(k)
-            * math.factorial(mo_minus_mi + k)
-            * math.factorial(s_minus_mo - k)
-        )
-        sign = -1.0 if (mo_minus_mi + k) % 2 else 1.0
-        total += (
-            sign
-            / denom
-            * c ** (two_s - 2 * k - mo_minus_mi)
-            * s ** (mo_minus_mi + 2 * k)
-        )
-    return prefactor * total
+    column = _rotation(two_s, angle, [(two_s - two_mi) // 2])
+    return column[..., (two_s - two_mo) // 2, 0][()]  # a scalar for a scalar angle
 
 
-def spin_rotation_matrix(spin: float, angle: float) -> np.ndarray:
+def spin_rotation_matrix(spin: float, angle: float | np.ndarray) -> np.ndarray:
     """Full (2S+1)-dimensional Wigner rotation matrix for exp(-i angle J_y).
 
     Rows and columns run over m = spin, spin-1, ..., -spin, matching the
-    canonical two-mode Fock order under m = (n1 - n2)/2.
+    canonical two-mode Fock order under m = (n1 - n2)/2.  It is
+    V exp(-i angle Lambda) V^dag from one ``eigh`` of J_y per spin, built from
+    the ladder operator; an array of angles gives one matrix per angle.
     """
     two_s = _half_integer_units(spin, "spin")
-    dim = two_s + 1
-    out = np.empty((dim, dim), dtype=float)
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = wigner_small_d(
-                spin, spin - i, spin - j, angle
-            )
-    return out
+    if two_s < 0:
+        raise ValueError(f"spin must be non-negative, got {spin}")
+    return _rotation(two_s, angle)
 
 
 def beamsplitter(theta: float) -> np.ndarray:
@@ -150,9 +134,9 @@ def admissibility_margin(photons: int, theta: float | np.ndarray) -> float | np.
     """
     angle = BS_SPIN_ANGLE_FACTOR * np.asarray(theta, dtype=float)
     margin = np.full(angle.shape, math.inf)
-    for level in range(1, photons + 1):
-        for m in range(-level, level + 1):
-            margin = np.minimum(margin, np.abs(wigner_small_d(level, m, 0, angle)))
+    for level in range(1, photons + 1):  # the m_in = 0 column of each level
+        column = _rotation(2 * level, angle, [level])
+        margin = np.minimum(margin, np.abs(column).min(axis=(-2, -1)))
     return float(margin) if margin.ndim == 0 else margin
 
 
@@ -160,13 +144,16 @@ def admissibility_margin(photons: int, theta: float | np.ndarray) -> float | np.
 def choose_theta(photons: int) -> float:
     """Deterministic beamsplitter angle with the best admissibility margin.
 
-    Scans ``THETA_GRID_POINTS`` angles on (0, pi) and returns the maximin
-    one; the returned margin always clears ``THETA_FLOOR``.  The angle
-    depends on N alone, so it is computed once per N.
+    Of ``THETA_GRID_POINTS`` angles equally spaced on (0, pi), scans the half
+    below pi/2 and returns the maximin one; the returned margin always clears
+    ``THETA_FLOOR``.  theta and pi - theta have the same margin (beta -> -beta
+    - 2 pi turns d^l_{m0} into (-1)^m d^l_{m0} at integer l), so the rule takes
+    the lower angle of each mirror pair and roundoff never decides between
+    them.  The angle depends on N alone, so it is computed once per N.
     """
     if photons < 1:
         raise ValueError(f"photon number must be at least 1, got {photons}")
-    grid = np.linspace(0.0, math.pi, THETA_GRID_POINTS + 2)[1:-1]
+    grid = np.linspace(0.0, math.pi, THETA_GRID_POINTS + 2)[1 : THETA_GRID_POINTS // 2 + 1]
     margins = admissibility_margin(photons, grid)
     best = int(np.argmax(margins))
     if margins[best] < THETA_FLOOR:

@@ -134,12 +134,6 @@ def haar_random_unitary(modes: int, seed: int) -> InterferometerConfig:
     return InterferometerConfig(modes, q, Provenance("haar", seed=int(seed)))
 
 
-def _embed_two_mode(block: np.ndarray, mode: int, modes: int) -> np.ndarray:
-    full = np.eye(modes, dtype=complex)
-    full[mode : mode + 2, mode : mode + 2] = block
-    return full
-
-
 def _mesh_layout(modes: int) -> list[int]:
     # Rectangular arrangement: alternating even/odd layers, C(M',2) blocks total.
     layout = []
@@ -183,7 +177,7 @@ def mesh_unitary(
         r = math.sqrt(1.0 - tau)
         ph = np.exp(1j * phi)
         block = np.array([[t * ph, r * ph], [-r, t]], dtype=complex)
-        g = _embed_two_mode(block, mode, modes) @ g
+        g[mode : mode + 2] = block @ g[mode : mode + 2]
     if provenance is None:
         provenance = Provenance("explicit")
     return InterferometerConfig(modes, g, provenance)

@@ -129,6 +129,23 @@ def complex_rank_trace(configs, photons: int, modes: int, rel_threshold=None):
     return trace
 
 
+def mesh_by_embedded_products(modes: int, transmissivities, phases) -> np.ndarray:
+    """A rectangular mesh as the product of each block embedded in an M'xM' identity.
+
+    Blocks sit on modes (i, i+1), layer by layer, starting at mode 0 on even
+    layers and at mode 1 on odd ones; block j is
+    [[sqrt(t) e^{i phi}, sqrt(1-t) e^{i phi}], [-sqrt(1-t), sqrt(t)]].
+    """
+    layout = [i for layer in range(modes) for i in range(layer % 2, modes - 1, 2)]
+    g = np.eye(modes, dtype=complex)
+    for mode, tau, phi in zip(layout, transmissivities, phases):
+        t, r, ph = np.sqrt(tau), np.sqrt(1.0 - tau), np.exp(1j * phi)
+        full = np.eye(modes, dtype=complex)
+        full[mode : mode + 2, mode : mode + 2] = [[t * ph, r * ph], [-r, t]]
+        g = full @ g
+    return g
+
+
 def is_nearest_state(a: np.ndarray, p: np.ndarray) -> bool:
     """True iff the density matrix P is the one nearest to the Hermitian A.
 

@@ -53,6 +53,25 @@ class TestWignerSmallD:
         left = m2.spin_rotation_matrix(1.5, a) @ m2.spin_rotation_matrix(1.5, b)
         np.testing.assert_allclose(left, m2.spin_rotation_matrix(1.5, a + b), atol=1e-12)
 
+    def test_rotations_stay_orthogonal_to_high_spin(self):
+        # Wigner's explicit factorial sum loses digits with spin (8e-12 by spin 20).
+        for two_s in range(1, 41):
+            for beta in (0.3, 1.7, -2.9):
+                rotation = m2.spin_rotation_matrix(two_s / 2.0, beta)
+                assert np.abs(rotation @ rotation.T - np.eye(two_s + 1)).max() < 1e-14
+
+    def test_a_scalar_angle_gives_a_float(self):
+        assert isinstance(m2.wigner_small_d(1, 0, 0, 0.3), float)
+
+    def test_an_array_of_angles_gives_one_matrix_each(self):
+        angles = np.array([0.2, 1.1, 2.7])
+        stack = m2.spin_rotation_matrix(1.5, angles)
+        assert stack.shape == (3, 4, 4)
+        for angle, rotation in zip(angles, stack):
+            np.testing.assert_allclose(rotation, m2.spin_rotation_matrix(1.5, angle), atol=1e-15)
+            element = m2.wigner_small_d(1.5, 0.5, -1.5, angle)
+            assert element == pytest.approx(rotation[1, 3], abs=1e-15)
+
     def test_rejects_invalid_quantum_numbers(self):
         with pytest.raises(ValueError):
             m2.wigner_small_d(1, 2, 0, 0.3)
@@ -90,16 +109,29 @@ class TestChooseTheta:
         assert m2.choose_theta(3) == m2.choose_theta(3)
 
     def test_pinned_angles(self):
-        # Every grid has an exact mirror tie (theta against pi - theta), so
-        # the choice rests on roundoff; the vectorised scan must keep the
-        # angles that a per-angle scalar scan picks.
+        # theta and pi - theta tie exactly on every grid, and the rule takes
+        # the lower angle of the pair: these are the maximin grid angles
+        # below pi/2.
         pinned = [
-            0.47813507703415387, 0.6160586569478521, 2.491819343774148,
-            0.6773580257983847, 0.6926828680110177, 2.277271552797284,
-            0.7141376471087042, 2.2925963950099173, 2.2987263318949704,
-            0.732527457763864, 2.4060002273834025, 0.8306064479247159,
+            0.47813507703415387, 0.6160586569478521, 0.649773309815645,
+            0.6773580257983847, 0.6926828680110177, 0.8643211007925089,
+            0.7141376471087042, 0.8489962585798757, 0.8428663216948225,
+            0.732527457763864, 0.7355924262063905, 0.8306064479247159,
         ]
         assert [m2.choose_theta(n) for n in range(1, 13)] == pinned
+
+    def test_the_rule_takes_the_lower_mirror_angle(self):
+        for photons in range(1, 13):
+            assert 0.0 < m2.choose_theta(photons) < math.pi / 2
+
+    def test_mirror_angles_have_equal_margins(self):
+        grid = np.linspace(0.0, math.pi, m2.THETA_GRID_POINTS + 2)[1:-1]
+        for photons in range(1, 13):
+            np.testing.assert_allclose(
+                m2.admissibility_margin(photons, grid),
+                m2.admissibility_margin(photons, math.pi - grid),
+                rtol=0, atol=1e-14,
+            )
 
     def test_a_second_protocol_build_reuses_the_angle(self):
         m2.newton_young_configs(5)

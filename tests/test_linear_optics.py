@@ -307,6 +307,18 @@ class TestMesh:
         with pytest.raises(ValueError):
             lo.mesh_unitary(2, [1.5], [0.0])
 
+    def test_blocks_applied_in_place_equal_the_embedded_products(self):
+        # Each block updates its two rows; the product of embedded identities is
+        # the reference, bit for bit, on the meshes that random_mesh_unitary draws.
+        for modes in range(2, 9):
+            blocks = modes * (modes - 1) // 2
+            for seed in range(200):
+                rng = np.random.default_rng(seed)
+                taus = rng.uniform(0.0, 1.0, size=blocks)
+                phis = rng.uniform(0.0, 2.0 * math.pi, size=blocks)
+                expected = oracles.mesh_by_embedded_products(modes, taus, phis)
+                np.testing.assert_array_equal(lo.random_mesh_unitary(modes, seed).matrix, expected)
+
 
 class TestPadWithVacuum:
     def test_examples(self):

@@ -827,6 +827,36 @@ class TestSearches:
         assert None not in certified and certified[-1] == fock_dimension(photons, modes) ** 2
         assert all(floor > 0 for floor in scan.floors)
 
+    def test_a_stale_floor_leaves_the_step_to_the_levels_svd(self, monkeypatch):
+        # Real beamsplitters keep one photon's level 1 in a plane, so the map stays one
+        # direction short and the scan runs on.  Level 0 froze at step 1 with floor 1, and
+        # at rel_threshold 0.021 tau_hi = 0.021 sqrt(2R) passes it at R = 1134: from there
+        # every step goes to the levels' SVD, although level 1 still clears its bar.
+        golden, scans, steps, rel = (math.sqrt(5.0) - 1.0) / 2.0, [], 1140, 0.021
+        angles = [math.pi * (j * golden % 1.0) for j in range(steps)]
+        drawn = [lo.InterferometerConfig(2, analytic_m2.beamsplitter(a)) for a in angles]
+
+        class Recorded(tg._RankScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scans.append(self)
+
+        monkeypatch.setattr(tg, "_RankScan", Recorded)
+        monkeypatch.setattr(tg, "config_drawer", lambda *args: lambda modes: drawn.pop(0))
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        search = tg.find_min_configs(1, 2, r_max=steps, rel_threshold=rel)
+        assert search.found is None and search.rank_trace[-1] == (steps, 3)
+        assert search.rank_trace == oracles.complex_rank_trace(search.configs, 1, 2, rel)
+        (scan,) = scans
+        settled = [call.args[0].shape[0] // 2 for call in rank.call_args_list]
+        assert [step for step in settled if step > 10] == list(range(1134, steps + 1))
+        tau_hi = rel * scan.frobenius_sq**0.5
+        cushion = (scan.width * scan.frobenius_sq) ** 0.5 * np.finfo(float).eps
+        assert 0.0 < scan.floors[0] <= tau_hi + cushion and scan.floors[1] == 0.0
+        bar = tg.KEEP_MARGIN * tau_hi + scan.dropped_sq**0.5 + cushion
+        assert scan.levels[1].sigma(steps)[1] > bar
+
     @pytest.mark.parametrize("photons,modes,meas_modes,count", [(3, 4, 4, 10), (2, 3, 5, 2)])
     def test_level_stack_of_the_rows_equals_the_full_svd(
         self, photons, modes, meas_modes, count

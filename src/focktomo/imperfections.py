@@ -24,10 +24,10 @@ from .combinatorics import IndexedStates, enumerate_fock_basis, fock_dimension
 from .linear_optics import InterferometerConfig
 from .tomography import (
     DensityMatrix,
+    IncompleteConfigurationsError,
     ReconstructionResult,
     _record_frequencies,
     build_superoperator,
-    gramian_rank,
     outcome_probabilities,
     reconstruct,
     simplex_projection,
@@ -323,23 +323,21 @@ def reconstruct_mixture(
     if totals.min() <= 0.0:
         raise ValueError("a record carries no statistical weight")
     masses: dict[int, list[float]] = {}
-    sectors = {}  # total -> (map, conditionals)
+    states: dict[int, ReconstructionResult] = {}
     deficits: list[tuple[int, int, int]] = []
     for total in range(max_total + 1):
         if (cleaned[:, basis.sector_slice(total)].sum(axis=1) / totals).min() <= SECTOR_MASS_FLOOR:
             continue
         conditionals, sector_masses = postselect_total(cleaned, basis, total)
         masses[total] = sector_masses.tolist()
-        superop = build_superoperator(configs, total, modes)
-        sectors[total] = superop, conditionals
-        required = fock_dimension(total, modes) ** 2
-        rank = gramian_rank(superop).rank
-        if rank < required:
-            deficits.append((total, rank, required))
+        try:
+            states[total] = reconstruct(build_superoperator(configs, total, modes), conditionals)
+        except IncompleteConfigurationsError as short:
+            deficits.append((total, short.rank, short.required))
     if deficits:
         raise IncompleteSectorError(deficits)
     return MixtureEstimate(
         weights={total: float(np.mean(m)) for total, m in masses.items()},
-        states={total: reconstruct(*sectors[total]) for total in masses},
+        states=states,
         sector_masses=masses,
     )

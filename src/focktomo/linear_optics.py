@@ -295,16 +295,7 @@ class FockUnitary:
         columns = fock_dimension(self.basis.photons, inputs)
         if u.ndim not in (2, 3) or u.shape[-2:] != (d, columns) or u.size == 0:
             raise ValueError(f"matrix shape {u.shape}, expected (R,) {(d, columns)}")
-        # Imported on first use: importing scipy ahead of this module's body adds 1-2 MB
-        # to the package's peak RSS (heap layout), with the same modules loaded.
-        from scipy.linalg.blas import zherk
-
-        stack = u.reshape(-1, d, columns)
-        grams = np.zeros((columns, columns, len(stack)), dtype=complex, order="F")
-        for member, gram in zip(stack, np.moveaxis(grams, -1, 0)):  # each gram F-order
-            zherk(1.0, member.T, c=gram, overwrite_c=1)  # upper triangle of (u^H u)^T
-        grams[np.arange(columns), np.arange(columns)] -= 1.0
-        residual = np.abs(grams).max()
+        residual = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(columns)).max()
         if not residual <= LIFT_UNITARITY_TOL * max(d, 1):  # NaN fails too
             raise ValueError(
                 f"lifted columns are not orthonormal (residual {residual:.3e})"

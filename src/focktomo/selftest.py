@@ -209,7 +209,7 @@ def check_incremental_rank_scan() -> None:
     assert rank == 36 and report.singular_values[35] > report.threshold
     scan = tomography._RankScan((20,), (400,), None)  # one group: no level split
     for config in tomography.find_min_configs(3, 4, seed=0).configs:
-        block = tomography._superoperator_rows([config], 3, 4)
+        block = tomography.build_superoperator([config], 3, 4).matrix
         scan.extend([tomography._hermitian_coordinates(block, 20)])
     assert scan.dropped_sq < 400 * np.finfo(float).eps ** 2 * scan.frobenius_sq
 
@@ -222,7 +222,7 @@ def check_level_split() -> None:
     bases = tomography._level_bases(2, 3, 3)
     configs = [linear_optics.InterferometerConfig(3, np.eye(3))]
     configs.append(linear_optics.haar_random_unitary(3, 600))
-    matrix = tomography._superoperator_rows(configs, 2, 3)
+    matrix = tomography.build_superoperator(configs, 2, 3).matrix
     rows = bases.rotation @ tomography._hermitian_coordinates(matrix, 6).reshape(2, 6, 36)
     levels = [x.reshape(-1, 36) for x in np.split(rows, np.cumsum(bases.sizes)[:-1], axis=1)]
     scale = np.linalg.norm(rows)

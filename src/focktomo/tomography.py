@@ -11,13 +11,13 @@ Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
 & Krammer, J. Phys. A 41, 235303 (2008)), split by U(M) level, End(Sym^N C^M) =
 V_0 + ... + V_N, which no setting mixes (one group if M' > M or D = 1).  One kernel,
-``_level_coordinates``, takes a map's rows to each level's T-rotated rows in its basis
-W_l, d_l wide.  A map is factored once, by one QR per level of these, and its rank,
-the levels' direct sum's, comes by certificate, min_l 1 / ||R_l^-1||_F <= sigma_min;
-singular values are computed only when read or when the certificate fails.  The
-minimal-R scan takes the same coordinates one setting at a time and certifies each
-step's rank from one d_l x d_l Householder factor per level, with no SVD or Gram matrix
-per step, and lets a certified full rank stand as a map's does.
+``_level_rows``, forms a map's rows from its settings' lifts a run at a time and takes
+them to each level's T-rotated rows in its basis W_l, d_l wide.  A map is factored once,
+by one QR per level of these, and its rank, the levels' direct sum's, comes by
+certificate, min_l 1 / ||R_l^-1||_F <= sigma_min; singular values are computed only when
+read or when the certificate fails.  The minimal-R scan takes the same coordinates and
+certifies each step's rank from one d_l x d_l Householder factor per level, with no SVD
+or Gram matrix per step, and lets a certified full rank stand as a map's does.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ NEGATIVE_PROBABILITY_TOL = 1e-12
 # The certified scan keeps a direction only above KEEP_MARGIN times the largest SVD
 # threshold; sigma_max is bounded by the trace direction's quotient, exact at M' = M.
 KEEP_MARGIN = 16.0
+# Rows are formed from lifts one run of settings at a time, a run holding about this many
+# bytes of complex rows (one setting at least): small settings share numpy's per-call cost
+# in a run, large ones keep their rows cache-sized, and no map holds its whole row stack.
+RUN_BYTES = 2**19
 
 ConfigGenerator = Callable[[int, int], InterferometerConfig]
 
@@ -277,30 +281,36 @@ class Superoperator:
 
     Row (config j, outcome nu') holds conj(<alpha|U_j|nu'>) <beta|U_j|nu'> at
     column (alpha, beta); rows are config-major in the given order, outcomes
-    in canonical Fock order, and columns row-major over (alpha, beta).  The
-    matrix is read-only, so the factors cached from it (one QR per U(M) level)
-    cannot go stale.
+    in canonical Fock order, and columns row-major over (alpha, beta).  The map is
+    kept once, as its settings' restricted lifts ``lift`` (R, D, D'), read-only, so
+    the factors cached from it (one QR per U(M) level) cannot go stale.
     """
 
     photons: int
     modes: int
     meas_modes: int
     configs: tuple[InterferometerConfig, ...]
-    matrix: np.ndarray
+    lift: np.ndarray
     basis_in: FockBasis = field(init=False)
     basis_out: FockBasis = field(init=False)
+    shape: tuple[int, int] = field(init=False)  # the map's (R D', D^2)
 
     def __post_init__(self) -> None:
         self.basis_in = enumerate_fock_basis(self.photons, self.modes)
         self.basis_out = enumerate_fock_basis(self.photons, self.meas_modes)
-        expected = (
-            len(self.configs) * self.basis_out.dimension,
-            self.basis_in.dimension**2,
-        )
-        if self.matrix.shape != expected:
-            raise ValueError(f"matrix shape {self.matrix.shape}, expected {expected}")
-        self.matrix = self.matrix.view()
-        self.matrix.flags.writeable = False
+        self.shape = (len(self.configs) * self.basis_out.dimension, self.basis_in.dimension**2)
+        expected = (len(self.configs), self.basis_in.dimension, self.basis_out.dimension)
+        if self.lift.shape != expected:
+            raise ValueError(f"lift shape {self.lift.shape}, expected {expected}")
+        self.lift = self.lift.view()
+        self.lift.flags.writeable = False
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The map's complex rows (R D', D^2), formed on first read; read-only."""
+        rows = _lifted_rows(self.lift)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def _bases(self) -> _LevelBases:
@@ -308,10 +318,10 @@ class Superoperator:
 
     @cached_property
     def _factor(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Raw Householder QR (reflectors, tau) of each level's ``_level_coordinates``;
-        R_l is their upper triangle."""
+        """Raw Householder QR (reflectors, tau) of each level's ``_level_rows``; R_l is
+        their upper triangle."""
         factors = []
-        for rows in _level_coordinates(self._bases, self.matrix):
+        for rows in _level_rows(self._bases, self.lift):
             reflectors, tau, _, info = dgeqrf(rows, lwork=64 * rows.shape[1], overwrite_a=1)
             if info:
                 raise ValueError(f"dgeqrf rejected argument {-info}")
@@ -338,8 +348,8 @@ class Superoperator:
         """L's singular values, the R_l's (one SVD each, on first read) and then the
         direct sum's exact zeros, to min(R D', D^2)."""
         union = [np.linalg.svd(r, compute_uv=False) for r in self._triangles()]
-        sigma = np.sort(np.concatenate(union + [np.zeros(min(self.matrix.shape))]))[::-1]
-        sigma = sigma[: min(self.matrix.shape)]
+        sigma = np.sort(np.concatenate(union + [np.zeros(min(self.shape))]))[::-1]
+        sigma = sigma[: min(self.shape)]
         sigma.flags.writeable = False
         return sigma
 
@@ -348,29 +358,25 @@ class Superoperator:
         return len(self.configs)
 
     def apply(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
+        """L vec(rho), (R D',), one run of settings' rows at a time."""
         mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        return (self.matrix @ mat.reshape(-1)).real
+        runs = [_lifted_rows(self.lift[run]) @ mat.reshape(-1) for run in _runs(self.lift)]
+        return np.concatenate(runs).real
 
     def laws(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
         """Each setting's outcome law, (R, D'), checked by ``_checked_laws``."""
         return _checked_laws(self.apply(rho).reshape(self.n_configs, -1))
 
 
-def _superoperator_rows(configs, photons: int, modes: int) -> np.ndarray:
-    """The map's rows for the settings in order, from one lift: (R D', D^2)."""
-    if not configs:
-        raise ValueError("at least one configuration is required")
-    counts = sorted({c.modes for c in configs})
-    if counts[0] < modes:
-        raise ValueError(f"configuration has {counts[0]} modes, state needs at least {modes}")
-    if len(counts) > 1:
-        raise ValueError(f"all configurations must act on the same number of modes, got {counts}")
-    return _lifted_rows(_restricted_lift(configs, photons, modes))
-
-
 def _lifted_rows(v: np.ndarray) -> np.ndarray:
     """The map's rows from R settings' restricted lifts v, (R, D, D'): (R D', D^2)."""
     return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
+
+
+def _runs(lift: np.ndarray) -> list[slice]:
+    """The settings of ``lift`` (R, D, D') in runs of about RUN_BYTES of complex rows."""
+    step = max(1, RUN_BYTES // (16 * lift.shape[2] * lift.shape[1] ** 2))
+    return [slice(start, start + step) for start in range(0, len(lift), step)]
 
 
 def _hermitian_coordinates(rows: np.ndarray, d: int) -> np.ndarray:
@@ -393,9 +399,16 @@ def _hermitian_matrix(y: np.ndarray, d: int) -> np.ndarray:
 def build_superoperator(
     configs: Sequence[InterferometerConfig], photons: int, modes: int
 ) -> Superoperator:
-    """Stack the measurement map for the given configurations."""
-    rows = _superoperator_rows(configs, photons, modes)
-    return Superoperator(photons, modes, configs[0].modes, tuple(configs), rows)
+    """The measurement map of the given configurations, from one lift."""
+    if not configs:
+        raise ValueError("at least one configuration is required")
+    counts = sorted({c.modes for c in configs})
+    if counts[0] < modes:
+        raise ValueError(f"configuration has {counts[0]} modes, state needs at least {modes}")
+    if len(counts) > 1:
+        raise ValueError(f"all configurations must act on the same number of modes, got {counts}")
+    lift = _restricted_lift(configs, photons, modes)
+    return Superoperator(photons, modes, counts[0], tuple(configs), lift)
 
 
 class RankReport:
@@ -460,7 +473,7 @@ def gramian_rank(
     """
     carried = isinstance(superop, (Superoperator, _LevelStack))
     superop = superop if carried else np.asarray(superop)
-    shape = getattr(superop, "matrix", superop).shape
+    shape = superop.shape
     scale = _threshold_scale(shape, rel_threshold)
     if np.prod(shape) == 0:
         raise ValueError("empty superoperator")
@@ -482,8 +495,7 @@ def is_complete(
 ) -> bool:
     """True iff the configurations pin down every density-matrix entry."""
     superop = build_superoperator(configs, photons, modes)
-    required = fock_dimension(photons, modes) ** 2
-    return gramian_rank(superop, rel_threshold).rank == required
+    return gramian_rank(superop, rel_threshold).rank == superop.shape[1]
 
 
 def _record_frequencies(
@@ -793,11 +805,11 @@ def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.n
 
 
 def _level_rows(bases: _LevelBases, lifted: np.ndarray) -> list[np.ndarray]:
-    """``_level_coordinates`` of R settings' rows from their restricted lifts (R, D, D')."""
+    """``_level_coordinates`` of R settings' rows from their lifts (R, D, D'), run by run."""
     levels = [np.empty((len(lifted), z, dim)) for z, dim in zip(bases.sizes, bases.dims)]
-    for j, v in enumerate(lifted):  # one setting at a time: no complex (R D', D^2) stack
-        for rows, part in zip(levels, _level_coordinates(bases, _lifted_rows(v[None]))):
-            rows[j] = part
+    for run in _runs(lifted):
+        for rows, part in zip(levels, _level_coordinates(bases, _lifted_rows(lifted[run]))):
+            rows[run] = part.reshape(-1, *rows.shape[1:])
     return [rows.reshape(-1, rows.shape[2]) for rows in levels]
 
 
@@ -1009,18 +1021,18 @@ def find_min_configs(
         raise ValueError(f"r_max must be at least 1, got {r_max}")
     required = fock_dimension(photons, modes) ** 2
 
-    configs = [draw(meas_modes) for _ in range(min(bound, r_max))]
     bases = _level_bases(photons, modes, meas_modes)
     scan = _RankScan(bases.sizes, bases.dims, rel_threshold)
-    certified = scan.extend(_level_rows(bases, _restricted_lift(configs, photons, modes)))
+    configs: list[InterferometerConfig] = []
+    certified: list[int | None] = []
     trace: list[tuple[int, int]] = []
     found: int | None = None
     previous_rank = 0
     while len(trace) < r_max:
-        if len(trace) == len(configs):  # past the bound, one setting at a time
-            configs.append(draw(meas_modes))
-            lifted = _restricted_lift(configs[-1:], photons, modes)
-            certified += scan.extend(_level_rows(bases, lifted))
+        if len(trace) == len(configs):  # the bound's settings in one batch, then one at a time
+            drawn = [draw(meas_modes) for _ in range(1 if configs else min(bound, r_max))]
+            configs += drawn
+            certified += scan.extend(_level_rows(bases, _restricted_lift(drawn, photons, modes)))
         step, rank = len(trace) + 1, certified[len(trace)]
         if rank is None or rank == required:  # the levels' SVDs settle it; a certified D^2 stands
             rank = gramian_rank(_LevelStack(scan, step, rank), rel_threshold).rank
@@ -1078,15 +1090,13 @@ def find_min_modes(
         meas_modes_max = bound + 6
     if meas_modes_max < modes:
         raise ValueError(f"meas_modes_max must be at least {modes}, got {meas_modes_max}")
-    d = fock_dimension(photons, modes)
-    required = d * d
+    required = fock_dimension(photons, modes) ** 2
 
     scan: list[tuple[int, int, int]] = []
     found: int | None = None
     for meas_modes in range(modes, meas_modes_max + 1):
         config = draw(meas_modes)
-        block = _hermitian_coordinates(_superoperator_rows([config], photons, modes), d)
-        rank = gramian_rank(block, rel_threshold).rank
+        rank = gramian_rank(build_superoperator([config], photons, modes), rel_threshold).rank
         scan.append((meas_modes, rank, required))
         if rank == required:
             found = meas_modes

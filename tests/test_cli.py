@@ -64,6 +64,13 @@ class TestBounds:
         assert cli.main(["bounds", "--photons", "0:2", "--modes", "2"]) == 2
         assert cli.main(["bounds", "--photons", "nope", "--modes", "2"]) == 2
 
+    def test_fewer_measured_modes_than_modes_are_left_out(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        argv = ["bounds", "--photons", "2", "--modes", "2:3", "--meas-modes", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [row[:3] for row in rows] == [["2", "2", "2"]]
+
 
 class TestRankScan:
     @pytest.mark.parametrize("generator", ["haar", "mesh"])
@@ -190,6 +197,12 @@ class TestMinModes:
         bounds = [int(r[2]) for r in rows]
         assert numeric == sorted(numeric, reverse=True)
         assert all(n >= b for n, b in zip(numeric, bounds))
+
+
+    def test_a_cap_short_of_the_bound_is_reported(self, capsys):
+        argv = ["min-modes", "--photons", "2", "--modes", "3", "--meas-modes-max", "4"]
+        assert cli.main(argv) == 0
+        assert "N=2 M=3: cap 4 exceeded (bound 8)" in capsys.readouterr().out
 
 
 class TestReconstructCommand:
@@ -377,6 +390,12 @@ class TestBadInput:
             (["reconstruct", "--generator", "newton-young", "--configs", "3"],
              "--configs does not apply to newton-young"),
             (["reconstruct", "--invert-detector"], "--invert-detector needs --efficiency"),
+            (["reconstruct", "--shots", "1,x"], "bad --shots value '1,x'"),
+            (["reconstruct", "--efficiency", "0"], "efficiency must lie in (0, 1], got 0.0"),
+            (["rank-scan", "--photons", "3:2"], "photons range '3:2' is empty"),
+            (["rank-scan", "--photons", "1:2"], "photons must be a single integer here, got '1:2'"),
+            (["bounds", "--modes", "3", "--meas-modes", "2"],
+             "requested ranges produce no (N, M, M') combinations"),
         ],
     )
     def test_exits_two_and_says_why(self, argv, message, tmp_path, capsys):
@@ -384,8 +403,8 @@ class TestBadInput:
             state = tmp_path / "state.json"
             write_state(state)
             argv = [*argv, "--state", str(state)]
-        else:
-            argv = [*argv, "--photons", "2", "--modes", "2"]
+        else:  # the defaults first, so that the case's own options win
+            argv = [argv[0], "--photons", "2", "--modes", "2", *argv[1:]]
         assert cli.main(argv) == 2
         assert f"invalid input: {message}" in capsys.readouterr().err
 
@@ -412,6 +431,9 @@ class TestBadInput:
              "spec field 'seed' must be int, got True"),
             ({"photons": "2", "modes": "2"}, "spec field 'command' is missing"),
             ([1, 2], "a spec must be a JSON object, got list"),
+            ({"command": "bounds", "photons": "1", "modes": "2", "bogus": 1},
+             "unknown spec fields: ['bogus']"),
+            ({"command": "frobnicate"}, "spec names unknown command 'frobnicate'"),
         ],
     )
     def test_run_spec_checks_field_types(self, record, message, tmp_path, capsys):

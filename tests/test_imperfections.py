@@ -333,6 +333,9 @@ class TestReconstructMixture:
         with pytest.raises(imp.IncompleteSectorError) as err:
             imp.reconstruct_mixture(records, configs, 2, 2)
         assert [n for n, _, _ in err.value.deficits] == [2]
+        for total, rank, required in err.value.deficits:
+            superop = tg.build_superoperator(configs, total, 2)
+            assert rank == tg.gramian_rank(superop).rank < required == fock_dimension(total, 2) ** 2
 
     def test_vacuum_component_yields_trivial_state(self):
         vacuum = tg.DensityMatrix(

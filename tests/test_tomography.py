@@ -246,6 +246,18 @@ class TestSuperoperator:
         superop = tg.build_superoperator(configs, 2, 2)
         assert superop.matrix.shape == (4 * fock_dimension(2, 3), 9)
 
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (2, 3, 5)])
+    def test_matrix_is_the_lifts_rows_formed_on_first_read(self, photons, modes, meas_modes):
+        configs = haar_configs(meas_modes, 5, seed=photons)
+        superop = tg.build_superoperator(configs, photons, modes)
+        assert "matrix" not in vars(superop)
+        expected = tg._lifted_rows(tg._restricted_lift(configs, photons, modes))
+        assert superop.matrix.shape == superop.shape == expected.shape
+        assert np.array_equal(superop.matrix, expected) and superop.matrix is superop.matrix
+        for stored in (superop.matrix, superop.lift):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 1.0
+
     def test_rejects_inconsistent_mode_counts(self):
         configs = [lo.haar_random_unitary(2, 0), lo.haar_random_unitary(3, 1)]
         with pytest.raises(ValueError):
@@ -346,6 +358,42 @@ class TestRealCoordinates:
         for shots in (0, 1000, 100_000):
             tg.reconstruct(superop, tg.simulate_records(rho, configs, shots, seed=1))
         assert factor.call_count == levels  # none after
+
+
+class TestRunsOfSettings:
+    """A map's rows are formed from its lifts one run of about ``RUN_BYTES`` at a time."""
+
+    @pytest.mark.parametrize("photons,modes,count", [(3, 4, 30), (4, 4, 55)])
+    def test_no_call_forms_more_than_one_run(self, monkeypatch, photons, modes, count):
+        shapes = record_shapes(monkeypatch, "_lifted_rows")
+        configs = haar_configs(modes, count, seed=photons)
+        superop = tg.build_superoperator(configs, photons, modes)
+        d = fock_dimension(photons, modes)
+        assert tg.gramian_rank(superop).rank == d * d
+        rho = tg.random_density_matrix(superop.basis_in, photons)
+        result = tg.reconstruct(superop, superop.laws(rho))
+        assert tg.trace_distance(result.projected, rho) < 1e-8
+        run = max(1, tg.RUN_BYTES // (16 * d**3))  # (3,4): 4 settings; (4,4): one
+        assert run == {3: 4, 4: 1}[photons]
+        assert max(shape[0] for shape in shapes) == run
+        assert len(shapes) == 2 * math.ceil(count / run)  # the factor's rows, then the laws'
+        assert "matrix" not in vars(superop)
+
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (6, 2, 2), (2, 3, 5)])
+    def test_runs_of_any_length_give_the_same_bits(self, monkeypatch, photons, modes, meas_modes):
+        configs = haar_configs(meas_modes, 13, seed=photons + meas_modes)
+        superop = tg.build_superoperator(configs, photons, modes)
+        bases = tg._level_bases(photons, modes, meas_modes)
+        rho = tg.random_density_matrix(superop.basis_in, modes)
+        whole = tg._level_coordinates(bases, superop.matrix)
+        product = (superop.matrix @ rho.matrix.reshape(-1)).real
+        for run_bytes, runs in [(1, 13), (tg.RUN_BYTES, None), (2**62, 1)]:
+            monkeypatch.setattr(tg, "RUN_BYTES", run_bytes)  # one setting a run, the rule, one run
+            assert runs in (None, len(tg._runs(superop.lift)))
+            rows = tg._level_rows(bases, superop.lift)
+            assert len(rows) == len(whole) and all(map(np.array_equal, rows, whole))
+            assert np.array_equal(superop.apply(rho), product)
+            assert np.array_equal(superop.laws(rho), product.reshape(len(configs), -1))
 
 
 def parity_corpus():
@@ -822,7 +870,7 @@ class TestSearches:
         scan = tg._RankScan(bases.sizes, bases.dims, None)
         certified = []
         for config in haar_configs(modes, 80, seed=0):
-            rows = tg._superoperator_rows([config], photons, modes)
+            rows = tg.build_superoperator([config], photons, modes).matrix
             certified += scan.extend(tg._level_coordinates(bases, rows))
         assert None not in certified and certified[-1] == fock_dimension(photons, modes) ** 2
         assert all(floor > 0 for floor in scan.floors)
@@ -864,7 +912,7 @@ class TestSearches:
         bases = tg._level_bases(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
-        rows = [tg._superoperator_rows([c], photons, modes) for c in configs]
+        rows = [tg.build_superoperator([c], photons, modes).matrix for c in configs]
         blocks = [tg._hermitian_coordinates(block, d) for block in rows]
         scan = tg._RankScan(bases.sizes, bases.dims, None)
         for block in rows:
@@ -924,7 +972,7 @@ class TestSearches:
         search, stack, report = self.confirming_report(monkeypatch, photons, modes, meas_modes)
         assert search.found == min_configs_extended(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
-        blocks = tg._hermitian_coordinates(tg._superoperator_rows(search.configs, photons, modes), d)
+        blocks = tg._hermitian_coordinates(tg.build_superoperator(search.configs, photons, modes).matrix, d)
         assert getattr(stack, "matrix", stack).shape == blocks.shape  # 2-D, as the tracer reads it
         full = tg.gramian_rank(blocks)
         assert report.rank == d * d and "singular_values" not in vars(stack)  # not yet read
@@ -1015,7 +1063,7 @@ class TestLevelSplit:
         rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         draw, d = tg.config_drawer(generator, 5), fock_dimension(photons, modes)
         configs = [draw(modes) for _ in range(min_configs(photons, modes))]
-        real = tg._hermitian_coordinates(tg._superoperator_rows(configs, photons, modes), d)
+        real = tg._hermitian_coordinates(tg.build_superoperator(configs, photons, modes).matrix, d)
         rows = rotation @ real.reshape(len(configs), d, d * d)
         levels = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
         return [level.reshape(-1, d * d) for level in levels], rows.reshape(-1, d * d)
@@ -1151,7 +1199,7 @@ class TestLevelBases:
         # A Haar setting's T-rotated rows lie in span W_l, and the kernel's coordinates
         # are their projections onto it.
         bases, d = tg._level_bases(photons, modes, modes), fock_dimension(photons, modes)
-        rows = tg._superoperator_rows(haar_configs(modes, 1, seed=photons + modes), photons, modes)
+        rows = tg.build_superoperator(haar_configs(modes, 1, seed=photons + modes), photons, modes).matrix
         rotated = bases.rotation @ tg._hermitian_coordinates(rows, d)
         scale = np.linalg.norm(rotated)
         groups = np.split(rotated, np.cumsum(bases.sizes)[:-1])
@@ -1198,7 +1246,7 @@ class TestTraceDirectionBound:
         scan, d = tg._RankScan(bases.sizes, bases.dims, None), fock_dimension(photons, modes)
         blocks = []
         for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
-            rows = tg._superoperator_rows([config], photons, modes)
+            rows = tg.build_superoperator([config], photons, modes).matrix
             blocks.append(tg._hermitian_coordinates(rows, d))
             scan.extend(tg._level_coordinates(bases, rows))
         return scan.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
@@ -1299,6 +1347,8 @@ class TestMeasurementRecord:
         sampled = tg.MeasurementRecord.sampled(1, np.array([3, 7]))
         assert sampled.shots == 10
         np.testing.assert_allclose(sampled.frequencies(), [0.3, 0.7])
+        empty = tg.MeasurementRecord.sampled(0, np.zeros(2, dtype=np.int64), 0)
+        np.testing.assert_array_equal(empty.frequencies(), [0.0, 0.0])
         with pytest.raises(ValueError):
             tg.MeasurementRecord.exact(0, np.array([0.9, 0.2]))
         with pytest.raises(ValueError):

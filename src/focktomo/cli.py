@@ -167,6 +167,11 @@ def _parse_int(text: str, name: str, minimum: int) -> int:
     return values[0]
 
 
+def _meas_modes(spec: ExperimentSpec, modes: int) -> int:
+    """M' from ``--meas-modes``, at least ``modes``; ``modes`` when it is not given."""
+    return _parse_int(spec.meas_modes, "meas-modes", modes) if spec.meas_modes else modes
+
+
 def _write_csv(path: str | None, schema: str, header: list[str], rows: list[list]) -> None:
     handle = open(path, "w", newline="") if path else sys.stdout
     try:
@@ -274,9 +279,7 @@ def cmd_bounds(spec: ExperimentSpec) -> int:
 def cmd_rank_scan(spec: ExperimentSpec) -> int:
     photons = _parse_int(spec.photons, "photons", 1)
     modes = _parse_int(spec.modes, "modes", 2)
-    meas_modes = (
-        _parse_int(spec.meas_modes, "meas-modes", modes) if spec.meas_modes else modes
-    )
+    meas_modes = _meas_modes(spec, modes)
     search = find_min_configs(
         photons,
         modes,
@@ -326,6 +329,9 @@ def cmd_rank_scan(spec: ExperimentSpec) -> int:
 def cmd_min_modes(spec: ExperimentSpec) -> int:
     photon_range = _parse_range(spec.photons, "photons", 1)
     mode_range = _parse_range(spec.modes, "modes", 2)
+    cap = spec.meas_modes_max
+    if cap is not None and cap < mode_range[-1]:  # before any search prints
+        raise ValueError(f"meas_modes_max must be at least {mode_range[-1]}, got {cap}")
     header = ["photons", "modes", "bound", "numeric"]
     rows = []
     results = []
@@ -427,9 +433,7 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
     record = json.loads(Path(spec.state_path).read_text())
     truth = DensityMatrix.from_json_dict(record)
     photons, modes = truth.photons, truth.modes
-    meas_modes = (
-        _parse_int(spec.meas_modes, "meas-modes", modes) if spec.meas_modes else modes
-    )
+    meas_modes = _meas_modes(spec, modes)
     configs = _build_configs(spec, photons, modes, meas_modes)
 
     superop = build_superoperator(configs, photons, modes)

@@ -194,10 +194,9 @@ def check_incremental_rank_scan() -> None:
                 photons, modes, meas_modes, generator, seed, r_max, rel
             )
             superop = tomography.build_superoperator(search.configs, photons, modes)
-            rows = tomography._hermitian_coordinates(superop.matrix, superop.basis_in.dimension)
             step = superop.basis_out.dimension
-            for count, rank in search.rank_trace:
-                full = tomography.gramian_rank(rows[: count * step], rel).rank
+            for count, rank in search.rank_trace:  # the complex rows' SVD: the same sigma
+                full = tomography.gramian_rank(superop.matrix[: count * step], rel).rank
                 assert rank == full, (meas_modes, generator, rel, count)
     # A certified full rank stands unread; reading its report's sigma checks it.
     configs = tomography.find_min_configs(2, 3, seed=0).configs
@@ -207,10 +206,10 @@ def check_incremental_rank_scan() -> None:
     rank = scan.extend(tomography._level_rows(bases, lifted))[-1]
     report = tomography.gramian_rank(tomography._LevelStack(scan, len(configs), rank))
     assert rank == 36 and report.singular_values[35] > report.threshold
-    scan = tomography._RankScan((20,), (400,), None)  # one group: no level split
-    for config in tomography.find_min_configs(3, 4, seed=0).configs:
-        block = tomography.build_superoperator([config], 3, 4).matrix
-        scan.extend([tomography._hermitian_coordinates(block, 20)])
+    bases = tomography._level_bases(3, 4, 5)  # one group: no level split
+    scan = tomography._RankScan(bases.sizes, bases.dims, None)
+    for config in tomography.find_min_configs(3, 4, 5, seed=0).configs:
+        scan.extend(tomography._level_rows(bases, tomography._restricted_lift([config], 3, 4)))
     assert scan.dropped_sq < 400 * np.finfo(float).eps ** 2 * scan.frobenius_sq
 
 
@@ -222,25 +221,24 @@ def check_level_split() -> None:
     bases = tomography._level_bases(2, 3, 3)
     configs = [linear_optics.InterferometerConfig(3, np.eye(3))]
     configs.append(linear_optics.haar_random_unitary(3, 600))
-    matrix = tomography.build_superoperator(configs, 2, 3).matrix
-    rows = bases.rotation @ tomography._hermitian_coordinates(matrix, 6).reshape(2, 6, 36)
+    superop = tomography.build_superoperator(configs, 2, 3)
+    rows = bases.rotation @ superop.matrix.reshape(2, 6, 36)  # complex rows, Frobenius products
     levels = [x.reshape(-1, 36) for x in np.split(rows, np.cumsum(bases.sizes)[:-1], axis=1)]
     scale = np.linalg.norm(rows)
     for i, level in enumerate(levels):
-        assert all(np.abs(level @ x.T).max() <= 1e-13 * scale for x in levels[i + 1 :])
+        assert all(np.abs(level.conj() @ x.T).max() <= 1e-13 * scale for x in levels[i + 1 :])
     full = np.linalg.svd(rows.reshape(-1, 36), compute_uv=False)
     union = np.sort(np.concatenate([np.linalg.svd(x, compute_uv=False) for x in levels]))[::-1]
     assert np.abs(union[: len(full)] - full).max() <= 1e-13 * full[0]
-    columns = []  # W's columns: the coordinates of the matrix whose W_l coordinates are e_j
+    columns = []  # W's columns, as the matrices whose W_l coordinates are e_j
     for level, dim in enumerate(bases.dims):
         for j in range(dim):
             x = [np.zeros(k) for k in bases.dims]
             x[level][j] = 1.0
-            h = tomography._level_estimate(bases, x).T.reshape(1, -1)
-            columns.append(tomography._hermitian_coordinates(h, 6)[0])
+            columns.append(tomography._level_estimate(bases, x).T.reshape(-1))
     w = np.array(columns)
-    assert np.abs(w @ w.T - np.eye(36)).max() <= 1e-13
-    for level, kept in zip(levels, tomography._level_coordinates(bases, matrix)):
+    assert np.abs(w.conj() @ w.T - np.eye(36)).max() <= 1e-13
+    for level, kept in zip(levels, tomography._level_rows(bases, superop.lift)):
         assert abs(np.linalg.norm(kept) - np.linalg.norm(level)) <= 1e-13 * scale
 
 

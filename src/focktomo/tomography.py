@@ -11,8 +11,8 @@ Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
 & Krammer, J. Phys. A 41, 235303 (2008)), split by U(M) level, End(Sym^N C^M) =
 V_0 + ... + V_N, which no setting mixes (one group if M' > M or D = 1).  One kernel,
-``_level_rows``, forms a map's rows from its settings' lifts a run at a time and takes
-them to each level's T-rotated rows in its basis W_l, d_l wide.  A map is factored once,
+``_level_rows``, forms each level's T-rotated rows in its basis W_l, d_l wide, straight
+from a map's settings' lifts a run at a time.  A map is factored once,
 by one QR per level of these, and its rank, the levels' direct sum's, comes by
 certificate, min_l 1 / ||R_l^-1||_F <= sigma_min; singular values are computed only when
 read or when the certificate fails.  The minimal-R scan takes the same coordinates and
@@ -59,9 +59,10 @@ NEGATIVE_PROBABILITY_TOL = 1e-12
 # The certified scan keeps a direction only above KEEP_MARGIN times the largest SVD
 # threshold; sigma_max is bounded by the trace direction's quotient, exact at M' = M.
 KEEP_MARGIN = 16.0
-# Rows are formed from lifts one run of settings at a time, a run holding about this many
-# bytes of complex rows (one setting at least): small settings share numpy's per-call cost
-# in a run, large ones keep their rows cache-sized, and no map holds its whole row stack.
+# Rows are formed from lifts one run of settings at a time, a run's D^2-wide complex rows
+# holding about this many bytes (one setting at least) and the half form that its level rows
+# are read from about half as many: small settings share numpy's per-call cost in a run,
+# large ones keep their rows cache-sized, and no map holds its whole row stack.
 RUN_BYTES = 2**19
 
 ConfigGenerator = Callable[[int, int], InterferometerConfig]
@@ -377,23 +378,6 @@ def _runs(lift: np.ndarray) -> list[slice]:
     """The settings of ``lift`` (R, D, D') in runs of about RUN_BYTES of complex rows."""
     step = max(1, RUN_BYTES // (16 * lift.shape[2] * lift.shape[1] ** 2))
     return [slice(start, start + step) for start in range(0, len(lift), step)]
-
-
-def _hermitian_coordinates(rows: np.ndarray, d: int) -> np.ndarray:
-    """Rows vec(H) as (H_aa, sqrt2 Re H_ab, sqrt2 Im H_ab), a < b: for Hermitian
-    H an isometry onto R^{D^2}, so a stack keeps its singular values."""
-    h = rows.reshape(-1, d, d)
-    a, b = np.triu_indices(d, 1)
-    off = np.sqrt(2.0) * h[:, a, b]
-    return np.hstack([np.diagonal(h, axis1=1, axis2=2).real, off.real, off.imag])
-
-
-def _hermitian_matrix(y: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian D x D matrix whose real coordinates are ``y``."""
-    a, b = np.triu_indices(d, 1)
-    h = np.diag(y[:d]).astype(complex)
-    h[a, b] = (y[d : d + len(a)] + 1j * y[d + len(a) :]) / np.sqrt(2.0)
-    return h + np.triu(h, 1).conj().T
 
 
 def build_superoperator(
@@ -716,12 +700,16 @@ def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
     h.c.  H's half form is its ``entries`` (flat s D + t): from each block's ``start``,
     c weights of n operators (the diagonal first), eigenvectors (c, n, n).  W_l reads
     it so transformed, as reals (Re, Im interleaved), at ``picks[l]``.  One group
-    (M' > M, or D = 1) has no rotation, z_0 = D' and d_0 = D^2: its coordinates are the
-    real Hermitian ones.
+    (M' > M, or D = 1) has no rotation, z_0 = D' and d_0 = D^2: its half form is the
+    diagonal and the a < b pairs, untransformed, read as the real Hermitian coordinates
+    (H_aa, sqrt2 Re H_ab, sqrt2 Im H_ab).
     """
     d, d_out = fock_dimension(photons, modes), fock_dimension(photons, meas_modes)
     if meas_modes > modes or d == 1:
-        return _LevelBases(None, (d_out,), (d * d,), None, (), ())
+        a, b = np.triu_indices(d, 1)
+        entries, off = np.r_[np.arange(d) * (d + 1), a * d + b], 2 * (d + np.arange(len(a)))
+        picks = (np.r_[2 * np.arange(d), off, off + 1],)
+        return _LevelBases(None, (d_out,), (d * d,), entries, (), picks)
     lower, root, _ = _sector_tables(photons, modes)
     below, levels = fock_dimension(photons - 1, modes), np.arange(photons + 1)
     spectrum = 2 * levels * (levels + modes - 1)
@@ -768,28 +756,10 @@ def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
     return _LevelBases(rotation, sizes, dims, np.concatenate(entries), tuple(blocks), tuple(picks))
 
 
-def _level_coordinates(bases: _LevelBases, rows: np.ndarray) -> list[np.ndarray]:
-    """Each level's T-rotated rows of the map ``rows`` (R D', D^2) in W_l coordinates,
-    (R z_l, d_l); one group's are the real Hermitian coordinates, (R D', D^2)."""
-    if bases.rotation is None:
-        return [_hermitian_coordinates(rows, round(bases.dims[0] ** 0.5))]
-    d, half = len(bases.rotation), np.take(rows, bases.entries, axis=1)
-    half[:, d:] *= np.sqrt(2.0)  # sqrt2 Re and Im |s><t| are H's coordinates
-    for start, vectors in bases.blocks:
-        c, n, _ = vectors.shape
-        block = half[:, start : start + c * n].reshape(-1, c, n).transpose(1, 0, 2)
-        np.matmul(block, vectors, out=block)
-    groups = np.split(bases.rotation, np.cumsum(bases.sizes)[:-1])
-    levels = [np.take(half.view(float), p, axis=1).reshape(-1, d, len(p)) for p in bases.picks]
-    return [np.matmul(t, x).reshape(-1, x.shape[2]) for t, x in zip(groups, levels)]
-
-
 def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.ndarray:
     """The matrix whose W_l coordinates are ``solutions``, transposed: a row vec(H)
     meets rho as coords(H) . coords(rho^T), so the solutions hold rho^T's."""
-    if bases.rotation is None:  # rho_ab = (y_re - i y_im) / sqrt2
-        return _hermitian_matrix(solutions[0], round(bases.dims[0] ** 0.5)).T
-    d = len(bases.rotation)
+    d = round(sum(bases.dims) ** 0.5)
     pairs = bases.entries[d:]
     half, rho = np.zeros(len(bases.entries), dtype=complex), np.empty(d * d, dtype=complex)
     for x, p in zip(solutions, bases.picks):
@@ -805,11 +775,24 @@ def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.n
 
 
 def _level_rows(bases: _LevelBases, lifted: np.ndarray) -> list[np.ndarray]:
-    """``_level_coordinates`` of R settings' rows from their lifts (R, D, D'), run by run."""
+    """Each level's T-rotated rows of R settings' map in W_l coordinates, (R z_l, d_l), from
+    their lifts (R, D, D'), run by run; one group's are the real Hermitian coordinates,
+    (R D', D^2).  A run forms only H's half form, conj(<s|U|v>) <t|U|v> at ``entries``."""
+    rotation, d = bases.rotation, lifted.shape[1]
+    s, t = np.divmod(bases.entries, d)
+    groups = [None] if rotation is None else np.split(rotation, np.cumsum(bases.sizes)[:-1])
     levels = [np.empty((len(lifted), z, dim)) for z, dim in zip(bases.sizes, bases.dims)]
     for run in _runs(lifted):
-        for rows, part in zip(levels, _level_coordinates(bases, _lifted_rows(lifted[run]))):
-            rows[run] = part.reshape(-1, *rows.shape[1:])
+        v = lifted[run].swapaxes(1, 2)  # (r, D', D)
+        half = np.einsum("...,...->...", v.conj()[..., s], v[..., t], order="C").reshape(-1, len(s))
+        half[:, d:] *= np.sqrt(2.0)  # sqrt2 Re and Im |s><t| are H's coordinates
+        for start, vectors in bases.blocks:
+            c, n, _ = vectors.shape
+            block = half[:, start : start + c * n].reshape(-1, c, n).transpose(1, 0, 2)
+            np.matmul(block, vectors, out=block)
+        for rows, p, group in zip(levels, bases.picks, groups):
+            x = np.take(half.view(float), p, axis=1).reshape(len(v), -1, len(p))
+            rows[run] = x if group is None else np.matmul(group, x)
     return [rows.reshape(-1, rows.shape[2]) for rows in levels]
 
 
@@ -1004,7 +987,7 @@ def find_min_configs(
     Appends one independent configuration at a time and records the rank after each;
     stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
     achieved).  The first min(bound, ``r_max``) are lifted and factored in one call
-    per level.  Each setting's rows are taken to ``_level_coordinates``, d_l wide, and
+    per level.  Each setting's rows are taken to ``_level_rows``, d_l wide, and
     each rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full
     SVD's, unless a sigma lies within the levels' rounding of the threshold.
     ``_RankScan`` certifies steps from each level's triangular factor; the levels' SVDs

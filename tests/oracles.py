@@ -8,6 +8,7 @@ paths it checks.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -78,8 +79,6 @@ def amplitude_by_state_vector(g: np.ndarray, alpha, beta) -> complex:
     Distributes each input photon over the modes with amplitude g[out, in],
     sums over all assignments, and normalizes by the bosonic factorials.
     """
-    import math
-
     modes = g.shape[0]
     photons = sum(beta)
     input_modes = [j for j, count in enumerate(beta) for _ in range(count)]
@@ -106,6 +105,35 @@ def normal_equation_solve(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Explicit (L^dag L)^{-1} L^dag p, valid at full column rank."""
     gram = matrix.conj().T @ matrix
     return np.linalg.solve(gram, matrix.conj().T @ p)
+
+
+def hermitian_coordinates(rows: np.ndarray) -> np.ndarray:
+    """Each row vec(H) of a (K, D^2) stack as (H_aa, sqrt2 Re H_ab, sqrt2 Im H_ab), a < b.
+
+    Written out one coordinate column at a time, pairs in row-major order.  For
+    Hermitian H this is an isometry onto R^{D^2}, so a stack keeps its singular
+    values.
+    """
+    rows = np.asarray(rows)
+    d = math.isqrt(rows.shape[1])
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    columns = [rows[:, a * d + a].real for a in range(d)]
+    columns += [math.sqrt(2.0) * rows[:, a * d + b].real for a, b in pairs]
+    columns += [math.sqrt(2.0) * rows[:, a * d + b].imag for a, b in pairs]
+    return np.column_stack(columns)
+
+
+def hermitian_matrix(y: np.ndarray) -> np.ndarray:
+    """The Hermitian D x D matrix whose ``hermitian_coordinates`` are ``y``, entry by entry."""
+    d = math.isqrt(len(y))
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    h = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        h[a, a] = y[a]
+    for k, (a, b) in enumerate(pairs):
+        h[a, b] = complex(y[d + k], y[d + len(pairs) + k]) / math.sqrt(2.0)
+        h[b, a] = h[a, b].conjugate()
+    return h
 
 
 def complex_rank_trace(configs, photons: int, modes: int, rel_threshold=None):

@@ -396,6 +396,9 @@ class TestBadInput:
             (["rank-scan", "--photons", "1:2"], "photons must be a single integer here, got '1:2'"),
             (["bounds", "--modes", "3", "--meas-modes", "2"],
              "requested ranges produce no (N, M, M') combinations"),
+            # the cap is checked against the largest M before any search prints
+            (["min-modes", "--modes", "2:3", "--meas-modes-max", "2"],
+             "meas_modes_max must be at least 3, got 2"),
         ],
     )
     def test_exits_two_and_says_why(self, argv, message, tmp_path, capsys):
@@ -406,7 +409,8 @@ class TestBadInput:
         else:  # the defaults first, so that the case's own options win
             argv = [argv[0], "--photons", "2", "--modes", "2", *argv[1:]]
         assert cli.main(argv) == 2
-        assert f"invalid input: {message}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"invalid input: {message}" in captured.err and captured.out == ""
 
     def test_min_modes_cap_below_the_state_modes(self, capsys):
         argv = ["min-modes", "--photons", "2", "--modes", "3", "--meas-modes-max", "2"]

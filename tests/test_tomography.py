@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import traceback
 from unittest import mock
 
 import numpy as np
@@ -326,7 +327,12 @@ class TestRealCoordinates:
             haar_configs(meas_modes, count, seed), photons, modes
         )
         d = superop.basis_in.dimension
-        real = tg._hermitian_coordinates(superop.matrix, d)
+        real = oracles.hermitian_coordinates(superop.matrix)
+        bases = tg._level_bases(photons, modes, meas_modes)
+        with mock.patch.object(tg, "_lifted_rows", side_effect=AssertionError("complex rows")):
+            rows = tg._level_rows(bases, superop.lift)  # straight from the lifts
+        if bases.rotation is None:  # one group: the kernel's rows are these coordinates
+            assert np.array_equal(rows[0], real)
         np.testing.assert_allclose(
             np.linalg.norm(real, axis=1), np.linalg.norm(superop.matrix, axis=1),
             rtol=1e-13,
@@ -337,11 +343,12 @@ class TestRealCoordinates:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = g + g.conj().T
-        coords = tg._hermitian_coordinates(h.reshape(1, -1), d)[0]
-        np.testing.assert_allclose(tg._hermitian_matrix(coords, d), h, atol=1e-14)
+        one = tg._level_bases(photons, modes, modes + 1)  # one group: estimates invert them
+        coords = oracles.hermitian_coordinates(h.reshape(1, -1))[0]
+        np.testing.assert_allclose(tg._level_estimate(one, [coords]).T, h, atol=1e-14)
         y = rng.standard_normal(d * d)
-        back = tg._hermitian_coordinates(tg._hermitian_matrix(y, d).reshape(1, -1), d)
-        np.testing.assert_allclose(back[0], y, atol=1e-14)
+        estimate = tg._level_estimate(one, [y]).T
+        np.testing.assert_allclose(estimate, oracles.hermitian_matrix(y), atol=1e-14)
 
     def test_matrix_is_read_only_and_factored_once_per_level(self, monkeypatch):
         factor = mock.Mock(wraps=tg.dgeqrf)
@@ -376,16 +383,48 @@ class TestRunsOfSettings:
         run = max(1, tg.RUN_BYTES // (16 * d**3))  # (3,4): 4 settings; (4,4): one
         assert run == {3: 4, 4: 1}[photons]
         assert max(shape[0] for shape in shapes) == run
-        assert len(shapes) == 2 * math.ceil(count / run)  # the factor's rows, then the laws'
+        assert len(shapes) == math.ceil(count / run)  # the laws' rows: the factor forms none
         assert "matrix" not in vars(superop)
 
-    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (6, 2, 2), (2, 3, 5)])
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 3, 5)])
+    def test_only_apply_and_matrix_form_complex_rows(self, monkeypatch, photons, modes, meas_modes):
+        # The scan, the factor, the rank and the reconstruction read each run's half form.
+        callers, lifted_rows = [], tg._lifted_rows
+
+        def spy(v):
+            names = {frame.name for frame in traceback.extract_stack()}
+            callers.append(names & {"apply", "matrix"})
+            return lifted_rows(v)
+
+        monkeypatch.setattr(tg, "_lifted_rows", spy)
+        search = tg.find_min_configs(photons, modes, meas_modes, seed=0)
+        superop = tg.build_superoperator(search.configs, photons, modes)
+        assert tg.gramian_rank(superop).rank == superop.shape[1]
+        rho = tg.random_density_matrix(superop.basis_in, 0)
+        result = tg.reconstruct(superop, superop.laws(rho))
+        assert tg.trace_distance(result.projected, rho) < 1e-8
+        superop.matrix
+        assert callers == [{"apply"}] * len(tg._runs(superop.lift)) + [{"matrix"}]
+
+    @pytest.mark.parametrize(
+        "photons,modes,meas_modes", [(3, 4, 4), (6, 2, 2), (2, 3, 5), (0, 3, 3), (0, 2, 4)]
+    )
     def test_runs_of_any_length_give_the_same_bits(self, monkeypatch, photons, modes, meas_modes):
         configs = haar_configs(meas_modes, 13, seed=photons + meas_modes)
         superop = tg.build_superoperator(configs, photons, modes)
         bases = tg._level_bases(photons, modes, meas_modes)
         rho = tg.random_density_matrix(superop.basis_in, modes)
-        whole = tg._level_coordinates(bases, superop.matrix)
+        real = oracles.hermitian_coordinates(superop.matrix)
+        # Read as one group, any map's rows are its real Hermitian coordinates, formed
+        # from the lifts without the complex rows, and ``_level_estimate`` takes each back
+        # to its matrix.
+        one = tg._level_bases(photons, modes, modes + 1)  # one group, z_0 = this map's D'
+        one = one._replace(sizes=(superop.basis_out.dimension,))
+        with mock.patch.object(tg, "_lifted_rows", side_effect=AssertionError("complex rows")):
+            whole = tg._level_rows(bases, superop.lift)
+            assert np.array_equal(tg._level_rows(one, superop.lift)[0], real)
+        for row, y in zip(superop.matrix, real):
+            assert np.abs(tg._level_estimate(one, [y]).T.reshape(-1) - row).max() <= 1e-15
         product = (superop.matrix @ rho.matrix.reshape(-1)).real
         for run_bytes, runs in [(1, 13), (tg.RUN_BYTES, None), (2**62, 1)]:
             monkeypatch.setattr(tg, "RUN_BYTES", run_bytes)  # one setting a run, the rule, one run
@@ -428,7 +467,7 @@ class TestCertifiedRank:
     def test_certified_rank_equals_the_svd_rank_on_the_parity_corpus(self, rel_threshold):
         corpus, certified = parity_corpus(), set()
         for label, superop in corpus:
-            real = tg._hermitian_coordinates(superop.matrix, superop.basis_in.dimension)
+            real = oracles.hermitian_coordinates(superop.matrix)
             sigma = np.linalg.svd(real, compute_uv=False)
             scale = rel_threshold or max(superop.matrix.shape) * np.finfo(float).eps
             expected = int((sigma > scale * sigma[0]).sum())
@@ -458,7 +497,7 @@ class TestCertifiedRank:
     def test_reading_sigma_takes_one_svd_per_level_equal_to_the_eager_one(self, monkeypatch):
         configs = haar_configs(3, min_configs(2, 3) + 1, seed=4)
         superop = tg.build_superoperator(configs, 2, 3)
-        full = np.linalg.svd(tg._hermitian_coordinates(superop.matrix, 6), compute_uv=False)
+        full = np.linalg.svd(oracles.hermitian_coordinates(superop.matrix), compute_uv=False)
         svds = count_svds(monkeypatch)
         report, again = tg.gramian_rank(superop), tg.gramian_rank(superop, 1e-12)
         assert report.rank == again.rank == 36 and svds() == 0
@@ -870,8 +909,8 @@ class TestSearches:
         scan = tg._RankScan(bases.sizes, bases.dims, None)
         certified = []
         for config in haar_configs(modes, 80, seed=0):
-            rows = tg.build_superoperator([config], photons, modes).matrix
-            certified += scan.extend(tg._level_coordinates(bases, rows))
+            lifted = tg.build_superoperator([config], photons, modes).lift
+            certified += scan.extend(tg._level_rows(bases, lifted))
         assert None not in certified and certified[-1] == fock_dimension(photons, modes) ** 2
         assert all(floor > 0 for floor in scan.floors)
 
@@ -912,11 +951,11 @@ class TestSearches:
         bases = tg._level_bases(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
-        rows = [tg.build_superoperator([c], photons, modes).matrix for c in configs]
-        blocks = [tg._hermitian_coordinates(block, d) for block in rows]
+        maps = [tg.build_superoperator([c], photons, modes) for c in configs]
+        blocks = [oracles.hermitian_coordinates(superop.matrix) for superop in maps]
         scan = tg._RankScan(bases.sizes, bases.dims, None)
-        for block in rows:
-            scan.extend(tg._level_coordinates(bases, block))
+        for superop in maps:
+            scan.extend(tg._level_rows(bases, superop.lift))
         stack = tg._LevelStack(scan, count)
         full = tg.gramian_rank(np.vstack(blocks))
         report = tg.gramian_rank(stack)
@@ -972,7 +1011,8 @@ class TestSearches:
         search, stack, report = self.confirming_report(monkeypatch, photons, modes, meas_modes)
         assert search.found == min_configs_extended(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
-        blocks = tg._hermitian_coordinates(tg.build_superoperator(search.configs, photons, modes).matrix, d)
+        superop = tg.build_superoperator(search.configs, photons, modes)
+        blocks = oracles.hermitian_coordinates(superop.matrix)
         assert getattr(stack, "matrix", stack).shape == blocks.shape  # 2-D, as the tracer reads it
         full = tg.gramian_rank(blocks)
         assert report.rank == d * d and "singular_values" not in vars(stack)  # not yet read
@@ -1063,7 +1103,7 @@ class TestLevelSplit:
         rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         draw, d = tg.config_drawer(generator, 5), fock_dimension(photons, modes)
         configs = [draw(modes) for _ in range(min_configs(photons, modes))]
-        real = tg._hermitian_coordinates(tg.build_superoperator(configs, photons, modes).matrix, d)
+        real = oracles.hermitian_coordinates(tg.build_superoperator(configs, photons, modes).matrix)
         rows = rotation @ real.reshape(len(configs), d, d * d)
         levels = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
         return [level.reshape(-1, d * d) for level in levels], rows.reshape(-1, d * d)
@@ -1153,7 +1193,7 @@ class TestLevelSplit:
 def dense_level_bases(photons, modes):
     """Each W_l as a dense (D^2, d_l) matrix of real Hermitian coordinates, read off
     ``_level_estimate``: coordinates e_j give rho = H^T, H having coordinates W e_j."""
-    bases, d = tg._level_bases(photons, modes, modes), fock_dimension(photons, modes)
+    bases = tg._level_bases(photons, modes, modes)
     levels = []
     for level, dim in enumerate(bases.dims):
         columns = []
@@ -1161,7 +1201,7 @@ def dense_level_bases(photons, modes):
             x = [np.zeros(k) for k in bases.dims]
             x[level][j] = 1.0
             h = tg._level_estimate(bases, x).T
-            columns.append(tg._hermitian_coordinates(h.reshape(1, -1), d)[0])
+            columns.append(oracles.hermitian_coordinates(h.reshape(1, -1))[0])
         levels.append(np.array(columns).T)
     return levels
 
@@ -1183,9 +1223,9 @@ class TestLevelBases:
     @pytest.mark.parametrize("photons,modes", LEVEL_CELLS)
     def test_each_column_is_a_casimir_eigenvector(self, photons, modes):
         # sum_ij [E_ij, [E_ji, X]] = 2l(l+M-1) X for every column X of W_l.
-        hops, d = TestLevelSplit.hops(photons, modes), fock_dimension(photons, modes)
+        hops = TestLevelSplit.hops(photons, modes)
         for level, w in enumerate(dense_level_bases(photons, modes)):
-            x = np.array([tg._hermitian_matrix(column, d) for column in w.T])
+            x = np.array([oracles.hermitian_matrix(column) for column in w.T])
             casimir = np.zeros_like(x)
             for i in range(modes):
                 for j in range(modes):
@@ -1198,12 +1238,13 @@ class TestLevelBases:
     def test_rotated_rows_stay_in_their_level(self, photons, modes):
         # A Haar setting's T-rotated rows lie in span W_l, and the kernel's coordinates
         # are their projections onto it.
-        bases, d = tg._level_bases(photons, modes, modes), fock_dimension(photons, modes)
-        rows = tg.build_superoperator(haar_configs(modes, 1, seed=photons + modes), photons, modes).matrix
-        rotated = bases.rotation @ tg._hermitian_coordinates(rows, d)
+        bases = tg._level_bases(photons, modes, modes)
+        configs = haar_configs(modes, 1, seed=photons + modes)
+        superop = tg.build_superoperator(configs, photons, modes)
+        rotated = bases.rotation @ oracles.hermitian_coordinates(superop.matrix)
         scale = np.linalg.norm(rotated)
         groups = np.split(rotated, np.cumsum(bases.sizes)[:-1])
-        coordinates = tg._level_coordinates(bases, rows)
+        coordinates = tg._level_rows(bases, superop.lift)
         for group, w, fast in zip(groups, dense_level_bases(photons, modes), coordinates):
             assert np.abs(group - (group @ w) @ w.T).max() <= 1e-13 * scale
             assert np.abs(fast - group @ w).max() <= 1e-13 * scale
@@ -1243,12 +1284,11 @@ class TestTraceDirectionBound:
         """The scan's trace-direction quotient over ``count`` Haar settings, and
         sigma_max^2 of their stacked real map."""
         bases = tg._level_bases(photons, modes, meas_modes)
-        scan, d = tg._RankScan(bases.sizes, bases.dims, None), fock_dimension(photons, modes)
-        blocks = []
+        scan, blocks = tg._RankScan(bases.sizes, bases.dims, None), []
         for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
-            rows = tg.build_superoperator([config], photons, modes).matrix
-            blocks.append(tg._hermitian_coordinates(rows, d))
-            scan.extend(tg._level_coordinates(bases, rows))
+            superop = tg.build_superoperator([config], photons, modes)
+            blocks.append(oracles.hermitian_coordinates(superop.matrix))
+            scan.extend(tg._level_rows(bases, superop.lift))
         return scan.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
 
     @pytest.mark.parametrize("photons,modes", [(2, 3), (3, 4), (6, 2)])

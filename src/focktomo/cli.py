@@ -185,7 +185,7 @@ def _write_csv(path: str | None, schema: str, header: list[str], rows: list[list
 
 
 def _write_json(path: str | None, document: dict) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True)
+    text = json.dumps(document, sort_keys=True)  # no indent: it forces the pure-Python encoder
     if path:
         Path(path).write_text(text + "\n")
     else:
@@ -391,7 +391,7 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
     if spec.configs is not None and spec.configs < 1:
         raise ValueError(f"--configs must be at least 1, got {spec.configs}")
     count = spec.configs or min_configs_extended(photons, modes, meas_modes)
-    return [draw(meas_modes) for _ in range(count)]
+    return draw(meas_modes, count)
 
 
 def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
@@ -484,7 +484,7 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
 
 
 def cmd_make_state(spec: ExperimentSpec) -> int:
-    photons = _parse_int(spec.photons, "photons", 0)
+    photons = _parse_int(spec.photons, "photons", 1)
     modes = _parse_int(spec.modes, "modes", 1)
     basis = enumerate_fock_basis(photons, modes)
     state = random_density_matrix(basis, spec.seed)

@@ -32,7 +32,8 @@ PROVENANCE_KINDS = ("haar", "mesh", "newton_young", "explicit")
 
 def encode_complex_matrix(matrix: np.ndarray) -> list:
     """The JSON form of a complex matrix: rows of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    return matrix.view(float).reshape(matrix.shape + (2,)).tolist()
 
 
 def decode_complex_matrix(rows) -> np.ndarray:
@@ -117,21 +118,32 @@ class InterferometerConfig:
         )
 
 
-def haar_random_unitary(modes: int, seed: int) -> InterferometerConfig:
+def haar_random_unitary(
+    modes: int, seed: int | Sequence[int]
+) -> InterferometerConfig | list[InterferometerConfig]:
     """Draw a Haar-distributed M'xM' unitary, deterministically for a given seed.
 
     Ginibre matrix + QR, with the R-diagonal phases pushed back into Q so the
-    distribution is exactly Haar rather than merely unitary.
+    distribution is exactly Haar rather than merely unitary.  A sequence of
+    seeds gives a list, member k equal bit for bit to the draw of seed k: each
+    Ginibre matrix comes from its own seed's generator, and one QR takes them all.
     """
     if modes < 1:
         raise ValueError(f"mode count must be positive, got {modes}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes)))
+    seeds = np.atleast_1d(seed)
+    z = np.empty((len(seeds), modes, modes), dtype=complex)
+    for k, each in enumerate(seeds):
+        rng = np.random.default_rng(each)
+        z[k] = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
     z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return InterferometerConfig(modes, q, Provenance("haar", seed=int(seed)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
+    configs = [
+        InterferometerConfig(modes, g, Provenance("haar", seed=int(each)))
+        for g, each in zip(q, seeds)
+    ]
+    return configs if np.ndim(seed) else configs[0]
 
 
 def _mesh_layout(modes: int) -> list[int]:
@@ -183,8 +195,15 @@ def mesh_unitary(
     return InterferometerConfig(modes, g, provenance)
 
 
-def random_mesh_unitary(modes: int, seed: int) -> InterferometerConfig:
-    """Random rectangular mesh: transmissivities ~ U[0,1], phases ~ U[0,2pi)."""
+def random_mesh_unitary(
+    modes: int, seed: int | Sequence[int]
+) -> InterferometerConfig | list[InterferometerConfig]:
+    """Random rectangular mesh: transmissivities ~ U[0,1], phases ~ U[0,2pi).
+
+    A sequence of seeds gives a list, one mesh per seed.
+    """
+    if np.ndim(seed):
+        return [random_mesh_unitary(modes, each) for each in seed]
     if modes < 1:
         raise ValueError(f"mode count must be positive, got {modes}")
     rng = np.random.default_rng(seed)

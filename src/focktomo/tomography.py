@@ -65,7 +65,9 @@ KEEP_MARGIN = 16.0
 # large ones keep their rows cache-sized, and no map holds its whole row stack.
 RUN_BYTES = 2**19
 
-ConfigGenerator = Callable[[int, int], InterferometerConfig]
+ConfigGenerator = Callable[
+    [int, int | Sequence[int]], InterferometerConfig | list[InterferometerConfig]
+]
 
 GENERATORS: dict[str, ConfigGenerator] = {
     "haar": haar_random_unitary,
@@ -594,12 +596,14 @@ def reconstruct(
 
 
 def sample_shots(
-    p: np.ndarray, shots: int, seed: int | np.random.SeedSequence
+    p: np.ndarray, shots: int, seed: int | np.random.SeedSequence | Sequence
 ) -> np.ndarray:
     """Multinomial counts for a probability vector, deterministic per seed.
 
-    Entries more negative than -1e-12 are rejected; tiny negative roundoff is
-    clipped to zero (and the vector renormalized) before drawing.
+    An (R, K) stack of laws takes a sequence of R seeds and gives (R, K) counts,
+    row r equal to law r's own counts with seed r.  Entries more negative than
+    -1e-12 are rejected; tiny negative roundoff is clipped to zero (and each law
+    renormalized) before drawing.
     """
     p = np.asarray(p, dtype=float)
     if shots < 0:
@@ -608,14 +612,21 @@ def sample_shots(
         raise ValueError("cannot sample shots from an empty outcome law")
     if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
         raise ValueError(f"probability entry {p.min():.3e} is negative")
-    total = p.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
+    laws = p.reshape(-1, p.shape[-1])
+    totals = laws.sum(axis=1)
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
+    if not abs(worst - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {worst}, not 1")
     if shots == 0:
-        return np.zeros(len(p), dtype=np.int64)
-    clipped = np.clip(p, 0.0, None)
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, clipped / clipped.sum())
+        return np.zeros(p.shape, dtype=np.int64)
+    clipped = np.clip(laws, 0.0, None)
+    clipped /= clipped.sum(axis=1, keepdims=True)
+    seeds = [seed] if p.ndim == 1 else seed
+    counts = [
+        np.random.default_rng(s).multinomial(shots, law)
+        for s, law in zip(seeds, clipped, strict=True)
+    ]
+    return np.reshape(counts, p.shape)
 
 
 def sample_records(
@@ -625,15 +636,14 @@ def sample_records(
 
     Setting j draws its counts from the j-th child of
     ``np.random.SeedSequence(seed).spawn(len(laws))``, so every (seed,
-    setting) pair has a stream of its own.
+    setting) pair has a stream of its own.  The laws, all of one length, are
+    sampled as one stack.
     """
     if shots == 0:
         return [MeasurementRecord.exact(j, p) for j, p in enumerate(laws)]
     streams = np.random.SeedSequence(seed).spawn(len(laws))
-    return [
-        MeasurementRecord.sampled(j, sample_shots(p, shots, stream), shots)
-        for j, (p, stream) in enumerate(zip(laws, streams))
-    ]
+    counts = sample_shots(laws, shots, streams)
+    return [MeasurementRecord.sampled(j, c, shots) for j, c in enumerate(counts)]
 
 
 def simulate_records(
@@ -646,12 +656,13 @@ def simulate_records(
     return sample_records(outcome_probabilities(rho, configs), shots, seed)
 
 
-def config_drawer(generator: str, seed: int) -> Callable[[int], InterferometerConfig]:
+def config_drawer(generator: str, seed: int) -> Callable[[int, int], list[InterferometerConfig]]:
     """The one rule by which searches and the CLI draw settings.
 
-    ``generator`` is a ``GENERATORS`` name.  Call k of the returned function
-    makes a setting on the given number of modes, seeded by the k-th integer
-    below 2**63 that ``np.random.default_rng(seed)`` draws.
+    ``generator`` is a ``GENERATORS`` name.  ``draw(modes, count)`` makes the next
+    ``count`` settings on the given number of modes, in one generator call: the k-th
+    setting of a run of draws is seeded by the k-th integer below 2**63 that
+    ``np.random.default_rng(seed)`` draws, whatever the counts that split the run.
     """
     try:
         make = GENERATORS[generator]
@@ -660,7 +671,7 @@ def config_drawer(generator: str, seed: int) -> Callable[[int], InterferometerCo
             f"unknown generator {generator!r}; choose from {sorted(GENERATORS)}"
         ) from None
     rng = np.random.default_rng(seed)
-    return lambda modes: make(modes, int(rng.integers(2**63)))
+    return lambda modes, count: make(modes, rng.integers(2**63, size=count))
 
 
 @dataclass
@@ -698,8 +709,9 @@ def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
     weight 0, home of the M' = M outcome projectors, its eigenvectors are T's rows,
     group l the z_l of V_l.  Weights mu and -mu give Re and Im coordinates of |s><t| +
     h.c.  H's half form is its ``entries`` (flat s D + t): from each block's ``start``,
-    c weights of n operators (the diagonal first), eigenvectors (c, n, n).  W_l reads
-    it so transformed, as reals (Re, Im interleaved), at ``picks[l]``.  One group
+    c weights of n > 1 operators (the diagonal first), eigenvectors (c, n, n); a weight
+    of one operator, its own eigenvector, has no block.  W_l reads it so transformed,
+    as reals (Re, Im interleaved), at ``picks[l]``.  One group
     (M' > M, or D = 1) has no rotation, z_0 = D' and d_0 = D^2: its half form is the
     diagonal and the a < b pairs, untransformed, read as the real Hermitian coordinates
     (H_aa, sqrt2 Re H_ab, sqrt2 Im H_ab).
@@ -739,7 +751,8 @@ def _level_bases(photons: int, modes: int, meas_modes: int) -> _LevelBases:
         start, block = sum(map(len, entries)), pairs[n == size]
         block_values, block_vectors = casimir(*np.divmod(block.reshape(-1, size), d))
         entries.append(block)
-        blocks.append((start, block_vectors))
+        if size > 1:  # a 1 x 1 block's eigenvector is 1: it leaves its operator as it is
+            blocks.append((start, block_vectors))
         eigenvalues += 2 * [block_values.ravel()]
     sizes = tuple(zero_weight_dim(l, modes) for l in levels)
     dims = tuple(weyl_dimension(adjoint_tower_signature(l, modes), modes) for l in levels)
@@ -887,7 +900,8 @@ class _LevelFactor:
 
     def sigma(self, count: int) -> np.ndarray:
         """The singular values of the first ``count`` stored rows (one values-only SVD)."""
-        rows = np.vstack(self.rows)[:count]  # sigma(X) = sigma(X^T), F order
+        covering = np.searchsorted(np.cumsum([len(rows) for rows in self.rows]), count) + 1
+        rows = np.vstack(self.rows[:covering])[:count]  # sigma(X) = sigma(X^T), F order
         return svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False)
 
 
@@ -1013,7 +1027,7 @@ def find_min_configs(
     previous_rank = 0
     while len(trace) < r_max:
         if len(trace) == len(configs):  # the bound's settings in one batch, then one at a time
-            drawn = [draw(meas_modes) for _ in range(1 if configs else min(bound, r_max))]
+            drawn = draw(meas_modes, 1 if configs else min(bound, r_max))
             configs += drawn
             certified += scan.extend(_level_rows(bases, _restricted_lift(drawn, photons, modes)))
         step, rank = len(trace) + 1, certified[len(trace)]
@@ -1078,8 +1092,8 @@ def find_min_modes(
     scan: list[tuple[int, int, int]] = []
     found: int | None = None
     for meas_modes in range(modes, meas_modes_max + 1):
-        config = draw(meas_modes)
-        rank = gramian_rank(build_superoperator([config], photons, modes), rel_threshold).rank
+        superop = build_superoperator(draw(meas_modes, 1), photons, modes)
+        rank = gramian_rank(superop, rel_threshold).rank
         scan.append((meas_modes, rank, required))
         if rank == required:
             found = meas_modes

@@ -157,6 +157,16 @@ def complex_rank_trace(configs, photons: int, modes: int, rel_threshold=None):
     return trace
 
 
+def haar_by_one_qr(modes: int, seed: int) -> np.ndarray:
+    """One Haar draw as a single matrix: a Ginibre matrix from ``default_rng(seed)``,
+    its 2-D QR, and R's diagonal phases pushed into Q."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def mesh_by_embedded_products(modes: int, transmissivities, phases) -> np.ndarray:
     """A rectangular mesh as the product of each block embedded in an M'xM' identity.
 

@@ -634,6 +634,17 @@ class TestMakeState:
         assert (rho.basis.photons, rho.basis.modes) == (2, 3)
         assert rho.matrix.shape == (6, 6)
 
+    def test_zero_photons_are_rejected_as_reconstruct_would(self, tmp_path, capsys):
+        # make-state takes the photon minimum that reconstruct needs: the vacuum is
+        # refused when written, and the one-photon state it writes reconstructs.
+        state = tmp_path / "state.json"
+        argv = ["make-state", "--modes", "2", "--json", str(state)]
+        assert cli.main([*argv, "--photons", "0"]) == cli.EXIT_VALIDATION
+        assert "photons must be at least 1, got 0" in capsys.readouterr().err
+        assert not state.exists()
+        assert cli.main([*argv, "--photons", "1"]) == 0
+        assert cli.main(["reconstruct", "--state", str(state)]) == 0
+
     def test_without_json_the_document_goes_to_stdout(self, tmp_path, capsys):
         written = self.make(tmp_path, 5, "a.json")
         capsys.readouterr()
@@ -690,3 +701,26 @@ class TestCommandLineMatchesTheLibrary:
         library = tg.reconstruct(superop, tg.simulate_records(rho, configs, shots, 11))
         raw = lo.decode_complex_matrix(document["raw_estimate"])
         assert np.array_equal(raw, library.raw)
+
+    def test_a_lossy_inverted_document_decodes_to_the_estimates_bit_for_bit(
+        self, tmp_path, monkeypatch
+    ):
+        # The benchmark's configuration: the written document is one line with sorted
+        # keys, and its estimates are the last reconstruction's, every bit.
+        state = tmp_path / "state.json"
+        write_state(state, photons=3, modes=4, seed=2)
+        results = []
+        monkeypatch.setattr(
+            cli, "reconstruct", lambda *args: results.append(tg.reconstruct(*args)) or results[-1]
+        )
+        out = tmp_path / "result.json"
+        argv = ["reconstruct", "--state", str(state), "--shots", "0,10000", "--efficiency",
+                "0.9", "--invert-detector", "--seed", "3", "--json", str(out)]
+        assert cli.main(argv) == 0
+        text = out.read_text()
+        document = json.loads(text)
+        assert text == json.dumps(document, sort_keys=True) + "\n"
+        for key, estimate in [("raw_estimate", results[-1].raw),
+                              ("projected_estimate", results[-1].projected.matrix)]:
+            decoded = lo.decode_complex_matrix(document[key])
+            assert decoded.tobytes() == estimate.tobytes()

@@ -284,6 +284,49 @@ class TestHaarSampling:
         assert abs(mean - 1.0 / modes) < 3.0 * stderr
 
 
+class TestBatchedDraws:
+    @pytest.mark.parametrize("make", [lo.haar_random_unitary, lo.random_mesh_unitary])
+    @pytest.mark.parametrize("modes", [1, 2, 4, 7])
+    def test_a_batch_equals_the_single_draws_bit_for_bit(self, make, modes):
+        seeds = [0, 5, 2**63 - 1, *np.random.default_rng(modes).integers(2**63, size=5)]
+        batch = make(modes, np.array(seeds, dtype=np.int64))
+        assert isinstance(batch, list) and len(batch) == len(seeds)
+        for config, seed in zip(batch, seeds):
+            single = make(modes, int(seed))
+            assert config.matrix.tobytes() == single.matrix.tobytes()
+            assert config.provenance == single.provenance and type(config.provenance.seed) is int
+            if make is lo.haar_random_unitary:
+                assert config.matrix.tobytes() == oracles.haar_by_one_qr(modes, seed).tobytes()
+        assert make(modes, []) == []
+
+    @pytest.mark.parametrize("generator", sorted(tg.GENERATORS))
+    def test_drawer_counts_split_one_run_of_scalar_seeds(self, generator):
+        # The k-th setting drawn is seeded by the k-th scalar draw below 2**63, however
+        # the run is split into counts and mode numbers.
+        make, rng = tg.GENERATORS[generator], np.random.default_rng(3)
+        draw, modes = tg.config_drawer(generator, 3), [4, 4, 4, 2, 5, 5, 3]
+        drawn = draw(4, 3) + draw(2, 1) + draw(5, 2) + draw(3, 1)
+        for config, m in zip(drawn, modes, strict=True):
+            expected = make(m, int(rng.integers(2**63)))
+            assert config.matrix.tobytes() == expected.matrix.tobytes()
+            assert config.provenance == expected.provenance
+
+    def test_min_modes_draws_one_setting_per_mode_count_from_the_scalar_seeds(self, monkeypatch):
+        built, original = [], tg.build_superoperator
+
+        def build(configs, *args):
+            built.extend(configs)
+            return original(configs, *args)
+
+        monkeypatch.setattr(tg, "build_superoperator", build)
+        search = tg.find_min_modes(2, 2, seed=4, meas_modes_max=6)
+        rng = np.random.default_rng(4)
+        assert [c.modes for c in built] == [m for m, _, _ in search.rank_by_meas_modes]
+        for config in built:
+            expected = lo.haar_random_unitary(config.modes, int(rng.integers(2**63)))
+            assert config.matrix.tobytes() == expected.matrix.tobytes()
+
+
 class TestMesh:
     def test_trivial_blocks_compose_to_identity(self):
         for modes in (2, 3, 4, 5):
@@ -339,6 +382,21 @@ class TestConfigSerialization:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match=r"not unitary \(residual nan\)"):
             lo.InterferometerConfig(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_encoding_equals_the_per_entry_floats(self):
+        tiny = np.nextafter(0.0, 1.0)  # subnormal
+        matrices = [
+            np.array([[-0.0 + 1e308j, complex(tiny, -1e308)], [3.0 - 0.0j, -2.0 + 5.0j]]),
+            np.array([[1, -2], [0, 7]]),
+            np.array([[-0.0, tiny], [1e308, -1e308]]),
+            lo.haar_random_unitary(3, 8).matrix.T,
+        ]
+        for matrix in matrices:
+            per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+            encoded = lo.encode_complex_matrix(matrix)
+            assert repr(encoded) == repr(per_entry)  # repr tells -0.0 from 0.0
+            assert all(type(x) is float for row in encoded for pair in row for x in pair)
+            assert json.dumps(encoded) == json.dumps(per_entry)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_json_round_trip_is_bit_exact(self, seed):

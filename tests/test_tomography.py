@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import expm
 
 from focktomo import analytic_m2
@@ -880,7 +881,7 @@ class TestSearches:
         # A repeated setting leaves the square level singular at the bound: its factor
         # finds the short rank, and only the steps it leaves unsettled take an SVD.
         scans, draw = [], tg.config_drawer("haar", 0)
-        drawn = [draw(3) for _ in range(12)]
+        drawn = [draw(3, 1)[0] for _ in range(12)]
         drawn[8] = drawn[0]
 
         class Recorded(tg._RankScan):
@@ -889,7 +890,10 @@ class TestSearches:
                 scans.append(self)
 
         monkeypatch.setattr(tg, "_RankScan", Recorded)
-        monkeypatch.setattr(tg, "config_drawer", lambda *args: lambda modes: drawn.pop(0))
+        monkeypatch.setattr(
+            tg, "config_drawer",
+            lambda *args: lambda modes, count: [drawn.pop(0) for _ in range(count)],
+        )
         svds = record_shapes(monkeypatch, "svd")
         rank = mock.Mock(wraps=tg.gramian_rank)
         monkeypatch.setattr(tg, "gramian_rank", rank)
@@ -929,7 +933,10 @@ class TestSearches:
                 scans.append(self)
 
         monkeypatch.setattr(tg, "_RankScan", Recorded)
-        monkeypatch.setattr(tg, "config_drawer", lambda *args: lambda modes: drawn.pop(0))
+        monkeypatch.setattr(
+            tg, "config_drawer",
+            lambda *args: lambda modes, count: [drawn.pop(0) for _ in range(count)],
+        )
         rank = mock.Mock(wraps=tg.gramian_rank)
         monkeypatch.setattr(tg, "gramian_rank", rank)
         search = tg.find_min_configs(1, 2, r_max=steps, rel_threshold=rel)
@@ -943,6 +950,24 @@ class TestSearches:
         assert 0.0 < scan.floors[0] <= tau_hi + cushion and scan.floors[1] == 0.0
         bar = tg.KEEP_MARGIN * tau_hi + scan.dropped_sq**0.5 + cushion
         assert scan.levels[1].sigma(steps)[1] > bar
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 20, 24, 30])
+    def test_level_sigma_is_the_svd_of_exactly_the_first_rows(self, count, monkeypatch):
+        # Blocks of 8, 4 and 12 rows: counts inside a block and on its boundaries.  Only
+        # the blocks that hold the first count rows are stacked.
+        rng = np.random.default_rng(count)
+        level = tg._LevelFactor(6)
+        level.rows = [rng.standard_normal((n, 6)) for n in (8, 4, 12)]
+        stacked, vstack = [], np.vstack
+
+        def counted(arrays):
+            stacked.append(len(arrays))
+            return vstack(arrays)
+
+        monkeypatch.setattr(np, "vstack", counted)
+        expected = scipy.linalg.svd(vstack(level.rows)[:count].T, compute_uv=False)
+        np.testing.assert_array_equal(level.sigma(count), expected)
+        assert stacked == [1 + (count > 8) + (count > 12)]
 
     @pytest.mark.parametrize("photons,modes,meas_modes,count", [(3, 4, 4, 10), (2, 3, 5, 2)])
     def test_level_stack_of_the_rows_equals_the_full_svd(
@@ -1043,7 +1068,7 @@ class TestSearches:
         assert len(search.configs) == len(search.rank_trace) == drawn
         draw = tg.config_drawer("haar", 0)
         for config in search.configs:
-            np.testing.assert_array_equal(config.matrix, draw(4).matrix)
+            np.testing.assert_array_equal(config.matrix, draw(4, 1)[0].matrix)
 
     def test_settings_past_the_bound_are_lifted_one_at_a_time(self, monkeypatch):
         lift = mock.Mock(wraps=tg.lift_unitary)
@@ -1102,7 +1127,7 @@ class TestLevelSplit:
         """Each level's rows over R_{N,M} rotated settings, and the whole stack."""
         rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         draw, d = tg.config_drawer(generator, 5), fock_dimension(photons, modes)
-        configs = [draw(modes) for _ in range(min_configs(photons, modes))]
+        configs = [draw(modes, 1)[0] for _ in range(min_configs(photons, modes))]
         real = oracles.hermitian_coordinates(tg.build_superoperator(configs, photons, modes).matrix)
         rows = rotation @ real.reshape(len(configs), d, d * d)
         levels = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
@@ -1338,6 +1363,28 @@ class TestSampleShots:
             tg.sample_shots(np.array([0.5, 0.4]), 10, seed=0)
         with pytest.raises(ValueError):
             tg.sample_shots(np.array([1.1, -0.1]), 10, seed=0)
+
+    def test_a_stack_equals_its_rows_drawn_one_by_one(self):
+        laws = np.random.default_rng(2).random((5, 35)) ** 3
+        laws /= laws.sum(axis=1, keepdims=True)
+        laws[1, :2] = [-1e-13, laws[1, 0] + laws[1, 1]]  # roundoff, clipped and renormalized
+        streams = np.random.SeedSequence(8).spawn(5)
+        counts = tg.sample_shots(laws, 10_000, streams)
+        assert counts.shape == laws.shape and counts.dtype == np.int64
+        for row, law, stream in zip(counts, laws, streams):
+            np.testing.assert_array_equal(row, tg.sample_shots(law, 10_000, stream))
+            clipped = np.clip(law, 0.0, None)
+            direct = np.random.default_rng(stream).multinomial(10_000, clipped / clipped.sum())
+            np.testing.assert_array_equal(row, direct)
+        np.testing.assert_array_equal(tg.sample_shots(laws, 0, streams), np.zeros((5, 35)))
+
+    def test_a_stack_is_checked_row_by_row_and_needs_a_seed_per_row(self):
+        laws = np.full((3, 4), 0.25)
+        laws[2] = [0.5, 0.4, 0.0, 0.0]
+        with pytest.raises(ValueError, match="probabilities sum to 0.9, not 1"):
+            tg.sample_shots(laws, 10, [0, 1, 2])
+        with pytest.raises(ValueError):
+            tg.sample_shots(laws[:2], 10, [0])
 
 
 class TestSampleRecords:

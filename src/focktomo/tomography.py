@@ -11,13 +11,14 @@ Every row of L is a Hermitian D x D matrix, so rank, completeness and
 reconstruction use L's real coordinates (generalised Gell-Mann style; Bertlmann
 & Krammer, J. Phys. A 41, 235303 (2008)), split by U(M) level, End(Sym^N C^M) =
 V_0 + ... + V_N, which no setting mixes (one group if M' > M or D = 1).  One kernel,
-``_level_rows``, forms each level's T-rotated rows in its basis W_l, d_l wide, straight
-from a map's settings' lifts a run at a time.  A map is factored once,
-by one QR per level of these, and its rank, the levels' direct sum's, comes by
-certificate, min_l 1 / ||R_l^-1||_F <= sigma_min; singular values are computed only when
-read or when the certificate fails.  The minimal-R scan takes the same coordinates and
-certifies each step's rank from one d_l x d_l Householder factor per level, with no SVD
-or Gram matrix per step, and lets a certified full rank stand as a map's does.
+``_write_level_rows``, forms each level's T-rotated rows in its basis W_l, d_l wide,
+straight from a map's settings' lifts a run at a time, into row- or column-major buffers.
+A map is factored once, by one QR per level of these, each in the buffer its rows were
+written to, and its rank, the levels' direct sum's, comes by certificate, min_l 1 /
+||R_l^-1||_F <= sigma_min; singular values are computed only when read or when the
+certificate fails.  The minimal-R scan takes the same coordinates and certifies each
+step's rank from one d_l x d_l Householder factor per level, with no SVD or Gram matrix
+per step, and lets a certified full rank stand as a map's does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import svd
@@ -62,7 +63,9 @@ KEEP_MARGIN = 16.0
 # Rows are formed from lifts one run of settings at a time, a run's D^2-wide complex rows
 # holding about this many bytes (one setting at least) and the half form that its level rows
 # are read from about half as many: small settings share numpy's per-call cost in a run,
-# large ones keep their rows cache-sized, and no map holds its whole row stack.
+# large ones keep their rows cache-sized, and no map holds its whole row stack.  The half
+# form is multiplied out from gathered lift rows of about this many bytes at a time, so a
+# setting larger than a run holds little more than its half form.
 RUN_BYTES = 2**19
 
 ConfigGenerator = Callable[
@@ -321,19 +324,21 @@ class Superoperator:
 
     @cached_property
     def _factor(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Raw Householder QR (reflectors, tau) of each level's ``_level_rows``; R_l is
-        their upper triangle."""
-        factors = []
-        for rows in _level_rows(self._bases, self.lift):
+        """Raw Householder QR (reflectors, tau) of each level's ``_level_rows``, factored in
+        place in the column-major buffers they are written to; R_l is their upper triangle."""
+        bases, count, factors = self._bases, self.n_configs, []
+        levels = [np.empty((count * z, dim), order="F") for z, dim in zip(bases.sizes, bases.dims)]
+        _write_level_rows(bases, self.lift, levels)
+        for rows in levels:
             reflectors, tau, _, info = dgeqrf(rows, lwork=64 * rows.shape[1], overwrite_a=1)
             if info:
                 raise ValueError(f"dgeqrf rejected argument {-info}")
             factors.append((reflectors, tau))
         return factors
 
-    def _triangles(self) -> list[np.ndarray]:
-        """Each level's R_l, min(rows, d_l) x d_l."""
-        return [np.triu(reflectors[: reflectors.shape[1]]) for reflectors, _ in self._factor]
+    def _triangles(self) -> Iterator[np.ndarray]:
+        """Each level's R_l, min(rows, d_l) x d_l, one at a time."""
+        return (np.triu(reflectors[: reflectors.shape[1]]) for reflectors, _ in self._factor)
 
     @cached_property
     def _bounds(self) -> tuple[float, float]:
@@ -344,6 +349,7 @@ class Superoperator:
             frobenius, square = max(frobenius, float(np.linalg.norm(r))), r.shape[0] == r.shape[1]
             inverse, info = dtrtri(r.T, lower=1, overwrite_c=1) if square else (None, 1)
             low = min(low, 0.0 if info else 1.0 / float(np.linalg.norm(inverse)))
+            del r, inverse  # one level's triangle at a time
         return low, frobenius
 
     @cached_property
@@ -789,24 +795,48 @@ def _level_estimate(bases: _LevelBases, solutions: Sequence[np.ndarray]) -> np.n
 
 def _level_rows(bases: _LevelBases, lifted: np.ndarray) -> list[np.ndarray]:
     """Each level's T-rotated rows of R settings' map in W_l coordinates, (R z_l, d_l), from
-    their lifts (R, D, D'), run by run; one group's are the real Hermitian coordinates,
-    (R D', D^2).  A run forms only H's half form, conj(<s|U|v>) <t|U|v> at ``entries``."""
-    rotation, d = bases.rotation, lifted.shape[1]
+    their lifts (R, D, D'), row-major; one group's are the real Hermitian coordinates,
+    (R D', D^2).  ``_write_level_rows`` forms them."""
+    levels = [np.empty((len(lifted) * z, dim)) for z, dim in zip(bases.sizes, bases.dims)]
+    _write_level_rows(bases, lifted, levels)
+    return levels
+
+
+def _write_level_rows(bases: _LevelBases, lifted: np.ndarray, levels: list[np.ndarray]) -> None:
+    """``_level_rows``, written run by run into ``levels``, (R z_l, d_l) buffers of either
+    layout.  A run forms only H's half form entries-major, conj(<s|U|v>) <t|U|v> at
+    ``entries`` by outcome v, (r, E, D'), in one buffer that every run reuses; each level is
+    then one gather at its ``picks`` and one product by its row group of T, formed row-major
+    and stored: BLAS rounds a product written column-major differently, and both layouts
+    must hold the same bits."""
+    rotation, (count, d, d_out) = bases.rotation, lifted.shape
     s, t = np.divmod(bases.entries, d)
     groups = [None] if rotation is None else np.split(rotation, np.cumsum(bases.sizes)[:-1])
-    levels = [np.empty((len(lifted), z, dim)) for z, dim in zip(bases.sizes, bases.dims)]
-    for run in _runs(lifted):
-        v = lifted[run].swapaxes(1, 2)  # (r, D', D)
-        half = np.einsum("...,...->...", v.conj()[..., s], v[..., t], order="C").reshape(-1, len(s))
+    picks = [np.divmod(p, 2) for p in bases.picks]  # (entry, Re 0 or Im 1)
+    levels = [rows.reshape(count, -1, rows.shape[1]) for rows in levels]  # views, (R, z_l, d_l)
+    runs = _runs(lifted)
+    buffer = np.empty((len(lifted[runs[0]]), len(s), d_out), dtype=complex)
+    step = max(1, RUN_BYTES // (16 * len(buffer) * d_out))  # entries per product
+    for run in runs:
+        v = lifted[run]
+        half, w = buffer[: len(v)], v.conj()
+        for start in range(0, len(s), step):
+            cut = slice(start, start + step)
+            np.einsum(
+                "...,...->...", np.take(w, s[cut], axis=1), np.take(v, t[cut], axis=1),
+                out=half[:, cut],
+            )
         half[:, d:] *= np.sqrt(2.0)  # sqrt2 Re and Im |s><t| are H's coordinates
+        real = half.view(float)  # (r, E, 2 D'): each entry's row, Re and Im by outcome
         for start, vectors in bases.blocks:
             c, n, _ = vectors.shape
-            block = half[:, start : start + c * n].reshape(-1, c, n).transpose(1, 0, 2)
-            np.matmul(block, vectors, out=block)
-        for rows, p, group in zip(levels, bases.picks, groups):
-            x = np.take(half.view(float), p, axis=1).reshape(len(v), -1, len(p))
+            block = real[:, start : start + c * n].reshape(len(v), c, n, -1)
+            np.matmul(vectors.transpose(0, 2, 1), block, out=block)
+        real = real.reshape(len(v), len(s), d_out, 2)
+        for rows, (entry, part), group in zip(levels, picks, groups):
+            x = real[:, entry, :, part].transpose(1, 2, 0)  # (r, D', d_l)
             rows[run] = x if group is None else np.matmul(group, x)
-    return [rows.reshape(-1, rows.shape[2]) for rows in levels]
+        del x  # no temporary outlives its run
 
 
 class _LevelFactor:
@@ -865,21 +895,37 @@ class _LevelFactor:
             self.records += [(self.dim, self.inverse_norm_sq**-0.5, 0.0)] * (len(tau_hi) - start)
 
     def _run(self, rows: np.ndarray, tau_hi: np.ndarray) -> int:
-        """The run's blocks up to the first to fail the keep margin: how many were taken."""
+        """The run's blocks up to the first to fail the keep margin: how many were taken.
+        R^-1's diagonal blocks are the inverses of R's, T_jj, so 1 / ||(R^-1)_jj||_F <=
+        sigma_min(T_jj) screens them all; only a block whose bound is within twice its bar
+        (or a zero pivot, which leaves R as it was) takes T_jj's SVD.  A run that completes
+        the level inverts R where it lies, Q being read no more."""
         k, m = self.rank, len(rows)
         c, z = self._rotate(rows, self.reflectors[:, k : k + m]), m // len(tau_hi)
         qr, tau, _, _ = dgeqrf(c[k:], lwork=64 * m, overwrite_a=1)
-        diagonal = np.triu([qr[s : s + z, s : s + z] for s in range(0, m, z)])
-        passed = np.linalg.svd(diagonal, compute_uv=False)[:, -1] > KEEP_MARGIN * tau_hi
+        cut = np.arange(m).reshape(-1, z, 1), np.arange(m).reshape(-1, 1, z)  # diagonal blocks
+        diagonal, bar, complete = np.triu(qr[cut]), KEEP_MARGIN * tau_hi, k + m == self.dim
+        r = qr if complete else qr[:m, :m] * np.tri(m, dtype=bool).T  # R in F order
+        inverse, info = dtrtri(r, overwrite_c=1)
+        low = 0.0 if info else np.linalg.norm(np.triu(inverse[cut]), axis=(1, 2)) ** -1.0
+        passed = low > 2.0 * bar
+        if not passed.all():  # the SVD settles the blocks the bound leaves in doubt
+            doubt = ~passed
+            passed[doubt] = np.linalg.svd(diagonal[doubt], compute_uv=False)[:, -1] > bar[doubt]
         m = z * (accepted := len(passed) if passed.all() else int(np.argmin(passed)))
         if accepted:
             self.tau[k : k + m] = tau[:m]
-            if not np.shares_memory(qr, c):  # dgeqrf works in place only when k = 0
+            if k + m < self.dim and not np.shares_memory(qr, c):  # in place only when k = 0
                 c[k:, :m] = qr[:, :m]
-            r = qr[:m, :m] * np.tri(m, dtype=bool).T  # R in F order: inverted in place
-            inverse, info = dtrtri(r, overwrite_c=1)
-            if info:
-                raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
+            if m < len(rows):  # the prefix's inverse, R^-1's leading block
+                inverse, info = dtrtri(qr[:m, :m]) if info else (inverse[:m, :m], 0)
+                if info:
+                    raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
+                inverse = np.triu(inverse)
+            elif complete:  # the reflectors under R^-1, a panel of columns at a time
+                for j in range(0, m, 64):
+                    inverse[j + 64 :, j : j + 64] = 0.0
+                    inverse[j : j + 64, j : j + 64] = np.triu(inverse[j : j + 64, j : j + 64])
             lows = self._border(c[:k, :m].T, inverse.T)[z - 1 :: z] ** -0.5
             self.records += zip(k + z * np.arange(1, accepted + 1), lows, [0.0] * accepted)
         return accepted

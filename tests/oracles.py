@@ -157,6 +157,28 @@ def complex_rank_trace(configs, photons: int, modes: int, rel_threshold=None):
     return trace
 
 
+def orthogonal_block_scan(rows: np.ndarray, size: int, bars) -> tuple[list[int], list[tuple]]:
+    """A level's scan of ``rows`` whose ``size``-row blocks are mutually orthogonal, each
+    block settled by its own SVD: it keeps the directions whose sigma exceeds its bar.
+
+    Returns the runs of whole blocks taken (a block keeping fewer ends a run) and, per
+    block, (directions kept so far, 1 / ||L||_F, the largest dropped sigma squared).  The
+    kept directions are orthogonal, so the coordinates' inverse L is diagonal in them and
+    ||L||_F^2 is the sum of the kept sigma^-2 (1 / ||L||_F is infinite before any).
+    """
+    runs, records, kept = [0], [], []
+    for j, bar in enumerate(bars):
+        sigma = np.linalg.svd(rows[j * size : (j + 1) * size], compute_uv=False)
+        kept += [s for s in sigma if s > bar]
+        if sigma[-1] > bar:
+            runs[-1] += 1
+        else:
+            runs.append(0)
+        low = sum(s**-2.0 for s in kept) ** -0.5 if kept else math.inf
+        records.append((len(kept), low, max((s for s in sigma if s <= bar), default=0.0) ** 2))
+    return [run for run in runs if run], records
+
+
 def haar_by_one_qr(modes: int, seed: int) -> np.ndarray:
     """One Haar draw as a single matrix: a Ginibre matrix from ``default_rng(seed)``,
     its 2-D QR, and R's diagonal phases pushed into Q."""

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import traceback
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,15 +31,15 @@ import oracles
 BS_5050 = lo.InterferometerConfig(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 
-def record_shapes(monkeypatch, name):
-    """Wrap ``tomography.<name>``: the list of its first argument's shapes, call by call."""
-    original, shapes = getattr(tg, name), []
+def record_shapes(monkeypatch, name, module=tg):
+    """Wrap ``module.<name>``: the list of its first argument's shapes, call by call."""
+    original, shapes = getattr(module, name), []
 
     def call(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(tg, name, call)
+    monkeypatch.setattr(module, name, call)
     return shapes
 
 
@@ -434,6 +435,27 @@ class TestRunsOfSettings:
             assert len(rows) == len(whole) and all(map(np.array_equal, rows, whole))
             assert np.array_equal(superop.apply(rho), product)
             assert np.array_equal(superop.laws(rho), product.reshape(len(configs), -1))
+
+    @pytest.mark.parametrize("run_bytes", [1, tg.RUN_BYTES, 2**62])
+    def test_column_major_rows_are_the_row_major_bits_and_factored_in_place(
+        self, monkeypatch, run_bytes
+    ):
+        # One setting a run, the rule, one run: either layout gets the same bits, and a
+        # map's factor overwrites the column-major buffers its rows were written to.
+        monkeypatch.setattr(tg, "RUN_BYTES", run_bytes)
+        written, write = [], tg._write_level_rows
+        monkeypatch.setattr(tg, "_write_level_rows", lambda *a: written.append(a[2]) or write(*a))
+        for label, superop in parity_corpus():
+            rows = tg._level_rows(superop._bases, superop.lift)
+            columns = [np.empty(level.shape, order="F") for level in rows]
+            write(superop._bases, superop.lift, columns)
+            assert all(map(np.array_equal, rows, columns)), label
+            written.clear()
+            factors = superop._factor
+            (buffers,) = written
+            assert len(factors) == len(buffers) == len(rows), label
+            for (reflectors, _), buffer in zip(factors, buffers):
+                assert buffer.flags.f_contiguous and np.shares_memory(reflectors, buffer), label
 
 
 def parity_corpus():
@@ -969,6 +991,34 @@ class TestSearches:
         np.testing.assert_array_equal(level.sigma(count), expected)
         assert stacked == [1 + (count > 8) + (count > 12)]
 
+    @pytest.mark.parametrize("spare", [0, 1])  # the run completes the level, or leaves a block
+    @pytest.mark.parametrize("case", ["far above", "within twice", "below", "singular"])
+    def test_a_block_takes_an_svd_only_when_its_bound_is_in_doubt(self, monkeypatch, case, spare):
+        # Four blocks of three mutually orthogonal rows, sigma 1 but for block 2's smallest:
+        # 60 bars, 1.5 bars, half a bar or exactly 0.  1 / ||(R^-1)_jj||_F clears twice the
+        # bar in every block of the first case, so only the other three take an SVD, and
+        # every case keeps what each block's own SVD keeps.
+        z, blocks, tau_hi = 3, 4, 1e-3
+        bar = tg.KEEP_MARGIN * tau_hi
+        smallest = {"far above": 60, "within twice": 1.5, "below": 0.5, "singular": 0}[case]
+        dim = (blocks + spare) * z
+        basis = np.linalg.qr(np.random.default_rng(3).standard_normal((dim, dim)))[0]
+        scales = np.ones(blocks * z)
+        scales[3 * z - 1] = smallest * bar
+        rows = scales[:, None] * basis[: blocks * z]
+        runs, records = oracles.orthogonal_block_scan(rows, z, [bar] * blocks)
+        svds, taken = record_shapes(monkeypatch, "svd", np.linalg), []
+        run = tg._LevelFactor._run
+        monkeypatch.setattr(tg._LevelFactor, "_run", lambda *a: taken.append(run(*a)) or taken[-1])
+        level = tg._LevelFactor(dim)
+        level.take(rows, np.full(blocks, tau_hi))
+        assert taken == runs == ([4] if smallest > 1 else [2, 1])
+        assert level.rank == records[-1][0] == 12 - (smallest < 1)
+        np.testing.assert_allclose(np.array(level.records), records, rtol=1e-12, atol=1e-30)
+        screened = [shape for shape in svds if len(shape) == 3]  # the screen's, batched
+        assert bool(screened) == (case != "far above")
+        assert len(svds) - len(screened) == (smallest < 1)  # the cut block's residual
+
     @pytest.mark.parametrize("photons,modes,meas_modes,count", [(3, 4, 4, 10), (2, 3, 5, 2)])
     def test_level_stack_of_the_rows_equals_the_full_svd(
         self, photons, modes, meas_modes, count
@@ -1328,6 +1378,39 @@ class TestTraceDirectionBound:
         count = min(min_configs_extended(photons, modes, meas_modes), 3)
         quotient, sigma_max_sq = self.quotient_and_sigma_max(photons, modes, meas_modes, count)
         assert 0.0 < quotient <= sigma_max_sq
+
+
+class TestPeakMemory:
+    """Peaks traced by ``tracemalloc`` (numpy's buffers) against the arrays a run must hold."""
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def level_rows_bytes(bases, count):
+        return 8 * count * sum(z * dim for z, dim in zip(bases.sizes, bases.dims))
+
+    def test_a_scan_holds_its_rows_its_factor_buffers_and_its_lift(self):
+        # Each completing run inverts its R in place, so no level's square is held twice.
+        bases, d = tg._level_bases(5, 4, 4), fock_dimension(5, 4)
+        search, peak = self.traced_peak(lambda: tg.find_min_configs(5, 4, seed=0))
+        count = len(search.configs)
+        buffers = 8 * sum(dim * dim for dim in bases.dims)
+        lift = 16 * count * d * d
+        assert search.found == count == min_configs(5, 4)
+        assert peak < 1.1 * (self.level_rows_bytes(bases, count) + buffers + lift)
+
+    def test_a_map_is_factored_in_the_memory_of_its_rows(self):
+        configs = haar_configs(4, min_configs(5, 4), seed=0)
+        superop = tg.build_superoperator(configs, 5, 4)
+        factors, peak = self.traced_peak(lambda: superop._factor)
+        rows = self.level_rows_bytes(superop._bases, len(configs))
+        assert len(factors) == 6 and peak < 1.1 * rows
 
 
 class TestSampleShots:

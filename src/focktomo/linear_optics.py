@@ -387,10 +387,6 @@ def lift_unitary(
     modes = g.shape[-1]
     if in_modes is not None and not 1 <= in_modes <= modes:
         raise ValueError(f"input modes {in_modes} outside [1, {modes}]")
-    if photons > PERMANENT_SIZE_CAP:
-        raise ValueError(
-            f"photon number {photons} exceeds the permanent cap of {PERMANENT_SIZE_CAP}"
-        )
     columns = _lift_columns(g, photons, modes if in_modes is None else in_modes)
     basis = enumerate_fock_basis(photons, modes)
     return FockUnitary(basis=basis, matrix=columns, in_modes=in_modes)

@@ -82,12 +82,19 @@ def check_lift_homomorphism() -> None:
         assert np.abs(lhs - ug @ uh).max() < 1e-9
 
 
+def _complex_rows(superop: tomography.Superoperator) -> np.ndarray:
+    # The map's rows, conj(<a|U|v>) <b|U|v> at column (a, b), formed whole from its lifts:
+    # a reference that no library path forms.
+    v = superop.lift
+    return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
+
+
 def check_superoperator_consistency() -> None:
     basis = combinatorics.enumerate_fock_basis(2, 2)
     rho = tomography.random_density_matrix(basis, 7)
     configs = [linear_optics.haar_random_unitary(3, s) for s in (0, 1)]
     superop = tomography.build_superoperator(configs, 2, 2)
-    stacked = tomography.outcome_probabilities(rho, configs).reshape(-1)
+    stacked = (_complex_rows(superop) @ rho.matrix.reshape(-1)).real
     assert np.abs(superop.apply(rho) - stacked).max() < 1e-12
 
 
@@ -175,11 +182,11 @@ def check_shared_factorisation() -> None:
     # least-squares solution; a wrong coordinate sign returns the conjugate.
     configs = [linear_optics.haar_random_unitary(3, 500 + j) for j in range(9)]
     superop = tomography.build_superoperator(configs, 2, 3)  # R_{2,3} = 9
-    rank = tomography.gramian_rank(superop).rank
-    assert rank == tomography.gramian_rank(superop.matrix).rank == superop.matrix.shape[1]
-    noise = 1e-3 * np.random.default_rng(41).standard_normal(superop.matrix.shape[0])
+    rank, rows = tomography.gramian_rank(superop).rank, _complex_rows(superop)
+    assert rank == tomography.gramian_rank(rows).rank == rows.shape[1]
+    noise = 1e-3 * np.random.default_rng(41).standard_normal(rows.shape[0])
     p = superop.apply(tomography.random_density_matrix(superop.basis_in, 41)) + noise
-    expected = np.linalg.lstsq(superop.matrix, p.astype(complex), rcond=None)[0]
+    expected = np.linalg.lstsq(rows, p.astype(complex), rcond=None)[0]
     raw = tomography.reconstruct(superop, p).raw
     assert np.abs(raw.reshape(-1) - expected).max() < 1e-10
 
@@ -194,9 +201,9 @@ def check_incremental_rank_scan() -> None:
                 photons, modes, meas_modes, generator, seed, r_max, rel
             )
             superop = tomography.build_superoperator(search.configs, photons, modes)
-            step = superop.basis_out.dimension
+            step, rows = superop.basis_out.dimension, _complex_rows(superop)
             for count, rank in search.rank_trace:  # the complex rows' SVD: the same sigma
-                full = tomography.gramian_rank(superop.matrix[: count * step], rel).rank
+                full = tomography.gramian_rank(rows[: count * step], rel).rank
                 assert rank == full, (meas_modes, generator, rel, count)
     # A certified full rank stands unread; reading its report's sigma checks it.
     configs = tomography.find_min_configs(2, 3, seed=0).configs
@@ -222,7 +229,7 @@ def check_level_split() -> None:
     configs = [linear_optics.InterferometerConfig(3, np.eye(3))]
     configs.append(linear_optics.haar_random_unitary(3, 600))
     superop = tomography.build_superoperator(configs, 2, 3)
-    rows = bases.rotation @ superop.matrix.reshape(2, 6, 36)  # complex rows, Frobenius products
+    rows = bases.rotation @ _complex_rows(superop).reshape(2, 6, 36)  # Frobenius products
     levels = [x.reshape(-1, 36) for x in np.split(rows, np.cumsum(bases.sizes)[:-1], axis=1)]
     scale = np.linalg.norm(rows)
     for i, level in enumerate(levels):

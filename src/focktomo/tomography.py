@@ -60,12 +60,12 @@ NEGATIVE_PROBABILITY_TOL = 1e-12
 # The certified scan keeps a direction only above KEEP_MARGIN times the largest SVD
 # threshold; sigma_max is bounded by the trace direction's quotient, exact at M' = M.
 KEEP_MARGIN = 16.0
-# Rows are formed from lifts one run of settings at a time, a run's D^2-wide complex rows
-# holding about this many bytes (one setting at least) and the half form that its level rows
-# are read from about half as many: small settings share numpy's per-call cost in a run,
-# large ones keep their rows cache-sized, and no map holds its whole row stack.  The half
-# form is multiplied out from gathered lift rows of about this many bytes at a time, so a
-# setting larger than a run holds little more than its half form.
+# Level rows are formed from lifts one run of settings at a time, the half form that a run's
+# level rows are read from (D(D+1)/2 complex entries by D' outcomes a setting) holding about
+# half this many bytes (one setting at least): small settings share numpy's per-call cost in
+# a run, large ones keep their half form cache-sized, and no map holds its whole row stack.
+# The half form is multiplied out from gathered lift rows of about this many bytes at a
+# time, so a setting larger than a run holds little more than its half form.
 RUN_BYTES = 2**19
 
 ConfigGenerator = Callable[
@@ -272,7 +272,8 @@ def outcome_probabilities(
     """Photon-counting distribution over the M'-mode outcome basis.
 
     ``Superoperator.laws`` of ``build_superoperator``'s map: R settings give R laws
-    from one lift, row r equal bit for bit to setting r's alone.  Entries may carry
+    from one lift, each diag(V_r^dag rho V_r) of setting r's restricted lift V_r and
+    equal bit for bit to setting r's alone; no row of the map is formed.  Entries may carry
     roundoff at the -1e-16 level and are returned unclipped, so callers can see (and
     report) them; each law must sum to 1 within ``PROBABILITY_SUM_TOL``.
     """
@@ -310,13 +311,6 @@ class Superoperator:
             raise ValueError(f"lift shape {self.lift.shape}, expected {expected}")
         self.lift = self.lift.view()
         self.lift.flags.writeable = False
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The map's complex rows (R D', D^2), formed on first read; read-only."""
-        rows = _lifted_rows(self.lift)
-        rows.flags.writeable = False
-        return rows
 
     @property
     def _bases(self) -> _LevelBases:
@@ -367,25 +361,15 @@ class Superoperator:
         return len(self.configs)
 
     def apply(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
-        """L vec(rho), (R D',), one run of settings' rows at a time."""
+        """L vec(rho), (R D',): each setting's diag(V_r^dag rho V_r) from its lift V_r, one
+        ``einsum`` whose row r holds the bits of setting r's alone."""
         mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        runs = [_lifted_rows(self.lift[run]) @ mat.reshape(-1) for run in _runs(self.lift)]
-        return np.concatenate(runs).real
+        v = self.lift
+        return np.einsum("rav,rav->rv", v.conj(), mat @ v).real.reshape(-1)
 
     def laws(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
         """Each setting's outcome law, (R, D'), checked by ``_checked_laws``."""
         return _checked_laws(self.apply(rho).reshape(self.n_configs, -1))
-
-
-def _lifted_rows(v: np.ndarray) -> np.ndarray:
-    """The map's rows from R settings' restricted lifts v, (R, D, D'): (R D', D^2)."""
-    return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
-
-
-def _runs(lift: np.ndarray) -> list[slice]:
-    """The settings of ``lift`` (R, D, D') in runs of about RUN_BYTES of complex rows."""
-    step = max(1, RUN_BYTES // (16 * lift.shape[2] * lift.shape[1] ** 2))
-    return [slice(start, start + step) for start in range(0, len(lift), step)]
 
 
 def build_superoperator(
@@ -800,6 +784,12 @@ def _level_rows(bases: _LevelBases, lifted: np.ndarray) -> list[np.ndarray]:
     levels = [np.empty((len(lifted) * z, dim)) for z, dim in zip(bases.sizes, bases.dims)]
     _write_level_rows(bases, lifted, levels)
     return levels
+
+
+def _runs(lift: np.ndarray) -> list[slice]:
+    """The settings of ``lift`` (R, D, D') in runs whose half form is about RUN_BYTES / 2."""
+    step = max(1, RUN_BYTES // (16 * lift.shape[2] * lift.shape[1] ** 2))
+    return [slice(start, start + step) for start in range(0, len(lift), step)]
 
 
 def _write_level_rows(bases: _LevelBases, lifted: np.ndarray, levels: list[np.ndarray]) -> None:

@@ -107,6 +107,13 @@ def normal_equation_solve(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, matrix.conj().T @ p)
 
 
+def complex_rows(superop) -> np.ndarray:
+    """A map's complex rows (R D', D^2), formed whole from its settings' restricted lifts
+    V (R, D, D'): row (r, v) holds conj(V[r, a, v]) V[r, b, v] at column a D + b."""
+    v = superop.lift
+    return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
+
+
 def hermitian_coordinates(rows: np.ndarray) -> np.ndarray:
     """Each row vec(H) of a (K, D^2) stack as (H_aa, sqrt2 Re H_ab, sqrt2 Im H_ab), a < b.
 
@@ -145,7 +152,7 @@ def complex_rank_trace(configs, photons: int, modes: int, rel_threshold=None):
     """
     from focktomo import build_superoperator
 
-    matrix = build_superoperator(configs, photons, modes).matrix
+    matrix = complex_rows(build_superoperator(configs, photons, modes))
     rows = matrix.shape[0] // len(configs)
     trace = []
     for count in range(1, len(configs) + 1):

@@ -274,7 +274,7 @@ class TestReconstructM2:
         result = m2.reconstruct_m2(records, photons, protocol.theta)
         superop = build_superoperator(protocol.configs, photons, 2)
         data = np.concatenate([r.frequencies() for r in records])
-        full = np.linalg.norm(superop.matrix @ result.raw.reshape(-1) - data)
+        full = np.linalg.norm(superop.apply(result.raw) - data)
         assert result.residual == pytest.approx(full, rel=1e-10, abs=1e-12)
 
     def test_single_photon_superposition_lives_in_side_harmonics(self):

@@ -164,9 +164,13 @@ class TestLiftUnitary:
         norms = np.linalg.norm(lifted.matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
-    def test_photon_cap_is_enforced(self):
-        with pytest.raises(ValueError):
-            lo.lift_unitary(np.eye(2), lo.PERMANENT_SIZE_CAP + 1)
+    def test_lift_takes_more_photons_than_the_permanent_cap(self):
+        # The lift computes no permanent; only ``permanent`` keeps the cap.
+        photons = lo.PERMANENT_SIZE_CAP + 1
+        lifted = lo.lift_unitary(lo.haar_random_unitary(2, 7), photons)  # checked orthonormal
+        assert lifted.matrix.shape == (photons + 1, photons + 1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            lo.permanent(np.ones((photons, photons)))
 
     def test_input_modes_must_lie_within_the_configuration(self):
         for in_modes in (0, 4):

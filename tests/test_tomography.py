@@ -133,11 +133,13 @@ class TestOutcomeProbabilities:
 
 class TestBatchedSettings:
     @pytest.mark.parametrize(
-        "photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5)]
+        "photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5), (5, 4, 4)]
     )
     def test_laws_equal_the_single_setting_laws_bit_for_bit(self, photons, modes, meas_modes):
+        # At (6,2,6) and (5,4,4), seven settings or more, a broadcast product and sum in
+        # place of the einsum gives a batch's rows other bits than each setting's alone.
         rho = tg.random_density_matrix(enumerate_fock_basis(photons, modes), photons)
-        configs = haar_configs(meas_modes, 5, seed=meas_modes)
+        configs = haar_configs(meas_modes, 7, seed=meas_modes)
         laws = tg.outcome_probabilities(rho, configs)
         assert laws.shape == (len(configs), fock_dimension(photons, meas_modes))
         assert np.array_equal(laws, [tg.outcome_probabilities(rho, c) for c in configs])
@@ -148,8 +150,10 @@ class TestBatchedSettings:
     def test_map_is_the_row_stack_of_single_setting_maps(self, photons, modes, meas_modes):
         configs = haar_configs(meas_modes, 4, seed=photons)
         superop = tg.build_superoperator(configs, photons, modes)
-        singles = [tg.build_superoperator([c], photons, modes).matrix for c in configs]
-        assert np.array_equal(superop.matrix, np.vstack(singles))
+        singles = [tg.build_superoperator([c], photons, modes) for c in configs]
+        assert np.array_equal(superop.lift, np.concatenate([one.lift for one in singles]))
+        rows = [oracles.complex_rows(one) for one in singles]
+        assert np.array_equal(oracles.complex_rows(superop), np.vstack(rows))
 
     def test_every_setting_of_a_batch_is_checked(self):
         rho = tg.maximally_mixed(enumerate_fock_basis(1, 3))
@@ -169,14 +173,18 @@ class TestBatchedSettings:
 
 
     @pytest.mark.parametrize(
-        "photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5)]
+        "photons,modes,meas_modes",
+        [(1, 2, 2), (3, 4, 4), (6, 2, 6), (2, 3, 5), (5, 4, 4), (0, 3, 3), (0, 2, 4)],
     )
-    def test_laws_are_the_maps_product_bit_for_bit(self, photons, modes, meas_modes):
+    def test_laws_are_the_maps_product(self, photons, modes, meas_modes):
+        # The complex rows' product, formed whole by the oracle, as no library path forms it.
         rho = tg.random_density_matrix(enumerate_fock_basis(photons, modes), modes)
         configs = haar_configs(meas_modes, 3, seed=photons + meas_modes)
         superop = tg.build_superoperator(configs, photons, modes)
         laws = tg.outcome_probabilities(rho, configs)
+        product = (oracles.complex_rows(superop) @ rho.matrix.reshape(-1)).real
         assert np.array_equal(laws, superop.apply(rho).reshape(len(configs), -1))
+        assert np.abs(laws - product.reshape(len(configs), -1)).max() <= 1e-14
 
     def test_the_map_reads_checked_laws(self):
         rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 4)
@@ -234,32 +242,30 @@ class TestSuperoperator:
     def test_single_photon_row_structure(self):
         config = lo.haar_random_unitary(2, 9)
         superop = tg.build_superoperator([config], 1, 2)
-        assert superop.matrix.shape == (2, 4)
-        u = lo.lift_unitary(config, 1).matrix
+        assert superop.shape == (2, 4)
+        u, rows = lo.lift_unitary(config, 1).matrix, oracles.complex_rows(superop)
         for outcome in range(2):
             expected = [
                 np.conj(u[a, outcome]) * u[b, outcome]
                 for a in range(2)
                 for b in range(2)
             ]
-            np.testing.assert_allclose(superop.matrix[outcome], expected, atol=1e-14)
+            np.testing.assert_allclose(rows[outcome], expected, atol=1e-14)
 
     def test_row_count_scales_with_configs(self):
         configs = haar_configs(3, 4, seed=2)
         superop = tg.build_superoperator(configs, 2, 2)
-        assert superop.matrix.shape == (4 * fock_dimension(2, 3), 9)
+        assert superop.shape == (4 * fock_dimension(2, 3), 9)
 
     @pytest.mark.parametrize("photons,modes,meas_modes", [(1, 2, 2), (3, 4, 4), (2, 3, 5)])
-    def test_matrix_is_the_lifts_rows_formed_on_first_read(self, photons, modes, meas_modes):
+    def test_the_map_is_kept_as_its_lifts_alone(self, photons, modes, meas_modes):
         configs = haar_configs(meas_modes, 5, seed=photons)
         superop = tg.build_superoperator(configs, photons, modes)
-        assert "matrix" not in vars(superop)
-        expected = tg._lifted_rows(tg._restricted_lift(configs, photons, modes))
-        assert superop.matrix.shape == superop.shape == expected.shape
-        assert np.array_equal(superop.matrix, expected) and superop.matrix is superop.matrix
-        for stored in (superop.matrix, superop.lift):
-            with pytest.raises(ValueError, match="read-only"):
-                stored[0, 0] = 1.0
+        assert not hasattr(superop, "matrix")
+        assert np.array_equal(superop.lift, tg._restricted_lift(configs, photons, modes))
+        assert oracles.complex_rows(superop).shape == superop.shape
+        with pytest.raises(ValueError, match="read-only"):
+            superop.lift[0, 0, 0] = 1.0
 
     def test_rejects_inconsistent_mode_counts(self):
         configs = [lo.haar_random_unitary(2, 0), lo.haar_random_unitary(3, 1)]
@@ -275,8 +281,8 @@ class TestGramianRank:
         # configs reach rank at most R*(D'-1)+1: here 2 of the required 4.
         superop = tg.build_superoperator([lo.haar_random_unitary(2, 3)], 1, 2)
         report = tg.gramian_rank(superop)
-        assert superop.matrix.shape == (2, 4)
-        assert report.rank == np.linalg.matrix_rank(superop.matrix) == 2
+        assert superop.shape == (2, 4)
+        assert report.rank == np.linalg.matrix_rank(oracles.complex_rows(superop)) == 2
 
     def test_rank_cap_from_row_sums(self):
         # Each configuration's outcome rows sum to the vectorized identity.
@@ -329,17 +335,17 @@ class TestRealCoordinates:
             haar_configs(meas_modes, count, seed), photons, modes
         )
         d = superop.basis_in.dimension
-        real = oracles.hermitian_coordinates(superop.matrix)
+        complex_rows = oracles.complex_rows(superop)
+        real = oracles.hermitian_coordinates(complex_rows)
         bases = tg._level_bases(photons, modes, meas_modes)
-        with mock.patch.object(tg, "_lifted_rows", side_effect=AssertionError("complex rows")):
-            rows = tg._level_rows(bases, superop.lift)  # straight from the lifts
+        rows = tg._level_rows(bases, superop.lift)  # straight from the lifts
         if bases.rotation is None:  # one group: the kernel's rows are these coordinates
             assert np.array_equal(rows[0], real)
         np.testing.assert_allclose(
-            np.linalg.norm(real, axis=1), np.linalg.norm(superop.matrix, axis=1),
+            np.linalg.norm(real, axis=1), np.linalg.norm(complex_rows, axis=1),
             rtol=1e-13,
         )
-        sigma = np.linalg.svd(superop.matrix, compute_uv=False)
+        sigma = np.linalg.svd(complex_rows, compute_uv=False)
         cached = tg.gramian_rank(superop).singular_values
         assert np.abs(cached - sigma).max() <= 1e-12 * sigma[0]
         rng = np.random.default_rng(seed)
@@ -352,13 +358,13 @@ class TestRealCoordinates:
         estimate = tg._level_estimate(one, [y]).T
         np.testing.assert_allclose(estimate, oracles.hermitian_matrix(y), atol=1e-14)
 
-    def test_matrix_is_read_only_and_factored_once_per_level(self, monkeypatch):
+    def test_lift_is_read_only_and_factored_once_per_level(self, monkeypatch):
         factor = mock.Mock(wraps=tg.dgeqrf)
         monkeypatch.setattr(tg, "dgeqrf", factor)
         configs = haar_configs(2, 6, seed=29)
         superop = tg.build_superoperator(configs, 2, 2)
         with pytest.raises(ValueError):
-            superop.matrix[0, 0] = 1.0
+            superop.lift[0, 0, 0] = 1.0
         rho = tg.random_density_matrix(enumerate_fock_basis(2, 2), 3)
         assert tg.gramian_rank(superop).rank == 9
         levels = len(tg._level_bases(2, 2, 2).dims)
@@ -370,11 +376,18 @@ class TestRealCoordinates:
 
 
 class TestRunsOfSettings:
-    """A map's rows are formed from its lifts one run of about ``RUN_BYTES`` at a time."""
+    """A map's level rows are formed from its lifts one run of about ``RUN_BYTES`` at a time;
+    its laws read the lifts whole and form no row."""
 
     @pytest.mark.parametrize("photons,modes,count", [(3, 4, 30), (4, 4, 55)])
-    def test_no_call_forms_more_than_one_run(self, monkeypatch, photons, modes, count):
-        shapes = record_shapes(monkeypatch, "_lifted_rows")
+    def test_only_the_level_row_kernel_forms_runs(self, monkeypatch, photons, modes, count):
+        calls, runs = [], tg._runs
+
+        def spy(lift):
+            calls.append({frame.name for frame in traceback.extract_stack()})
+            return runs(lift)
+
+        monkeypatch.setattr(tg, "_runs", spy)
         configs = haar_configs(modes, count, seed=photons)
         superop = tg.build_superoperator(configs, photons, modes)
         d = fock_dimension(photons, modes)
@@ -382,31 +395,28 @@ class TestRunsOfSettings:
         rho = tg.random_density_matrix(superop.basis_in, photons)
         result = tg.reconstruct(superop, superop.laws(rho))
         assert tg.trace_distance(result.projected, rho) < 1e-8
+        assert len(calls) == 1 and "_write_level_rows" in calls[0]  # the factor's, once
         run = max(1, tg.RUN_BYTES // (16 * d**3))  # (3,4): 4 settings; (4,4): one
         assert run == {3: 4, 4: 1}[photons]
-        assert max(shape[0] for shape in shapes) == run
-        assert len(shapes) == math.ceil(count / run)  # the laws' rows: the factor forms none
-        assert "matrix" not in vars(superop)
+        slices = runs(superop.lift)
+        assert max(len(range(count)[cut]) for cut in slices) == run
+        assert len(slices) == math.ceil(count / run)
 
     @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 3, 5)])
-    def test_only_apply_and_matrix_form_complex_rows(self, monkeypatch, photons, modes, meas_modes):
-        # The scan, the factor, the rank and the reconstruction read each run's half form.
-        callers, lifted_rows = [], tg._lifted_rows
-
-        def spy(v):
-            names = {frame.name for frame in traceback.extract_stack()}
-            callers.append(names & {"apply", "matrix"})
-            return lifted_rows(v)
-
-        monkeypatch.setattr(tg, "_lifted_rows", spy)
+    def test_laws_read_the_lifts_and_form_no_complex_rows(self, photons, modes, meas_modes):
+        # Two lift-sized temporaries, V^* and rho V: the complex rows are D times as large.
         search = tg.find_min_configs(photons, modes, meas_modes, seed=0)
         superop = tg.build_superoperator(search.configs, photons, modes)
-        assert tg.gramian_rank(superop).rank == superop.shape[1]
         rho = tg.random_density_matrix(superop.basis_in, 0)
-        result = tg.reconstruct(superop, superop.laws(rho))
+        tracemalloc.start()
+        try:
+            laws = superop.laws(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * superop.lift.nbytes < 16 * np.prod(superop.shape)
+        result = tg.reconstruct(superop, laws)
         assert tg.trace_distance(result.projected, rho) < 1e-8
-        superop.matrix
-        assert callers == [{"apply"}] * len(tg._runs(superop.lift)) + [{"matrix"}]
 
     @pytest.mark.parametrize(
         "photons,modes,meas_modes", [(3, 4, 4), (6, 2, 2), (2, 3, 5), (0, 3, 3), (0, 2, 4)]
@@ -415,26 +425,22 @@ class TestRunsOfSettings:
         configs = haar_configs(meas_modes, 13, seed=photons + meas_modes)
         superop = tg.build_superoperator(configs, photons, modes)
         bases = tg._level_bases(photons, modes, meas_modes)
-        rho = tg.random_density_matrix(superop.basis_in, modes)
-        real = oracles.hermitian_coordinates(superop.matrix)
+        complex_rows = oracles.complex_rows(superop)
+        real = oracles.hermitian_coordinates(complex_rows)
         # Read as one group, any map's rows are its real Hermitian coordinates, formed
         # from the lifts without the complex rows, and ``_level_estimate`` takes each back
         # to its matrix.
         one = tg._level_bases(photons, modes, modes + 1)  # one group, z_0 = this map's D'
         one = one._replace(sizes=(superop.basis_out.dimension,))
-        with mock.patch.object(tg, "_lifted_rows", side_effect=AssertionError("complex rows")):
-            whole = tg._level_rows(bases, superop.lift)
-            assert np.array_equal(tg._level_rows(one, superop.lift)[0], real)
-        for row, y in zip(superop.matrix, real):
+        whole = tg._level_rows(bases, superop.lift)
+        assert np.array_equal(tg._level_rows(one, superop.lift)[0], real)
+        for row, y in zip(complex_rows, real):
             assert np.abs(tg._level_estimate(one, [y]).T.reshape(-1) - row).max() <= 1e-15
-        product = (superop.matrix @ rho.matrix.reshape(-1)).real
         for run_bytes, runs in [(1, 13), (tg.RUN_BYTES, None), (2**62, 1)]:
             monkeypatch.setattr(tg, "RUN_BYTES", run_bytes)  # one setting a run, the rule, one run
             assert runs in (None, len(tg._runs(superop.lift)))
             rows = tg._level_rows(bases, superop.lift)
             assert len(rows) == len(whole) and all(map(np.array_equal, rows, whole))
-            assert np.array_equal(superop.apply(rho), product)
-            assert np.array_equal(superop.laws(rho), product.reshape(len(configs), -1))
 
     @pytest.mark.parametrize("run_bytes", [1, tg.RUN_BYTES, 2**62])
     def test_column_major_rows_are_the_row_major_bits_and_factored_in_place(
@@ -490,9 +496,9 @@ class TestCertifiedRank:
     def test_certified_rank_equals_the_svd_rank_on_the_parity_corpus(self, rel_threshold):
         corpus, certified = parity_corpus(), set()
         for label, superop in corpus:
-            real = oracles.hermitian_coordinates(superop.matrix)
+            real = oracles.hermitian_coordinates(oracles.complex_rows(superop))
             sigma = np.linalg.svd(real, compute_uv=False)
-            scale = rel_threshold or max(superop.matrix.shape) * np.finfo(float).eps
+            scale = rel_threshold or max(superop.shape) * np.finfo(float).eps
             expected = int((sigma > scale * sigma[0]).sum())
             report = tg.gramian_rank(superop, rel_threshold)
             if "singular_values" not in vars(superop):  # no SVD taken: certified
@@ -520,7 +526,8 @@ class TestCertifiedRank:
     def test_reading_sigma_takes_one_svd_per_level_equal_to_the_eager_one(self, monkeypatch):
         configs = haar_configs(3, min_configs(2, 3) + 1, seed=4)
         superop = tg.build_superoperator(configs, 2, 3)
-        full = np.linalg.svd(oracles.hermitian_coordinates(superop.matrix), compute_uv=False)
+        real = oracles.hermitian_coordinates(oracles.complex_rows(superop))
+        full = np.linalg.svd(real, compute_uv=False)
         svds = count_svds(monkeypatch)
         report, again = tg.gramian_rank(superop), tg.gramian_rank(superop, 1e-12)
         assert report.rank == again.rank == 36 and svds() == 0
@@ -593,7 +600,7 @@ class TestReconstruct:
         rho = tg.random_density_matrix(basis, 55)
         p = superop.apply(rho)
         result = tg.reconstruct(superop, p)
-        explicit = oracles.normal_equation_solve(superop.matrix, p.astype(complex))
+        explicit = oracles.normal_equation_solve(oracles.complex_rows(superop), p.astype(complex))
         assert np.abs(result.raw.reshape(-1) - explicit).max() < 1e-8
 
     def test_raw_equals_the_normal_equation_solution(self):
@@ -622,8 +629,9 @@ class TestReconstruct:
             ]
         )
         assert -0.05 < inverted.min() < 0.0
+        rows = oracles.complex_rows(superop)
         for p in (exact, inverted):
-            explicit = oracles.normal_equation_solve(superop.matrix, p.astype(complex))
+            explicit = oracles.normal_equation_solve(rows, p.astype(complex))
             raw = tg.reconstruct(superop, p).raw
             assert np.abs(raw.reshape(-1) - explicit).max() < 1e-10
 
@@ -1027,7 +1035,7 @@ class TestSearches:
         d = fock_dimension(photons, modes)
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
         maps = [tg.build_superoperator([c], photons, modes) for c in configs]
-        blocks = [oracles.hermitian_coordinates(superop.matrix) for superop in maps]
+        blocks = [oracles.hermitian_coordinates(oracles.complex_rows(superop)) for superop in maps]
         scan = tg._RankScan(bases.sizes, bases.dims, None)
         for superop in maps:
             scan.extend(tg._level_rows(bases, superop.lift))
@@ -1087,7 +1095,7 @@ class TestSearches:
         assert search.found == min_configs_extended(photons, modes, meas_modes)
         d = fock_dimension(photons, modes)
         superop = tg.build_superoperator(search.configs, photons, modes)
-        blocks = oracles.hermitian_coordinates(superop.matrix)
+        blocks = oracles.hermitian_coordinates(oracles.complex_rows(superop))
         assert getattr(stack, "matrix", stack).shape == blocks.shape  # 2-D, as the tracer reads it
         full = tg.gramian_rank(blocks)
         assert report.rank == d * d and "singular_values" not in vars(stack)  # not yet read
@@ -1178,7 +1186,8 @@ class TestLevelSplit:
         rotation, sizes, _ = tg._level_bases(photons, modes, modes)[:3]
         draw, d = tg.config_drawer(generator, 5), fock_dimension(photons, modes)
         configs = [draw(modes, 1)[0] for _ in range(min_configs(photons, modes))]
-        real = oracles.hermitian_coordinates(tg.build_superoperator(configs, photons, modes).matrix)
+        superop = tg.build_superoperator(configs, photons, modes)
+        real = oracles.hermitian_coordinates(oracles.complex_rows(superop))
         rows = rotation @ real.reshape(len(configs), d, d * d)
         levels = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
         return [level.reshape(-1, d * d) for level in levels], rows.reshape(-1, d * d)
@@ -1316,7 +1325,7 @@ class TestLevelBases:
         bases = tg._level_bases(photons, modes, modes)
         configs = haar_configs(modes, 1, seed=photons + modes)
         superop = tg.build_superoperator(configs, photons, modes)
-        rotated = bases.rotation @ oracles.hermitian_coordinates(superop.matrix)
+        rotated = bases.rotation @ oracles.hermitian_coordinates(oracles.complex_rows(superop))
         scale = np.linalg.norm(rotated)
         groups = np.split(rotated, np.cumsum(bases.sizes)[:-1])
         coordinates = tg._level_rows(bases, superop.lift)
@@ -1335,8 +1344,9 @@ class TestLevelBases:
         superop = tg.build_superoperator(configs, photons, modes)
         exact = superop.apply(tg.random_density_matrix(superop.basis_in, 2))
         noisy = exact + 1e-3 * np.random.default_rng(0).standard_normal(len(exact))
+        rows = oracles.complex_rows(superop)
         for p in (exact, noisy):
-            explicit = oracles.normal_equation_solve(superop.matrix, p.astype(complex))
+            explicit = oracles.normal_equation_solve(rows, p.astype(complex))
             assert np.abs(tg.reconstruct(superop, p).raw.reshape(-1) - explicit).max() < 1e-10
         if case == "(3,4)":  # one (R z_l x d_l) factor per level
             shapes = [reflectors.shape for reflectors, _ in superop._factor]
@@ -1362,7 +1372,7 @@ class TestTraceDirectionBound:
         scan, blocks = tg._RankScan(bases.sizes, bases.dims, None), []
         for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
             superop = tg.build_superoperator([config], photons, modes)
-            blocks.append(oracles.hermitian_coordinates(superop.matrix))
+            blocks.append(oracles.hermitian_coordinates(oracles.complex_rows(superop)))
             scan.extend(tg._level_rows(bases, superop.lift))
         return scan.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
 

@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import svd
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
 
 from .combinatorics import (
@@ -65,7 +66,9 @@ KEEP_MARGIN = 16.0
 # half this many bytes (one setting at least): small settings share numpy's per-call cost in
 # a run, large ones keep their half form cache-sized, and no map holds its whole row stack.
 # The half form is multiplied out from gathered lift rows of about this many bytes at a
-# time, so a setting larger than a run holds little more than its half form.
+# time, so a setting larger than a run holds little more than its half form.  It also caps
+# the block copies that inverting a triangle by halves makes: a triangle whose halves would
+# not fit is inverted whole, where it lies.
 RUN_BYTES = 2**19
 
 ConfigGenerator = Callable[
@@ -331,19 +334,20 @@ class Superoperator:
         return factors
 
     def _triangles(self) -> Iterator[np.ndarray]:
-        """Each level's R_l, min(rows, d_l) x d_l, one at a time."""
-        return (np.triu(reflectors[: reflectors.shape[1]]) for reflectors, _ in self._factor)
+        """Each level's R_l, min(rows, d_l) x d_l, in F order, one at a time."""
+        return (_upper(reflectors[: reflectors.shape[1]]) for reflectors, _ in self._factor)
 
     @cached_property
     def _bounds(self) -> tuple[float, float]:
         """min_l 1 / ||R_l^-1||_F <= sigma_min(L) (0 if an R_l is short or singular), and
-        max_l ||R_l||_F >= sigma_max(L): L's sigma are the union of the levels'."""
+        max_l ||R_l||_F >= sigma_max(L): L's sigma are the union of the levels'.  Each R_l
+        is inverted in its one copy by ``_invert_upper``."""
         low, frobenius = np.inf, 0.0
         for r in self._triangles():
             frobenius, square = max(frobenius, float(np.linalg.norm(r))), r.shape[0] == r.shape[1]
-            inverse, info = dtrtri(r.T, lower=1, overwrite_c=1) if square else (None, 1)
-            low = min(low, 0.0 if info else 1.0 / float(np.linalg.norm(inverse)))
-            del r, inverse  # one level's triangle at a time
+            info = _invert_upper(r) if square else 1
+            low = min(low, 0.0 if info else 1.0 / float(np.linalg.norm(r)))
+            del r  # one level's triangle at a time
         return low, frobenius
 
     @cached_property
@@ -442,10 +446,11 @@ def gramian_rank(
     its triangular factor, against a bar KEEP_MARGIN (tau + c) in a map and KEEP_MARGIN tau
     + e + c in a scan (e + c < tau), tau the threshold at a bound on sigma_max, c = sqrt(D^2)
     eps ||A||_F.  One rounding allowance covers both: c is the factor's backward error, as
-    the SVD's; the computed 1 / ||L||_F (``dtrtri``, the bordering) errs by a relative d_l
-    eps ||A||_F ||L||_F at most, about 1 / KEEP_MARGIN at the bar with the default tau (>=
-    D^2 eps ||A||_F), and a bound off by 15/17 still clears tau + e + c.  A smaller
-    ``rel_threshold`` asks for sigma that no SVD resolves better than c.
+    the SVD's; the computed 1 / ||L||_F (the triangle inverted by halves in
+    ``_invert_upper``, whose error bound has ``dtrtri``'s form, then the bordering) errs by
+    a relative d_l eps ||A||_F ||L||_F at most, about 1 / KEEP_MARGIN at the bar with the
+    default tau (>= D^2 eps ||A||_F), and a bound off by 15/17 still clears tau + e + c.
+    A smaller ``rel_threshold`` asks for sigma that no SVD resolves better than c.
     """
     carried = isinstance(superop, (Superoperator, _LevelStack))
     superop = superop if carried else np.asarray(superop)
@@ -812,10 +817,7 @@ def _write_level_rows(bases: _LevelBases, lifted: np.ndarray, levels: list[np.nd
         half, w = buffer[: len(v)], v.conj()
         for start in range(0, len(s), step):
             cut = slice(start, start + step)
-            np.einsum(
-                "...,...->...", np.take(w, s[cut], axis=1), np.take(v, t[cut], axis=1),
-                out=half[:, cut],
-            )
+            np.multiply(np.take(w, s[cut], axis=1), np.take(v, t[cut], axis=1), out=half[:, cut])
         half[:, d:] *= np.sqrt(2.0)  # sqrt2 Re and Im |s><t| are H's coordinates
         real = half.view(float)  # (r, E, 2 D'): each entry's row, Re and Im by outcome
         for start, vectors in bases.blocks:
@@ -829,6 +831,41 @@ def _write_level_rows(bases: _LevelBases, lifted: np.ndarray, levels: list[np.nd
         del x  # no temporary outlives its run
 
 
+def _upper(a: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``a``, in a new F-order array if ``a`` is laid out so."""
+    return a * np.tri(*a.shape[::-1], dtype=bool).T
+
+
+def _invert_upper(r: np.ndarray) -> int:
+    """Invert the upper triangle of the square ``r`` in place, as ``dtrtri`` does, and
+    return its ``info``: 0, or the first zero pivot from 1, which leaves ``r`` as it was.
+    The strictly lower part is neither read nor written.
+
+    By halves: X11 = R11^-1 and X22 = R22^-1 in place, then X12 = -X11 R12 X22 by two
+    ``dtrmm``.  ``dtrtri`` takes a triangle whole if it has at most 64 columns (the LAPACK
+    panel width) or if its halves would not fit in RUN_BYTES: the wrappers copy each block
+    that is not contiguous, so no copy outgrows RUN_BYTES, and ``r``, F-contiguous, is
+    inverted where it lies.  Below 512 columns this takes about half ``dtrtri``'s time on
+    one OpenBLAS thread.  Its rounding error has a bound of the form ``dtrtri``'s has (Du
+    Croz & Higham, IMA J. Numer. Anal. 12, 1992; Higham, Accuracy and Stability of
+    Numerical Algorithms, section 14.2), so KEEP_MARGIN's allowance covers both.
+    """
+    pivots = np.flatnonzero(np.diagonal(r) == 0.0)
+    if len(pivots):
+        return int(pivots[0]) + 1
+    n, h = len(r), len(r) // 2
+    if n <= 64 or 8 * (n - h) ** 2 > RUN_BYTES:
+        inverse = dtrtri(r, overwrite_c=1)[0]
+        if not np.shares_memory(inverse, r):  # a block the wrapper copied
+            r[:] = inverse
+        return 0
+    _invert_upper(r[:h, :h])
+    _invert_upper(r[h:, h:])
+    product = dtrmm(1.0, r[h:, h:], r[:h, h:], side=1)  # R12 X22
+    r[:h, h:] = dtrmm(-1.0, r[:h, :h], product, overwrite_b=1)
+    return 0
+
+
 class _LevelFactor:
     """One level's rows A_l = P Q^T + E: Q's Householder reflectors (d_l x d_l), P's
     rows block lower triangular, and ||E_j||_2 per block.  A run of blocks takes one
@@ -837,8 +874,9 @@ class _LevelFactor:
     block with one under KEEP_MARGIN tau_hi takes its residual's SVD instead: the larger
     directions are kept, the largest other sigma is ||E_j||.  A left inverse L of P,
     bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
-    KEEP_MARGIN lets its computed value (``dtrtri``, the bordering) be off by a relative
-    15/17, the rounding allowance that ``gramian_rank`` names.  P itself is not kept: the
+    KEEP_MARGIN lets its computed value (R inverted by halves, ``_invert_upper``, with an
+    error bound of ``dtrtri``'s form; the bordering) be off by a relative 15/17, the
+    rounding allowance that ``gramian_rank`` names.  P itself is not kept: the
     stored rows' ``sigma`` stand in for it.  Once k_l = d_l, later blocks add no direction
     and no mass, so they are recorded unrotated and Q is released.
     """
@@ -888,15 +926,17 @@ class _LevelFactor:
         """The run's blocks up to the first to fail the keep margin: how many were taken.
         R^-1's diagonal blocks are the inverses of R's, T_jj, so 1 / ||(R^-1)_jj||_F <=
         sigma_min(T_jj) screens them all; only a block whose bound is within twice its bar
-        (or a zero pivot, which leaves R as it was) takes T_jj's SVD.  A run that completes
-        the level inverts R where it lies, Q being read no more."""
+        (or a zero pivot, which leaves R as it was) takes T_jj's SVD.  R is inverted by
+        halves (``_invert_upper``), with an error bound of ``dtrtri``'s form (Du Croz &
+        Higham 1992), reading R's upper triangle alone: a run that completes the level
+        inverts R where it lies, above the reflectors, Q being read no more."""
         k, m = self.rank, len(rows)
         c, z = self._rotate(rows, self.reflectors[:, k : k + m]), m // len(tau_hi)
         qr, tau, _, _ = dgeqrf(c[k:], lwork=64 * m, overwrite_a=1)
         cut = np.arange(m).reshape(-1, z, 1), np.arange(m).reshape(-1, 1, z)  # diagonal blocks
         diagonal, bar, complete = np.triu(qr[cut]), KEEP_MARGIN * tau_hi, k + m == self.dim
-        r = qr if complete else qr[:m, :m] * np.tri(m, dtype=bool).T  # R in F order
-        inverse, info = dtrtri(r, overwrite_c=1)
+        inverse = qr if complete else _upper(qr[:m, :m])  # R in F order, inverted in place
+        info = _invert_upper(inverse)
         low = 0.0 if info else np.linalg.norm(np.triu(inverse[cut]), axis=(1, 2)) ** -1.0
         passed = low > 2.0 * bar
         if not passed.all():  # the SVD settles the blocks the bound leaves in doubt
@@ -908,10 +948,11 @@ class _LevelFactor:
             if k + m < self.dim and not np.shares_memory(qr, c):  # in place only when k = 0
                 c[k:, :m] = qr[:, :m]
             if m < len(rows):  # the prefix's inverse, R^-1's leading block
-                inverse, info = dtrtri(qr[:m, :m]) if info else (inverse[:m, :m], 0)
-                if info:
-                    raise np.linalg.LinAlgError(f"dtrtri found a singular factor (info {info})")
-                inverse = np.triu(inverse)
+                if info:  # R as it was: invert its prefix alone
+                    inverse = _upper(qr[:m, :m])
+                    if info := _invert_upper(inverse):
+                        raise np.linalg.LinAlgError(f"singular factor (info {info})")
+                inverse = np.triu(inverse[:m, :m])
             elif complete:  # the reflectors under R^-1, a panel of columns at a time
                 for j in range(0, m, 64):
                     inverse[j + 64 :, j : j + 64] = 0.0

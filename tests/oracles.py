@@ -109,9 +109,11 @@ def normal_equation_solve(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def complex_rows(superop) -> np.ndarray:
     """A map's complex rows (R D', D^2), formed whole from its settings' restricted lifts
-    V (R, D, D'): row (r, v) holds conj(V[r, a, v]) V[r, b, v] at column a D + b."""
+    V (R, D, D'): row (r, v) holds conj(V[r, a, v]) V[r, b, v] at column a D + b, each
+    entry one ``np.multiply`` of the two."""
     v = superop.lift
-    return np.einsum("rav,rbv->rvab", v.conj(), v).reshape(-1, v.shape[1] ** 2)
+    products = np.multiply(v.conj()[:, :, None], v[:, None])  # (R, a, b, D')
+    return products.transpose(0, 3, 1, 2).reshape(-1, v.shape[1] ** 2)
 
 
 def hermitian_coordinates(rows: np.ndarray) -> np.ndarray:

@@ -464,6 +464,76 @@ class TestRunsOfSettings:
                 assert buffer.flags.f_contiguous and np.shares_memory(reflectors, buffer), label
 
 
+def conditioned_triangle(n, cond, seed):
+    """R of a QR of an n x n matrix with singular values log-spaced from 1 to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (u * np.logspace(0, -np.log10(cond), n)) @ v.T
+    return np.asfortranarray(np.linalg.qr(a, mode="r"))
+
+
+class TestTriangleInverse:
+    """``_invert_upper`` inverts a triangle by halves in place, ``dtrtri`` at the leaves and
+    for triangles whose halves would not fit in RUN_BYTES (over 512 columns)."""
+
+    # Either side of the 64-column leaf and of the 512-column limit.
+    SIZES = [1, 63, 64, 65, 129, 300, 512, 513]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("cond", [None, 1e6, 1e12])
+    def test_equals_dtrtri_within_its_error_bound(self, n, cond):
+        # |X - X'| <= n eps |X| |R| |X|, the componentwise form of both methods' bounds.
+        rng = np.random.default_rng(n)
+        if cond is None:
+            r = np.asfortranarray(np.linalg.qr(rng.standard_normal((n + 5, n)), mode="r"))
+        else:
+            r = conditioned_triangle(n, cond, n)
+        exact, info = scipy.linalg.lapack.dtrtri(r)
+        x = r.copy(order="F")
+        assert info == tg._invert_upper(x) == 0
+        bound = n * np.finfo(float).eps * (np.abs(exact) @ np.abs(r) @ np.abs(exact))
+        assert np.all(np.triu(np.abs(x - exact)) <= np.triu(bound))
+        if n <= 64 or n > 512:  # dtrtri's whole
+            assert np.array_equal(np.triu(x), np.triu(exact))
+
+    @pytest.mark.parametrize("n", [40, 300, 513])
+    def test_the_strictly_lower_part_is_neither_read_nor_written(self, n):
+        r = conditioned_triangle(n, 1e3, 1)
+        clean, marked = r.copy(order="F"), r.copy(order="F")
+        lower = np.tri(n, k=-1, dtype=bool)
+        marked[lower] = np.nan
+        assert tg._invert_upper(clean) == tg._invert_upper(marked) == 0
+        assert np.array_equal(np.triu(marked), np.triu(clean))
+        assert np.isnan(marked[lower]).all()
+
+    @pytest.mark.parametrize("n,pivots", [(40, [7]), (300, [250, 31]), (513, [512])])
+    def test_a_zero_pivot_gives_dtrtris_info_and_leaves_r_as_it_was(self, n, pivots):
+        r = conditioned_triangle(n, 1e3, 2)
+        r[np.tri(n, k=-1, dtype=bool)] = np.nan
+        r[pivots, pivots] = 0.0
+        x = r.copy(order="F")
+        info = tg._invert_upper(x)
+        assert info == scipy.linalg.lapack.dtrtri(r)[1] == min(pivots) + 1
+        assert np.array_equal(x, r, equal_nan=True)
+
+    def test_block_copies_stay_within_run_bytes(self, monkeypatch):
+        # At 512 columns two half-blocks of RUN_BYTES are held at once; at 513 the halves
+        # would not fit, so dtrtri inverts the triangle whole, where it lies.
+        calls = record_shapes(monkeypatch, "dtrtri")
+        peaks = {}
+        for n in (512, 513):
+            r = conditioned_triangle(n, 10.0, 3)
+            tracemalloc.start()
+            try:
+                assert tg._invert_upper(r) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[513] < tg.RUN_BYTES < peaks[512] < 2 * tg.RUN_BYTES + 4096
+        assert max(calls[:-1]) <= (64, 64) and calls[-1] == (513, 513)
+
+
 def parity_corpus():
     """(label, map) pairs: complete, incomplete, duplicated-setting and padded maps."""
     corpus = []

@@ -58,8 +58,7 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 NEGATIVE_PROBABILITY_TOL = 1e-12
-# The certified scan keeps a direction only above KEEP_MARGIN times the largest SVD
-# threshold; sigma_max is bounded by the trace direction's quotient, exact at M' = M.
+# A certificate keeps a direction only above KEEP_MARGIN tau_hi (``_projector_bounds``).
 KEEP_MARGIN = 16.0
 # Level rows are formed from lifts one run of settings at a time, the half form that a run's
 # level rows are read from (D(D+1)/2 complex entries by D' outcomes a setting) holding about
@@ -338,27 +337,21 @@ class Superoperator:
         return (_upper(reflectors[: reflectors.shape[1]]) for reflectors, _ in self._factor)
 
     @cached_property
-    def _bounds(self) -> tuple[float, float]:
-        """min_l 1 / ||R_l^-1||_F <= sigma_min(L) (0 if an R_l is short or singular), and
-        max_l ||R_l||_F >= sigma_max(L): L's sigma are the union of the levels'.  Each R_l
-        is inverted in its one copy by ``_invert_upper``."""
-        low, frobenius = np.inf, 0.0
+    def _sigma_min_bound(self) -> float:
+        """min_l 1 / ||R_l^-1||_F <= sigma_min(L) (0 if an R_l is short or singular), L's sigma
+        being the union of the levels', each R_l inverted in its one copy (``_invert_upper``)."""
+        low = np.inf
         for r in self._triangles():
-            frobenius, square = max(frobenius, float(np.linalg.norm(r))), r.shape[0] == r.shape[1]
-            info = _invert_upper(r) if square else 1
+            info = _invert_upper(r) if r.shape[0] == r.shape[1] else 1
             low = min(low, 0.0 if info else 1.0 / float(np.linalg.norm(r)))
             del r  # one level's triangle at a time
-        return low, frobenius
+        return low
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """L's singular values, the R_l's (one SVD each, on first read) and then the
-        direct sum's exact zeros, to min(R D', D^2)."""
+        """L's singular values, from the R_l's (one SVD each, on first read)."""
         union = [np.linalg.svd(r, compute_uv=False) for r in self._triangles()]
-        sigma = np.sort(np.concatenate(union + [np.zeros(min(self.shape))]))[::-1]
-        sigma = sigma[: min(self.shape)]
-        sigma.flags.writeable = False
-        return sigma
+        return _direct_sum_sigma(union, self.shape)
 
     @property
     def n_configs(self) -> int:
@@ -423,6 +416,13 @@ class RankReport:
         )
 
 
+def _direct_sum_sigma(union: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """The levels' sigma ``union``, then their direct sum's exact zeros, to min(shape)."""
+    sigma = np.sort(np.concatenate(union + [np.zeros(min(shape))]))[::-1][: min(shape)]
+    sigma.flags.writeable = False
+    return sigma
+
+
 def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> float:
     """The rank threshold over sigma_max: max(rows, cols) * eps, or ``rel_threshold``."""
     if rel_threshold is None:
@@ -430,6 +430,15 @@ def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> flo
     if not 0.0 < rel_threshold < 1.0:  # at 1 or above no sigma could pass
         raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     return rel_threshold
+
+
+def _projector_bounds(r: int, d: int, d_out: int, scale: float) -> tuple[float, ...]:
+    """tau_hi = scale sqrt(R), the cushion c = sqrt(D^2) eps sqrt(R D) and sqrt(R D / D') for
+    a map of R = ``r`` settings, D = ``d`` inputs and D' = ``d_out`` outcomes.  A setting's
+    outcome projectors u_v u_v^dag sum to the identity on the inputs, so sum_v (u_v^dag H
+    u_v)^2 <= tr H^2: sigma_max^2 <= R, equal at M' = M, and ||L||_F^2 = sum ||u_v||^4 <= R D;
+    the trace direction vec(I) / sqrt(D) gives sigma_max^2 >= R D / D'."""
+    return scale * r**0.5, d * np.finfo(float).eps * (r * d) ** 0.5, (r * d / d_out) ** 0.5
 
 
 def gramian_rank(
@@ -442,15 +451,15 @@ def gramian_rank(
     rank from its levels' factors or a scan's (``_LevelStack``), and its singular values are
     taken only when the report's are read, which raises if they disagree.  Else an array
     takes a values-only SVD, and a map or a stack its levels' ``singular_values``.  Both
-    certify a level by 1 / ||L||_F, L a left inverse of
-    its triangular factor, against a bar KEEP_MARGIN (tau + c) in a map and KEEP_MARGIN tau
-    + e + c in a scan (e + c < tau), tau the threshold at a bound on sigma_max, c = sqrt(D^2)
-    eps ||A||_F.  One rounding allowance covers both: c is the factor's backward error, as
-    the SVD's; the computed 1 / ||L||_F (the triangle inverted by halves in
-    ``_invert_upper``, whose error bound has ``dtrtri``'s form, then the bordering) errs by
-    a relative d_l eps ||A||_F ||L||_F at most, about 1 / KEEP_MARGIN at the bar with the
-    default tau (>= D^2 eps ||A||_F), and a bound off by 15/17 still clears tau + e + c.
-    A smaller ``rel_threshold`` asks for sigma that no SVD resolves better than c.
+    certify a level by 1 / ||L||_F, L a left inverse of its triangular factor, against a bar
+    KEEP_MARGIN (tau_hi + c) in a map and KEEP_MARGIN tau_hi + e + c in a scan (e + c below
+    the threshold at sigma_max's lower bound), all read from the map's shape by
+    ``_projector_bounds``.  One rounding allowance covers both: c bounds the factor's
+    backward error, as the SVD's; the computed 1 / ||L||_F (``_invert_upper``'s inverse,
+    whose error bound has ``dtrtri``'s form, then the bordering) errs by a relative d_l eps
+    sigma_max ||L||_F or so, about 1 / KEEP_MARGIN at the bar with the default tau (>= D^2
+    eps sqrt(R)), and a bound off by 15/17 still clears tau + e + c.  A smaller
+    ``rel_threshold`` asks for sigma that no SVD resolves better than c.
     """
     carried = isinstance(superop, (Superoperator, _LevelStack))
     superop = superop if carried else np.asarray(superop)
@@ -459,8 +468,9 @@ def gramian_rank(
     if np.prod(shape) == 0:
         raise ValueError("empty superoperator")
     if isinstance(superop, Superoperator):
-        low, frobenius = superop._bounds
-        if low >= KEEP_MARGIN * (scale + shape[1] ** 0.5 * np.finfo(float).eps) * frobenius:
+        d, d_out = superop.basis_in.dimension, superop.basis_out.dimension
+        tau_hi, cushion, _ = _projector_bounds(superop.n_configs, d, d_out, scale)
+        if superop._sigma_min_bound >= KEEP_MARGIN * (tau_hi + cushion):
             return RankReport(shape[1], lambda: superop.singular_values, scale)
     elif carried and superop.rank is not None and superop.scale == scale:
         return RankReport(superop.rank, lambda: superop.singular_values, scale)
@@ -577,9 +587,8 @@ def reconstruct(
         if info != 0:
             raise ValueError(f"dormqr rejected argument {-info}")
         dim = reflectors.shape[1]
-        r, lower = reflectors[:dim], not reflectors[:dim].flags.f_contiguous
         # R^-1 Q^T p, as scipy's solve_triangular takes it but without its checks
-        solution, info = dtrtrs(r.T if lower else r, rotated[:dim], lower=lower, trans=lower)
+        solution, info = dtrtrs(reflectors[:dim], rotated[:dim], lower=0, trans=0)
         if info:
             raise np.linalg.LinAlgError(f"singular R_l: resolution failed at diagonal {info - 1}")
         solutions.append(solution[:, 0])
@@ -989,48 +998,37 @@ class _RankScan:
     The dropped mass e (e^2 = the sum of ||E_j||_2^2 over blocks and open levels)
     bounds each A_l - P Q^T, so Weyl gives rank sum_l k_l when every open level's
     1 / ||L||_F (or, failing that, its rows' own sigma_k plus e, at least sigma_min(P))
-    exceeds KEEP_MARGIN tau_hi + e + c and e + c < tau_lo, c = sqrt(D^2) eps ||A||_F
-    being the SVD's cushion.  tau_lo <= tau <= tau_hi come from q^(1/2) - e <= sigma_max
-    <= ||A||_F, q = ||A_0 x||^2 for the trace direction x = vec(I)/sqrt(D) in V_0: each
-    level-0 row's first sqrt(d_0) coordinates, summed, squared and over sqrt(d_0).
-    Split by level, d_0 = 1 and W_0 = +-x, so that is the row's one coordinate squared;
-    one group's are the D diagonal ones.  With M' = M a setting's rows are orthonormal
-    and sum to vec(I), so q = R = sigma_max^2.  A level so certified at k_l = d_l is
-    frozen: its later blocks add no e, and by interlacing its sigma_{d_l} stays above its
-    bound less e, which must stay above tau_hi + c.  KEEP_MARGIN is the rounding
-    allowance of the computed 1 / ||L||_F, c that of the factor, as ``gramian_rank``
-    argues for maps and scans alike: a certified D^2 needs no SVD to confirm it.
+    exceeds KEEP_MARGIN tau_hi + e + c and e + c < tau_lo, the threshold at sigma_max's
+    lower bound less e, all from ``_projector_bounds`` with D^2 = sum_l d_l and D' = sum_l
+    z_l.  A level so certified at k_l = d_l is frozen: its later blocks add no e, and by
+    interlacing its sigma_{d_l} stays above its bound less e, which must stay above
+    tau_hi + c.  KEEP_MARGIN is the rounding allowance of the computed 1 / ||L||_F, c that
+    of the factor, as ``gramian_rank`` argues for maps and scans alike: a certified D^2
+    needs no SVD to confirm it.
     """
 
     def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
         self.sizes, self.width, self.rel_threshold = sizes, sum(dims), rel_threshold
         self.levels = [_LevelFactor(dim) for dim in dims]
         self.floors = [0.0] * len(dims)  # floor > 0: frozen
-        self.steps = self.count = 0
-        self.trace_sq = self.dropped_sq = self.frobenius_sq = 0.0
+        self.steps, self.dropped_sq = 0, 0.0
 
     def extend(self, rows: Sequence[np.ndarray]) -> list[int | None]:
         """Take the next blocks, as each level's rows; each step's certified rank or None."""
-        blocks, diagonal = len(rows[0]) // self.sizes[0], round(self.levels[0].dim ** 0.5)
-        frobenius = sum(np.einsum("ij,ij->i", r, r).reshape(blocks, -1).sum(axis=1) for r in rows)
-        trace = (rows[0][:, :diagonal].sum(axis=1) ** 2).reshape(blocks, -1).sum(axis=1) / diagonal
-        frobenius = self.frobenius_sq + np.cumsum(frobenius)
-        trace = self.trace_sq + np.cumsum(trace)
-        counts = self.count + sum(self.sizes) * np.arange(1, blocks + 1)
-        scales = [_threshold_scale((count, self.width), self.rel_threshold) for count in counts]
-        tau_hi = np.multiply(scales, np.sqrt(frobenius))
+        d, d_out = round(self.width**0.5), sum(self.sizes)
+        settings = self.steps + np.arange(1, len(rows[0]) // self.sizes[0] + 1)
+        scales = [_threshold_scale((r * d_out, self.width), self.rel_threshold) for r in settings]
+        bounds = np.array([_projector_bounds(r, d, d_out, s) for r, s in zip(settings, scales)])
         for level, level_rows in zip(self.levels, rows):
-            level.take(level_rows, tau_hi)
-        return [self._certify(*step) for step in zip(counts, frobenius, trace, scales)]
+            level.take(level_rows, bounds[:, 0])
+        return [self._certify(scale, *step) for scale, step in zip(scales, bounds)]
 
-    def _certify(self, count: int, frob_sq: float, trace_sq: float, scale: float) -> int | None:
-        step, self.steps, self.count = self.steps, self.steps + 1, count
-        self.frobenius_sq, self.trace_sq = frob_sq, trace_sq
+    def _certify(self, scale: float, tau_hi: float, cushion: float, sigma_low: float) -> int | None:
+        step, self.steps = self.steps, self.steps + 1
         open_levels = [l for l, floor in enumerate(self.floors) if not floor]
         self.dropped_sq += sum(self.levels[l].records[step][2] for l in open_levels)
-        tau_hi, dropped = scale * frob_sq**0.5, self.dropped_sq**0.5
-        cushion = (self.width * frob_sq) ** 0.5 * np.finfo(float).eps
-        if dropped + cushion >= scale * (trace_sq**0.5 - dropped):
+        dropped = self.dropped_sq**0.5
+        if dropped + cushion >= scale * (sigma_low - dropped):
             return None
         if any(0.0 < floor <= tau_hi + cushion for floor in self.floors):
             return None
@@ -1061,7 +1059,7 @@ class _LevelStack:
     def singular_values(self) -> np.ndarray:
         scan, steps = self._levels
         sigma = [level.sigma(steps * z) for level, z in zip(scan.levels, scan.sizes)]
-        return np.sort(np.concatenate(sigma + [np.zeros(min(self.shape))]))[::-1][: min(self.shape)]
+        return _direct_sum_sigma(sigma, self.shape)
 
 
 def find_min_configs(

@@ -581,7 +581,7 @@ class TestCertifiedRank:
             np.testing.assert_array_equal(report.singular_values, union)
         full = {label for label, _ in corpus if "short" not in label}
         assert certified <= full and (rel_threshold == 1e-3 or certified == full)
-        assert len(certified) >= 6  # sigma_max <= max_l ||R_l||_F, not ||R||_F
+        assert len(certified) >= 7  # tau_hi at sigma_max <= sqrt(R), not at ||R_l||_F
 
     def test_reconstruct_on_a_complete_map_takes_no_svd(self, monkeypatch):
         configs = haar_configs(4, min_configs(3, 4), seed=2)
@@ -900,13 +900,26 @@ class TestSearches:
         assert search.rank_trace == oracles.complex_rank_trace(search.configs, photons, 2)
 
     def test_an_uncertified_step_does_not_end_certification(self, monkeypatch):
-        # At 1e-3 the keep margin leaves steps unsettled; the scan takes the
-        # levels' SVD there and certifies again at the next steps.
+        # At 1e-3 the keep margin leaves step 5 unsettled; the scan takes the
+        # levels' SVD there and certifies again at steps 6 to 12.
         rank = mock.Mock(wraps=tg.gramian_rank)
         monkeypatch.setattr(tg, "gramian_rank", rank)
-        search = tg.find_min_configs(2, 4, seed=1, rel_threshold=1e-3)
-        assert len(search.rank_trace) == 14 and rank.call_count == 5
+        search = tg.find_min_configs(2, 4, seed=3, rel_threshold=1e-3)
+        settled = [call.args[0].shape[0] // 10 for call in rank.call_args_list]
+        assert len(search.rank_trace) == 15 and settled == [5, 13, 14, 15]
         assert search.rank_trace == oracles.complex_rank_trace(search.configs, 2, 4, 1e-3)
+
+    def test_a_loose_scan_reads_few_level_sigma(self, monkeypatch):
+        # At 1e-3 the keep bar KEEP_MARGIN tau_hi, at sigma_max <= sqrt(R), lets most steps
+        # stand on their factors; a bar at ||A||_F = sqrt(R D), sqrt(D) higher, reads the
+        # levels' sigma 113 times in 28 calls.
+        rank = mock.Mock(wraps=tg.gramian_rank)
+        monkeypatch.setattr(tg, "gramian_rank", rank)
+        reads, sigma = [], tg._LevelFactor.sigma
+        monkeypatch.setattr(tg._LevelFactor, "sigma", lambda *a: reads.append(a) or sigma(*a))
+        search = tg.find_min_configs(3, 4, seed=0, rel_threshold=1e-3)
+        assert len(reads) <= 79 and rank.call_count <= 19
+        assert search.rank_trace == oracles.complex_rank_trace(search.configs, 3, 4, 1e-3)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_padded_drops_inside_a_block_are_certified(self, monkeypatch, seed):
@@ -1021,9 +1034,9 @@ class TestSearches:
     def test_a_stale_floor_leaves_the_step_to_the_levels_svd(self, monkeypatch):
         # Real beamsplitters keep one photon's level 1 in a plane, so the map stays one
         # direction short and the scan runs on.  Level 0 froze at step 1 with floor 1, and
-        # at rel_threshold 0.021 tau_hi = 0.021 sqrt(2R) passes it at R = 1134: from there
+        # at rel_threshold 0.0297 tau_hi = 0.0297 sqrt(R) passes it at R = 1134: from there
         # every step goes to the levels' SVD, although level 1 still clears its bar.
-        golden, scans, steps, rel = (math.sqrt(5.0) - 1.0) / 2.0, [], 1140, 0.021
+        golden, scans, steps, rel = (math.sqrt(5.0) - 1.0) / 2.0, [], 1140, 0.0297
         angles = [math.pi * (j * golden % 1.0) for j in range(steps)]
         drawn = [lo.InterferometerConfig(2, analytic_m2.beamsplitter(a)) for a in angles]
 
@@ -1045,8 +1058,7 @@ class TestSearches:
         (scan,) = scans
         settled = [call.args[0].shape[0] // 2 for call in rank.call_args_list]
         assert [step for step in settled if step > 10] == list(range(1134, steps + 1))
-        tau_hi = rel * scan.frobenius_sq**0.5
-        cushion = (scan.width * scan.frobenius_sq) ** 0.5 * np.finfo(float).eps
+        tau_hi, cushion, _ = tg._projector_bounds(steps, 2, 2, rel)
         assert 0.0 < scan.floors[0] <= tau_hi + cushion and scan.floors[1] == 0.0
         bar = tg.KEEP_MARGIN * tau_hi + scan.dropped_sq**0.5 + cushion
         assert scan.levels[1].sigma(steps)[1] > bar
@@ -1433,31 +1445,39 @@ class TestLevelBases:
         assert factor.call_count == 1 and superop._bases.rotation is None
 
 
-class TestTraceDirectionBound:
+class TestProjectorBounds:
+    """A setting's outcome projectors sum to the identity on the D inputs, so a map of R
+    settings has sigma_max^2 <= R, equal at M' = M, sigma_max^2 >= R D / D' and
+    ||L||_F^2 <= R D, equal at M' = M: the bounds ``_projector_bounds`` reads."""
+
     @staticmethod
-    def quotient_and_sigma_max(photons, modes, meas_modes, count):
-        """The scan's trace-direction quotient over ``count`` Haar settings, and
-        sigma_max^2 of their stacked real map."""
-        bases = tg._level_bases(photons, modes, meas_modes)
-        scan, blocks = tg._RankScan(bases.sizes, bases.dims, None), []
-        for config in haar_configs(meas_modes, count, seed=photons + meas_modes):
-            superop = tg.build_superoperator([config], photons, modes)
-            blocks.append(oracles.hermitian_coordinates(oracles.complex_rows(superop)))
-            scan.extend(tg._level_rows(bases, superop.lift))
-        return scan.trace_sq, np.linalg.svd(np.vstack(blocks), compute_uv=False)[0] ** 2
+    def norms(photons, modes, meas_modes, count):
+        """sigma_max^2 and ||L||_F^2 of ``count`` Haar settings' complex rows, and the
+        bounds' sqrt(R), sqrt(R D / D') and R D."""
+        configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
+        rows = oracles.complex_rows(tg.build_superoperator(configs, photons, modes))
+        d, d_out = fock_dimension(photons, modes), fock_dimension(photons, meas_modes)
+        root, cushion, low = tg._projector_bounds(count, d, d_out, 1.0)
+        assert cushion == d * np.finfo(float).eps * (count * d) ** 0.5
+        sigma_max = np.linalg.svd(rows, compute_uv=False)[0]
+        return sigma_max**2, np.linalg.norm(rows) ** 2, root, low, count * d
 
     @pytest.mark.parametrize("photons,modes", [(2, 3), (3, 4), (6, 2)])
-    def test_quotient_is_sigma_max_squared_without_padding(self, photons, modes):
+    def test_bounds_are_attained_without_padding(self, photons, modes):
         count = min_configs(photons, modes)
-        quotient, sigma_max_sq = self.quotient_and_sigma_max(photons, modes, modes, count)
-        assert abs(quotient - sigma_max_sq) <= 1e-12 * sigma_max_sq
-        assert abs(quotient - count) <= 1e-12 * count
+        sigma_max_sq, frobenius_sq, root, low, total = self.norms(photons, modes, modes, count)
+        assert root == low == count**0.5
+        assert abs(sigma_max_sq - count) <= 1e-12 * count
+        assert abs(frobenius_sq - total) <= 1e-12 * total
 
     @pytest.mark.parametrize("photons,modes,meas_modes", [(2, 3, 5), (3, 4, 6), (4, 3, 7)])
-    def test_quotient_bounds_sigma_max_squared_on_padded_stacks(self, photons, modes, meas_modes):
+    def test_bounds_bracket_padded_maps(self, photons, modes, meas_modes):
         count = min(min_configs_extended(photons, modes, meas_modes), 3)
-        quotient, sigma_max_sq = self.quotient_and_sigma_max(photons, modes, meas_modes, count)
-        assert 0.0 < quotient <= sigma_max_sq
+        sigma_max_sq, frobenius_sq, root, low, total = self.norms(
+            photons, modes, meas_modes, count
+        )
+        assert 0.0 < low**2 <= sigma_max_sq <= root**2 * (1 + 1e-12)
+        assert frobenius_sq <= total * (1 + 1e-12)
 
 
 class TestPeakMemory:

@@ -295,8 +295,11 @@ def single_config_feasible(photons: int, modes: int, meas_modes: int) -> bool:
     """Whether one fixed configuration over M' modes can be tomographically complete.
 
     Checks D_{N,M'-1} >= D_{N,M}^2 - D_{N-1,M}^2, which is necessary, not
-    sufficient: at (N, M, M') = (4, 3, 7) it holds, yet one generic setting
-    reaches rank 196 of 225.
+    sufficient.  One setting's map has only D_{N,M'} rows, so
+    D_{N,M'} >= D_{N,M}^2 is necessary too, and sometimes stronger: at
+    (N, M, M') = (4, 3, 7) this check holds, but D_{4,7} = 210 < 225 rows, so
+    no setting there can be complete (a generic one reaches rank 196).
+    ROADMAP.md item 6 (the atlas of attained bounds) tracks taking both.
     """
     if modes < 2:
         raise ValueError(f"mode count must be at least 2, got {modes}")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .combinatorics import IndexedStates, enumerate_fock_basis, fock_dimension
-from .linear_optics import InterferometerConfig
+from .linear_optics import InterferometerConfig, json_number
 from .tomography import (
     DensityMatrix,
     IncompleteConfigurationsError,
@@ -162,7 +162,7 @@ class PhotonNumberMixture:
     @classmethod
     def from_json_dict(cls, record: dict) -> "PhotonNumberMixture":
         components = tuple(
-            (float(entry["weight"]), DensityMatrix.from_json_dict(entry))
+            (json_number(entry, "weight", "component", float), DensityMatrix.from_json_dict(entry))
             for entry in record["components"]
         )
         return cls(components)

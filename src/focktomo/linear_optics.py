@@ -48,6 +48,16 @@ def decode_complex_matrix(rows) -> np.ndarray:
     return pairs.astype(float).view(complex)[..., 0]
 
 
+def json_number(record: dict, name: str, owner: str, kind: type = int):
+    """``kind(record[name])``, refusing what ``int()`` or ``float()`` would quietly
+    convert: strings, bools and, for ``kind=int``, numbers that are not integers."""
+    value = record.get(name)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{owner} field {name!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class Provenance:
     """How a configuration was produced (enough to regenerate it)."""
@@ -112,7 +122,7 @@ class InterferometerConfig:
     @classmethod
     def from_json_dict(cls, record: dict) -> "InterferometerConfig":
         return cls(
-            modes=int(record["modes"]),
+            modes=json_number(record, "modes", "config"),
             matrix=decode_complex_matrix(record["matrix"]),
             provenance=Provenance.from_json_dict(record["provenance"]),
         )

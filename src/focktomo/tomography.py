@@ -49,6 +49,7 @@ from .linear_optics import (
     decode_complex_matrix,
     encode_complex_matrix,
     haar_random_unitary,
+    json_number,
     lift_unitary,
     random_mesh_unitary,
 )
@@ -136,11 +137,8 @@ class DensityMatrix:
     def from_json_dict(cls, record: dict) -> "DensityMatrix":
         if not isinstance(record, dict):
             raise ValueError(f"a state must be a JSON object, got {type(record).__name__}")
-        for name in ("photons", "modes"):
-            value = record.get(name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"state field {name!r} must be an integer, got {value!r}")
-        basis = enumerate_fock_basis(record["photons"], record["modes"])
+        photons, modes = (json_number(record, name, "state") for name in ("photons", "modes"))
+        basis = enumerate_fock_basis(photons, modes)
         return cls(basis, decode_complex_matrix(record["matrix"]))
 
 

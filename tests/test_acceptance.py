@@ -232,9 +232,7 @@ def test_criterion_8_two_mode_analytic_protocol():
         for photons in range(1, 7):
             for theta in (0.21, 0.9, 2.2):
                 lifted = lo.lift_unitary(m2.beamsplitter(theta), photons).matrix
-                rotation = m2.spin_rotation_matrix(
-                    photons / 2.0, m2.BS_SPIN_ANGLE_FACTOR * theta
-                )
+                rotation = m2._rotation(photons, m2.BS_SPIN_ANGLE_FACTOR * theta)
                 assert np.abs(lifted - rotation).max() < 1e-10
 
 

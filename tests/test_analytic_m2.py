@@ -12,90 +12,67 @@ from focktomo.tomography import build_superoperator, is_complete, simulate_recor
 
 
 class TestWignerSmallD:
+    """``_rotation(two_s, angle)`` is d^S(angle), rows and columns m = S..-S."""
+
     def test_zero_angle_is_identity(self):
-        for spin in (0.5, 1.0, 1.5, 2.0):
-            steps = int(2 * spin) + 1
-            for i in range(steps):
-                for j in range(steps):
-                    expected = 1.0 if i == j else 0.0
-                    assert m2.wigner_small_d(
-                        spin, spin - i, spin - j, 0.0
-                    ) == pytest.approx(expected, abs=1e-14)
+        for two_s in (1, 2, 3, 4):
+            np.testing.assert_allclose(
+                m2._rotation(two_s, 0.0), np.eye(two_s + 1), rtol=0, atol=1e-14
+            )
 
     def test_half_spin_element(self):
         for theta in (0.1, 0.7, 2.3):
-            assert m2.wigner_small_d(0.5, 0.5, 0.5, theta) == pytest.approx(
-                math.cos(theta / 2.0)
-            )
+            assert m2._rotation(1, theta)[0, 0] == pytest.approx(math.cos(theta / 2.0))
 
     def test_spin_one_table(self):
         beta = 0.83
-        assert m2.wigner_small_d(1, 0, 0, beta) == pytest.approx(math.cos(beta))
-        assert m2.wigner_small_d(1, 1, 0, beta) == pytest.approx(
-            -math.sin(beta) / math.sqrt(2)
-        )
-        assert m2.wigner_small_d(1, 1, 1, beta) == pytest.approx(
-            (1 + math.cos(beta)) / 2
-        )
+        rotation = m2._rotation(2, beta)  # rows m = 1, 0, -1
+        assert rotation[1, 1] == pytest.approx(math.cos(beta))
+        assert rotation[0, 1] == pytest.approx(-math.sin(beta) / math.sqrt(2))
+        assert rotation[0, 0] == pytest.approx((1 + math.cos(beta)) / 2)
 
     def test_rows_are_normalized(self):
-        for spin in (1.0, 1.5, 3.0):
+        for two_s in (2, 3, 6):
             for theta in (0.3, 1.1):
-                for m_out in np.arange(-spin, spin + 1):
-                    total = sum(
-                        m2.wigner_small_d(spin, m_out, m_in, theta) ** 2
-                        for m_in in np.arange(-spin, spin + 1)
-                    )
-                    assert total == pytest.approx(1.0)
+                rows = (m2._rotation(two_s, theta) ** 2).sum(axis=1)
+                np.testing.assert_allclose(rows, 1.0, rtol=1e-12)
 
     def test_rotation_matrices_compose(self):
         a, b = 0.5, 1.2
-        left = m2.spin_rotation_matrix(1.5, a) @ m2.spin_rotation_matrix(1.5, b)
-        np.testing.assert_allclose(left, m2.spin_rotation_matrix(1.5, a + b), atol=1e-12)
+        left = m2._rotation(3, a) @ m2._rotation(3, b)
+        np.testing.assert_allclose(left, m2._rotation(3, a + b), atol=1e-12)
 
     def test_rotations_stay_orthogonal_to_high_spin(self):
         # Wigner's explicit factorial sum loses digits with spin (8e-12 by spin 20).
         for two_s in range(1, 41):
             for beta in (0.3, 1.7, -2.9):
-                rotation = m2.spin_rotation_matrix(two_s / 2.0, beta)
+                rotation = m2._rotation(two_s, beta)
                 assert np.abs(rotation @ rotation.T - np.eye(two_s + 1)).max() < 1e-14
-
-    def test_a_scalar_angle_gives_a_float(self):
-        assert isinstance(m2.wigner_small_d(1, 0, 0, 0.3), float)
 
     def test_an_array_of_angles_gives_one_matrix_each(self):
         angles = np.array([0.2, 1.1, 2.7])
-        stack = m2.spin_rotation_matrix(1.5, angles)
+        stack = m2._rotation(3, angles)
         assert stack.shape == (3, 4, 4)
-        for angle, rotation in zip(angles, stack):
-            np.testing.assert_allclose(rotation, m2.spin_rotation_matrix(1.5, angle), atol=1e-15)
-            element = m2.wigner_small_d(1.5, 0.5, -1.5, angle)
-            assert element == pytest.approx(rotation[1, 3], abs=1e-15)
-
-    def test_rejects_invalid_quantum_numbers(self):
-        with pytest.raises(ValueError):
-            m2.wigner_small_d(1, 2, 0, 0.3)
-        with pytest.raises(ValueError):
-            m2.wigner_small_d(0.5, 0.0, 0.5, 0.3)
-        with pytest.raises(ValueError):
-            m2.wigner_small_d(0.7, 0.2, 0.2, 0.3)
+        columns = m2._rotation(3, angles, [3])
+        assert columns.shape == (3, 4, 1)
+        for angle, rotation, column in zip(angles, stack, columns):
+            np.testing.assert_allclose(rotation, m2._rotation(3, angle), atol=1e-15)
+            np.testing.assert_allclose(column, rotation[:, [3]], atol=1e-15)
 
 
 class TestSchwingerCorrespondence:
     def test_one_photon_calibrates_the_angle_map(self):
         theta = 0.37
         lifted = lift_unitary(m2.beamsplitter(theta), 1).matrix
-        rotation = m2.spin_rotation_matrix(0.5, BS_SPIN_ANGLE_FACTOR * theta)
+        rotation = m2._rotation(1, BS_SPIN_ANGLE_FACTOR * theta)
         np.testing.assert_allclose(lifted.real, rotation, atol=1e-14)
         np.testing.assert_allclose(lifted.imag, 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("photons", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("photons", [1, 2, 3, 4, 5, 6, 12, 24])
     def test_lift_equals_spin_rotation(self, photons):
         for theta in (0.21, 1.03, 2.6):
             lifted = lift_unitary(m2.beamsplitter(theta), photons).matrix
-            rotation = m2.spin_rotation_matrix(
-                photons / 2.0, BS_SPIN_ANGLE_FACTOR * theta
-            )
+            rotation = m2._rotation(photons, BS_SPIN_ANGLE_FACTOR * theta)
             assert np.abs(lifted - rotation).max() < 1e-10
 
 

@@ -69,6 +69,15 @@ class TestPhotonNumberMixture:
         for (_, a), (_, b) in zip(restored.components, mixture.components):
             np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    def test_json_weights_must_be_numbers(self):
+        rho = tg.maximally_mixed(enumerate_fock_basis(1, 2))
+        record = {"components": [{"weight": 1, **rho.to_json_dict()}]}
+        assert imp.PhotonNumberMixture.from_json_dict(record).weights() == {1: 1.0}
+        for weight in ("1.0", True, None):
+            record["components"][0]["weight"] = weight
+            with pytest.raises(ValueError, match="'weight' must be a number"):
+                imp.PhotonNumberMixture.from_json_dict(record)
+
 
 class TestMixtureProbabilities:
     def test_single_component_reduces_to_plain_probabilities(self):

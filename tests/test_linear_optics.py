@@ -410,3 +410,9 @@ class TestConfigSerialization:
         np.testing.assert_array_equal(restored.matrix, config.matrix)
         assert restored.provenance == config.provenance
         assert restored.modes == config.modes
+
+    @pytest.mark.parametrize("modes", [2.7, 2.0, "2", True, None])
+    def test_json_modes_must_be_an_integer(self, modes):
+        record = {**lo.haar_random_unitary(2, 0).to_json_dict(), "modes": modes}
+        with pytest.raises(ValueError, match="config field 'modes' must be an integer"):
+            lo.InterferometerConfig.from_json_dict(record)

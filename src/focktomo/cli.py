@@ -50,14 +50,13 @@ from .tomography import (
     GENERATORS,
     DensityMatrix,
     IncompleteConfigurationsError,
-    _record_frequencies,
     build_superoperator,
     config_drawer,
     find_min_configs,
     find_min_modes,
     random_density_matrix,
     reconstruct,
-    sample_records,
+    sweep_frequencies,
     trace_distance,
 )
 
@@ -333,9 +332,7 @@ def cmd_min_modes(spec: ExperimentSpec) -> int:
     if cap is not None and cap < mode_range[-1]:  # before any search prints
         raise ValueError(f"meas_modes_max must be at least {mode_range[-1]}, got {cap}")
     header = ["photons", "modes", "bound", "numeric"]
-    rows = []
-    results = []
-    summary_rows = []
+    rows, scans, summary_rows = [], [], []
     for modes in mode_range:
         for photons in photon_range:
             search = find_min_modes(
@@ -347,28 +344,17 @@ def cmd_min_modes(spec: ExperimentSpec) -> int:
                 rel_threshold=spec.rank_tolerance,
             )
             numeric = search.found if search.found is not None else ""
-            rows.append([photons, modes, search.lower_bound, numeric])
-            results.append(search)
-            last_meas, last_rank, _ = search.rank_by_meas_modes[-1]
+            bound, ranks = search.lower_bound, search.rank_by_meas_modes
+            rows.append([photons, modes, bound, numeric])
+            scans.append(
+                dict(photons=photons, modes=modes, bound=bound, numeric=search.found, ranks=ranks)
+            )
+            last_meas, last_rank, _ = ranks[-1]
             summary_rows.append(
                 (photons, modes, last_meas, 1, last_rank, int(search.found is not None), "")
             )
             if search.found is None:
-                print(
-                    f"N={photons} M={modes}: cap "
-                    f"{search.rank_by_meas_modes[-1][0]} exceeded "
-                    f"(bound {search.lower_bound})"
-                )
-    scans = [
-        {
-            "photons": s.photons,
-            "modes": s.modes,
-            "bound": s.lower_bound,
-            "numeric": s.found,
-            "ranks": s.rank_by_meas_modes,
-        }
-        for s in results
-    ]
+                print(f"N={photons} M={modes}: cap {last_meas} exceeded (bound {bound})")
     _write_outputs(
         spec,
         "focktomo.min_modes.v1",
@@ -394,35 +380,29 @@ def _build_configs(spec: ExperimentSpec, photons: int, modes: int, meas_modes: i
     return draw(meas_modes, count)
 
 
-def _exact_laws(spec: ExperimentSpec, truth: DensityMatrix, superop):
-    """Each setting's exact outcome law, behind the detectors when they are modelled.
+def _simulated_sweep(spec: ExperimentSpec, truth: DensityMatrix, superop):
+    """Every shot count's frequencies as one (S, R, K) stack, and its (S, R) sector
+    masses when detectors are modelled (else None).
 
-    Read off the measurement map once per run, as ``outcome_probabilities``
-    reads them, so no setting is lifted again for any shot count.
+    The exact laws are read off the measurement map once per run, so no setting is
+    lifted again for any shot count; behind detectors, the whole stack is inverted
+    (when asked) and post-selected on N photons at once.
     """
     laws = superop.laws(truth)
     if spec.efficiency is None:
-        return laws, None
+        return sweep_frequencies(laws, spec.shots, spec.seed), None
     model = DetectorModel.uniform(spec.efficiency, superop.meas_modes)
     basis = truncated_basis(truth.photons, superop.meas_modes)
     detected = detector_response(embed_sector(laws, truth.photons, basis), basis, model)
-    return detected, (basis, model)
-
-
-def _simulate_reconstruction(spec: ExperimentSpec, superop, laws, detectors, shots: int):
-    """One reconstruction pass; returns (result, sector_masses or None)."""
-    records = sample_records(laws, shots, spec.seed)
-    if detectors is None:
-        return reconstruct(superop, records, spec.rank_tolerance), None
-    basis, model = detectors
-    detected = _record_frequencies(records, superop.n_configs)
+    stack = sweep_frequencies(detected, spec.shots, spec.seed).reshape(-1, len(basis))
     if spec.invert_detector:
-        detected = invert_detector_response(detected, basis, model)
-    conditionals, masses = postselect_total(detected, basis, superop.photons)
-    # The N-photon sector of an inverted record is the detected sector over
+        stack = invert_detector_response(stack, basis, model)
+    # The N-photon sector of an inverted law is the detected sector over
     # eta^N, so it is never negative; lower sectors can be, but post-selection
     # drops them.
-    return reconstruct(superop, conditionals, spec.rank_tolerance), masses.tolist()
+    conditionals, masses = postselect_total(stack, basis, truth.photons)
+    sweep = (len(spec.shots), superop.n_configs)
+    return conditionals.reshape(*sweep, -1), masses.reshape(sweep)
 
 
 def cmd_reconstruct(spec: ExperimentSpec) -> int:
@@ -437,26 +417,17 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
     configs = _build_configs(spec, photons, modes, meas_modes)
 
     superop = build_superoperator(configs, photons, modes)
-    laws, detectors = _exact_laws(spec, truth, superop)
+    frequencies, masses = _simulated_sweep(spec, truth, superop)
     sweep = []
-    final = None
-    for shots in spec.shots:
-        result, masses = _simulate_reconstruction(spec, superop, laws, detectors, shots)
+    for k, shots in enumerate(spec.shots):
+        result = reconstruct(superop, frequencies[k], spec.rank_tolerance)
         distance = trace_distance(result.projected, truth)
-        entry = {
-            "shots": shots,
-            "residual": result.residual,
-            "trace_distance": distance,
-        }
+        entry = {"shots": shots, "residual": result.residual, "trace_distance": distance}
         if masses is not None:
-            entry["sector_masses"] = masses
+            entry["sector_masses"] = masses[k].tolist()
         sweep.append(entry)
-        final = result
         label = "exact" if shots == 0 else f"{shots} shots"
-        print(
-            f"{label}: residual {result.residual:.3e}, "
-            f"trace distance to truth {distance:.3e}"
-        )
+        print(f"{label}: residual {result.residual:.3e}, trace distance to truth {distance:.3e}")
 
     table = (
         ["shots", "residual", "trace_distance"],
@@ -467,16 +438,16 @@ def cmd_reconstruct(spec: ExperimentSpec) -> int:
         spec,
         "focktomo.reconstruct.v1",
         {
-            "rank": final.rank,
+            "rank": result.rank,
             "required_rank": fock_dimension(photons, modes) ** 2,
             "configs": [c.to_json_dict() for c in configs],
             "sweep": sweep,
-            "raw_estimate": encode_complex_matrix(final.raw),
-            "projected_estimate": encode_complex_matrix(final.projected.matrix),
+            "raw_estimate": encode_complex_matrix(result.raw),
+            "projected_estimate": encode_complex_matrix(result.projected.matrix),
         },
         table=table if spec.out_csv else None,
         summary=[  # complete is 1: reconstruct raises on an incomplete map
-            (photons, modes, meas_modes, len(configs), final.rank, 1, e["residual"])
+            (photons, modes, meas_modes, len(configs), result.rank, 1, e["residual"])
             for e in sweep
         ],
     )

@@ -161,6 +161,8 @@ class PhotonNumberMixture:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "PhotonNumberMixture":
+        if not isinstance(record, dict) or not isinstance(record.get("components"), list):
+            raise ValueError("a mixture must be a JSON object with a 'components' list")
         components = tuple(
             (json_number(entry, "weight", "component", float), DensityMatrix.from_json_dict(entry))
             for entry in record["components"]

@@ -48,10 +48,15 @@ def decode_complex_matrix(rows) -> np.ndarray:
     return pairs.astype(float).view(complex)[..., 0]
 
 
-def json_number(record: dict, name: str, owner: str, kind: type = int):
-    """``kind(record[name])``, refusing what ``int()`` or ``float()`` would quietly
-    convert: strings, bools and, for ``kind=int``, numbers that are not integers."""
+def json_number(record: dict, name: str, owner: str, kind: type = int, optional: bool = False):
+    """``kind(record[name])`` of the JSON object ``record``, refusing what ``int()`` or
+    ``float()`` would quietly convert: strings, bools and, for ``kind=int``, numbers that
+    are not integers.  An ``optional`` field may be missing or null, giving None."""
+    if not isinstance(record, dict):
+        raise ValueError(f"a {owner} must be a JSON object, got {type(record).__name__}")
     value = record.get(name)
+    if value is None and optional:
+        return None
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"{owner} field {name!r} must be {what}, got {value!r}")
@@ -72,23 +77,16 @@ class Provenance:
             raise ValueError(f"unknown provenance kind {self.kind!r}")
 
     def to_json_dict(self) -> dict:
-        record: dict = {"kind": self.kind}
-        if self.seed is not None:
-            record["seed"] = self.seed
-        if self.index is not None:
-            record["index"] = self.index
-        if self.theta is not None:
-            record["theta"] = self.theta
-        return record
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "Provenance":
-        return cls(
-            kind=record["kind"],
-            seed=record.get("seed"),
-            index=record.get("index"),
-            theta=record.get("theta"),
-        )
+        seed = json_number(record, "seed", "provenance", optional=True)
+        index = json_number(record, "index", "provenance", optional=True)
+        theta = json_number(record, "theta", "provenance", float, optional=True)
+        if not isinstance(kind := record.get("kind"), str):
+            raise ValueError(f"provenance field 'kind' must be a string, got {kind!r}")
+        return cls(kind, seed, index, theta)
 
 
 @dataclass

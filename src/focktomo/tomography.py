@@ -135,8 +135,6 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "DensityMatrix":
-        if not isinstance(record, dict):
-            raise ValueError(f"a state must be a JSON object, got {type(record).__name__}")
         photons, modes = (json_number(record, name, "state") for name in ("photons", "modes"))
         basis = enumerate_fock_basis(photons, modes)
         return cls(basis, decode_complex_matrix(record["matrix"]))
@@ -203,26 +201,11 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if (self.probabilities is None) == (self.counts is None):
             raise ValueError("provide exactly one of probabilities or counts")
-        if np.size(self.counts if self.probabilities is None else self.probabilities) == 0:
-            raise ValueError(f"record {self.config_index} has an empty outcome law")
-        if self.probabilities is not None:
-            p = np.asarray(self.probabilities, dtype=float)
-            if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
-                raise ValueError(f"negative probability {p.min():.3e}")
-            if not p.sum() <= 1.0 + PROBABILITY_SUM_TOL:
-                raise ValueError(f"probabilities sum to {p.sum()} > 1")
-            self.probabilities = p
+        if self.probabilities is None:
+            self.counts = _record_rows(self.counts, True, self.shots, self.config_index)
+            self.shots = int(self.counts.sum())
         else:
-            c = np.asarray(self.counts)
-            if np.any(c < 0) or not np.issubdtype(c.dtype, np.integer):
-                raise ValueError("counts must be non-negative integers")
-            if self.shots is None:
-                self.shots = int(c.sum())
-            elif int(c.sum()) != self.shots:
-                raise ValueError(
-                    f"counts sum to {int(c.sum())}, not the declared {self.shots} shots"
-                )
-            self.counts = c
+            self.probabilities = _record_rows(self.probabilities, first=self.config_index)
 
     @classmethod
     def exact(cls, config_index: int, probabilities: np.ndarray) -> "MeasurementRecord":
@@ -240,6 +223,33 @@ class MeasurementRecord:
         if self.shots == 0:
             return np.zeros(len(self.counts), dtype=float)
         return self.counts / self.shots
+
+
+def _record_rows(
+    rows: np.ndarray, counts: bool = False, shots: int | None = None, first: int = 0
+) -> np.ndarray:
+    """``rows``, one record's outcome law (as floats) or, with ``counts``, its counts summing
+    to ``shots`` (to any total if None), or a stack of them, once each passes a record's
+    checks; the first to fail raises its record's ``ValueError``, row 0 being record ``first``."""
+    rows = np.asarray(rows) if counts else np.asarray(rows, dtype=float)
+    if rows.size == 0:
+        raise ValueError(f"record {first} has an empty outcome law")
+    if counts:
+        if np.any(rows < 0) or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("counts must be non-negative integers")
+        totals = np.atleast_1d(rows.sum(axis=-1))
+        if shots is not None and (wrong := totals[totals != shots]).size:
+            raise ValueError(f"counts sum to {int(wrong[0])}, not the declared {shots} shots")
+        return rows
+    low, total = rows.min(axis=-1), rows.sum(axis=-1)
+    good = (low >= -NEGATIVE_PROBABILITY_TOL) & (total <= 1.0 + PROBABILITY_SUM_TOL)  # NaN fails
+    if not good.all():
+        j = np.argmin(np.atleast_1d(good))
+        low, total = np.atleast_1d(low)[j], np.atleast_1d(total)[j]
+        if not low >= -NEGATIVE_PROBABILITY_TOL:
+            raise ValueError(f"negative probability {low:.3e}")
+        raise ValueError(f"probabilities sum to {total} > 1")
+    return rows
 
 
 def _restricted_lift(configs, photons: int, modes: int) -> np.ndarray:
@@ -643,9 +653,27 @@ def sample_records(
     """
     if shots == 0:
         return [MeasurementRecord.exact(j, p) for j, p in enumerate(laws)]
-    streams = np.random.SeedSequence(seed).spawn(len(laws))
-    counts = sample_shots(laws, shots, streams)
+    counts = sample_shots(laws, shots, np.random.SeedSequence(seed).spawn(len(laws)))
     return [MeasurementRecord.sampled(j, c, shots) for j, c in enumerate(counts)]
+
+
+def sweep_frequencies(laws: np.ndarray, shots: Sequence[int], seed: int = 0) -> np.ndarray:
+    """Every shot count's frequencies of the (R, K) ``laws`` as one (S, R, K) stack.
+
+    Entry k equals the frequencies of ``sample_records(laws, shots[k], seed)`` bit for
+    bit: the laws themselves at 0 shots, else counts / shots, setting j drawing from the
+    j-th child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep.  The
+    records' checks run on each entry's whole stack, with the records' messages.
+    """
+    laws = np.asarray(laws, dtype=float)
+    streams = np.random.SeedSequence(seed).spawn(len(laws))
+    stack = np.empty((len(shots), *laws.shape))
+    for k, n in enumerate(shots):
+        if n == 0:
+            stack[k] = _record_rows(laws)
+        else:
+            stack[k] = _record_rows(sample_shots(laws, n, streams), True, n) / n
+    return stack
 
 
 def simulate_records(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from focktomo import cli, selftest
+from focktomo import imperfections as imp
 from focktomo import linear_optics as lo
 from focktomo import tomography as tg
 from focktomo.combinatorics import enumerate_fock_basis
@@ -243,6 +244,34 @@ class TestReconstructCommand:
         raw = np.array(
             [[complex(re, im) for re, im in row] for row in document["raw_estimate"]]
         )
+        np.testing.assert_array_equal(raw, library.raw)
+
+    def test_detector_sweep_matches_the_library_route(self, tmp_path):
+        # README's stream rule: the CLI samples every shot count from its law stack,
+        # which must give what sample_records gives for the same laws and seed.
+        state = tmp_path / "state.json"
+        rho = write_state(state, photons=2, modes=3)
+        out = tmp_path / "result.json"
+        argv = ["reconstruct", "--state", str(state), "--shots", "0,1000,100000", "--seed", "7"]
+        argv += ["--efficiency", "0.9", "--invert-detector", "--json", str(out)]
+        assert cli.main(argv) == 0
+        document = json.loads(out.read_text())
+        configs = [lo.InterferometerConfig.from_json_dict(c) for c in document["configs"]]
+        superop = tg.build_superoperator(configs, 2, 3)
+        basis = imp.truncated_basis(2, 3)
+        model = imp.DetectorModel.uniform(0.9, 3)
+        laws = imp.embed_sector(tg.outcome_probabilities(rho, configs), 2, basis)
+        detected = imp.detector_response(laws, basis, model)
+        for entry, shots in zip(document["sweep"], (0, 1000, 100_000)):
+            records = tg.sample_records(detected, shots, 7)
+            frequencies = tg._record_frequencies(records, len(configs))
+            inverted = imp.invert_detector_response(frequencies, basis, model)
+            conditionals, masses = imp.postselect_total(inverted, basis, 2)
+            library = tg.reconstruct(superop, conditionals)
+            assert entry["shots"] == shots
+            assert entry["residual"] == library.residual
+            assert entry["sector_masses"] == masses.tolist()
+        raw = np.array(document["raw_estimate"]).view(complex)[..., 0]
         np.testing.assert_array_equal(raw, library.raw)
 
     def test_generator_choices_come_from_the_registry(self):

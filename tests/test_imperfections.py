@@ -79,6 +79,21 @@ class TestPhotonNumberMixture:
                 imp.PhotonNumberMixture.from_json_dict(record)
 
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1, 2], "a mixture must be a JSON object with a 'components' list"),
+            ({"components": 5}, "a mixture must be a JSON object with a 'components' list"),
+            ({}, "a mixture must be a JSON object with a 'components' list"),
+            ({"components": [1.0]}, "a component must be a JSON object, got float"),
+            ({"components": [[0.5]]}, "a component must be a JSON object, got list"),
+        ],
+    )
+    def test_json_records_and_components_must_be_objects(self, record, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            imp.PhotonNumberMixture.from_json_dict(record)
+
+
 class TestMixtureProbabilities:
     def test_single_component_reduces_to_plain_probabilities(self):
         rho = tg.random_density_matrix(enumerate_fock_basis(2, 2), 9)

@@ -411,6 +411,40 @@ class TestConfigSerialization:
         assert restored.provenance == config.provenance
         assert restored.modes == config.modes
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", "7", "'seed' must be an integer"),
+            ("seed", 7.0, "'seed' must be an integer"),
+            ("index", 2.5, "'index' must be an integer"),
+            ("index", True, "'index' must be an integer"),
+            ("theta", True, "'theta' must be a number"),
+            ("theta", "0.5", "'theta' must be a number"),
+            ("kind", 3, "'kind' must be a string"),
+            ("kind", None, "'kind' must be a string"),
+        ],
+    )
+    def test_json_provenance_fields_are_type_checked(self, field, value, message):
+        record = {"kind": "newton_young", "seed": 7, "index": 2, "theta": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"provenance field {message}"):
+            lo.Provenance.from_json_dict(record)
+
+    def test_json_provenance_optional_fields_may_be_missing_or_null(self):
+        assert lo.Provenance.from_json_dict({"kind": "haar", "seed": 7, "index": None}) == (
+            lo.Provenance("haar", seed=7)
+        )
+        restored = lo.Provenance.from_json_dict({"kind": "newton_young", "index": 1, "theta": 1})
+        assert restored == lo.Provenance("newton_young", index=1, theta=1.0)
+        assert type(restored.theta) is float
+
+    @pytest.mark.parametrize("record", [[1, 2], 3.0, "config", None])
+    def test_json_config_must_be_an_object(self, record):
+        with pytest.raises(ValueError, match="a config must be a JSON object"):
+            lo.InterferometerConfig.from_json_dict(record)
+        good = lo.haar_random_unitary(2, 0).to_json_dict()
+        with pytest.raises(ValueError, match="a provenance must be a JSON object"):
+            lo.InterferometerConfig.from_json_dict({**good, "provenance": record})
+
     @pytest.mark.parametrize("modes", [2.7, 2.0, "2", True, None])
     def test_json_modes_must_be_an_integer(self, modes):
         record = {**lo.haar_random_unitary(2, 0).to_json_dict(), "modes": modes}

@@ -1610,6 +1610,43 @@ class TestSampleRecords:
         assert tg.trace_distance(result.projected, rho) < 1e-8
 
 
+class TestSweepFrequencies:
+    @pytest.mark.parametrize("shots", [(0, 1000, 100_000), (500, 0), (7,)])
+    def test_each_entry_is_its_records_frequencies(self, shots):
+        configs = haar_configs(3, 6, seed=8)
+        rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 3)
+        laws = tg.outcome_probabilities(rho, configs)
+        stack = tg.sweep_frequencies(laws, shots, seed=11)
+        assert stack.shape == (len(shots), *laws.shape)
+        for entry, count in zip(stack, shots):
+            records = tg.sample_records(laws, count, seed=11)
+            np.testing.assert_array_equal(entry, tg._record_frequencies(records, len(configs)))
+
+    @pytest.mark.parametrize(
+        "bad_row", [[0.6, 0.5, -1e-9], [0.6, 0.5, 0.0], [np.nan, 0.5, 0.5]]
+    )
+    def test_a_bad_law_raises_its_records_message(self, bad_row):
+        laws = np.full((4, 3), 1.0 / 3.0)
+        laws[2] = bad_row
+        with pytest.raises(ValueError) as record_error:
+            tg.MeasurementRecord.exact(2, laws[2])
+        with pytest.raises(ValueError) as stack_error:
+            tg.sweep_frequencies(laws, [0, 1000])
+        assert str(stack_error.value) == str(record_error.value)
+
+    def test_an_empty_law_and_bad_counts_raise_the_records_messages(self):
+        with pytest.raises(ValueError, match="^record 0 has an empty outcome law$"):
+            tg.sweep_frequencies(np.empty((3, 0)), [0])
+        counts = np.array([[3, 7], [4, 5]])
+        with pytest.raises(ValueError) as record_error:
+            tg.MeasurementRecord.sampled(1, counts[1], 10)
+        with pytest.raises(ValueError) as stack_error:
+            tg._record_rows(counts, True, 10)
+        assert str(stack_error.value) == str(record_error.value)
+        with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
+            tg._record_rows(np.array([[3.0, 7.0]]), True, 10)
+
+
 class TestMeasurementRecord:
     def test_exact_and_sampled_validation(self):
         record = tg.MeasurementRecord.exact(0, np.array([0.5, 0.5]))

@@ -19,14 +19,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .combinatorics import enumerate_fock_basis
 from .linear_optics import InterferometerConfig, Provenance, lift_unitary
 from .tomography import (
-    MeasurementRecord,
     ReconstructionResult,
     _record_frequencies,
     _threshold_scale,
@@ -170,9 +168,7 @@ def newton_young_configs(
     )
 
 
-def dft_harmonics(
-    records: Sequence[MeasurementRecord] | np.ndarray, photons: int
-) -> np.ndarray:
+def dft_harmonics(records: np.ndarray, photons: int) -> np.ndarray:
     """Discrete Fourier transform of the outcome data over the phase grid.
 
     Returns a (2N+1, n_outcomes) complex array whose row I+N holds
@@ -187,7 +183,7 @@ def dft_harmonics(
 
 
 def reconstruct_m2(
-    records: Sequence[MeasurementRecord] | np.ndarray,
+    records: np.ndarray,
     photons: int,
     theta: float,
 ) -> ReconstructionResult:

@@ -318,7 +318,7 @@ def reconstruct_mixture(
     if len(records) != len(configs):
         raise ValueError(f"{len(records)} records for {len(configs)} configurations")
     basis = truncated_basis(max_total, configs[0].modes)
-    cleaned = _record_frequencies(np.asarray(records, dtype=float), len(configs), len(basis))
+    cleaned = _record_frequencies(records, len(configs), len(basis))
     if model is not None:
         cleaned = invert_detector_response(cleaned, basis, model)
     totals = cleaned.sum(axis=1)

@@ -63,6 +63,13 @@ def json_number(record: dict, name: str, owner: str, kind: type = int, optional:
     return kind(value)
 
 
+def _json_field(record: dict, name: str, owner: str):
+    """``record[name]`` of the JSON object ``record``; ``ValueError`` if it is missing."""
+    if name not in record:
+        raise ValueError(f"{owner} field {name!r} is missing")
+    return record[name]
+
+
 @dataclass(frozen=True)
 class Provenance:
     """How a configuration was produced (enough to regenerate it)."""
@@ -121,8 +128,8 @@ class InterferometerConfig:
     def from_json_dict(cls, record: dict) -> "InterferometerConfig":
         return cls(
             modes=json_number(record, "modes", "config"),
-            matrix=decode_complex_matrix(record["matrix"]),
-            provenance=Provenance.from_json_dict(record["provenance"]),
+            matrix=decode_complex_matrix(_json_field(record, "matrix", "config")),
+            provenance=Provenance.from_json_dict(_json_field(record, "provenance", "config")),
         )
 
 

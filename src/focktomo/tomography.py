@@ -45,6 +45,7 @@ from .combinatorics import (
 )
 from .linear_optics import (
     InterferometerConfig,
+    _json_field,
     _sector_tables,
     decode_complex_matrix,
     encode_complex_matrix,
@@ -137,7 +138,7 @@ class DensityMatrix:
     def from_json_dict(cls, record: dict) -> "DensityMatrix":
         photons, modes = (json_number(record, name, "state") for name in ("photons", "modes"))
         basis = enumerate_fock_basis(photons, modes)
-        return cls(basis, decode_complex_matrix(record["matrix"]))
+        return cls(basis, decode_complex_matrix(_json_field(record, "matrix", "state")))
 
 
 def pure_state(basis: FockBasis, amplitudes: Sequence[complex]) -> DensityMatrix:
@@ -189,56 +190,17 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     return 0.5 * float(np.linalg.svd(ma - mb, compute_uv=False).sum())
 
 
-@dataclass
-class MeasurementRecord:
-    """Outcome statistics for one configuration: exact probabilities or counts."""
-
-    config_index: int
-    probabilities: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    shots: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.probabilities is None) == (self.counts is None):
-            raise ValueError("provide exactly one of probabilities or counts")
-        if self.probabilities is None:
-            self.counts = _record_rows(self.counts, True, self.shots, self.config_index)
-            self.shots = int(self.counts.sum())
-        else:
-            self.probabilities = _record_rows(self.probabilities, first=self.config_index)
-
-    @classmethod
-    def exact(cls, config_index: int, probabilities: np.ndarray) -> "MeasurementRecord":
-        return cls(config_index=config_index, probabilities=probabilities)
-
-    @classmethod
-    def sampled(
-        cls, config_index: int, counts: np.ndarray, shots: int | None = None
-    ) -> "MeasurementRecord":
-        return cls(config_index=config_index, counts=counts, shots=shots)
-
-    def frequencies(self) -> np.ndarray:
-        if self.probabilities is not None:
-            return self.probabilities
-        if self.shots == 0:
-            return np.zeros(len(self.counts), dtype=float)
-        return self.counts / self.shots
-
-
-def _record_rows(
-    rows: np.ndarray, counts: bool = False, shots: int | None = None, first: int = 0
-) -> np.ndarray:
-    """``rows``, one record's outcome law (as floats) or, with ``counts``, its counts summing
-    to ``shots`` (to any total if None), or a stack of them, once each passes a record's
-    checks; the first to fail raises its record's ``ValueError``, row 0 being record ``first``."""
-    rows = np.asarray(rows) if counts else np.asarray(rows, dtype=float)
+def _record_rows(rows: np.ndarray, shots: int | None = None) -> np.ndarray:
+    """``rows``, a stack of outcome laws (as floats) or, given ``shots``, of counts summing
+    to ``shots``, once each row passes its checks; the first to fail raises its ``ValueError``."""
+    rows = np.asarray(rows, dtype=float if shots is None else None)
     if rows.size == 0:
-        raise ValueError(f"record {first} has an empty outcome law")
-    if counts:
+        raise ValueError("record 0 has an empty outcome law")
+    if shots is not None:
         if np.any(rows < 0) or not np.issubdtype(rows.dtype, np.integer):
             raise ValueError("counts must be non-negative integers")
-        totals = np.atleast_1d(rows.sum(axis=-1))
-        if shots is not None and (wrong := totals[totals != shots]).size:
+        totals = rows.sum(axis=-1)
+        if (wrong := totals[totals != shots]).size:
             raise ValueError(f"counts sum to {int(wrong[0])}, not the declared {shots} shots")
         return rows
     low, total = rows.min(axis=-1), rows.sum(axis=-1)
@@ -497,32 +459,22 @@ def is_complete(
     return gramian_rank(superop, rel_threshold).rank == superop.shape[1]
 
 
-def _record_frequencies(
-    records: Sequence[MeasurementRecord] | np.ndarray, count: int, outcomes: int | None = None
-) -> np.ndarray:
-    """Records, or an array of their frequencies, as a (count, outcomes) array.
+def _record_frequencies(records: np.ndarray, count: int, outcomes: int | None = None) -> np.ndarray:
+    """An array of frequencies as a (count, outcomes) array.
 
-    Records must be labelled 0, 1, ... in configuration order.  An array holds
-    one row per configuration, or is flat when ``outcomes`` is given; with
-    ``outcomes`` None the rows may have any common length.
+    The array holds one row per configuration, or is flat when ``outcomes`` is given;
+    with ``outcomes`` None the rows may have any common length.  A row that is not finite
+    raises ``ValueError`` naming its setting, before any solve reads it; negative entries
+    pass, as inverted detector data carries them.
     """
-    if isinstance(records, np.ndarray):
-        data = np.asarray(records, dtype=float)
-        if data.ndim == 1 and outcomes and data.size == count * outcomes:
-            data = data.reshape(count, outcomes)
-    else:
-        if len(records) != count:
-            raise ValueError(f"{len(records)} records for {count} configurations")
-        for slot, record in enumerate(records):
-            if record.config_index != slot:
-                raise ValueError(
-                    f"record {slot} is labelled with configuration {record.config_index}; "
-                    "records must follow the configuration order"
-                )
-        data = np.array([record.frequencies() for record in records], dtype=float)
+    data = np.asarray(records, dtype=float)
+    if data.ndim == 1 and outcomes and data.size == count * outcomes:
+        data = data.reshape(count, outcomes)
     if data.ndim != 2 or data.shape[0] != count or data.shape[1] != (outcomes or data.shape[1]):
         expected = f"({count}, {outcomes})" if outcomes else f"{count} rows"
         raise ValueError(f"frequencies have shape {data.shape}, expected {expected}")
+    if not (finite := np.isfinite(data).all(axis=1)).all():
+        raise ValueError(f"frequencies of setting {np.argmin(finite)} are not finite")
     return data
 
 
@@ -569,7 +521,7 @@ def project_to_state(basis: FockBasis, matrix: np.ndarray) -> DensityMatrix:
 
 def reconstruct(
     superop: Superoperator,
-    records: Sequence[MeasurementRecord] | np.ndarray,
+    records: np.ndarray,
     rel_threshold: float | None = None,
 ) -> ReconstructionResult:
     """Recover the state from outcome statistics by least squares on the real form.
@@ -581,12 +533,12 @@ def reconstruct(
     map below rank D^2 at ``gramian_rank``'s threshold raises
     ``IncompleteConfigurationsError`` with the deficit.
     """
-    p = _record_frequencies(records, superop.n_configs, superop.basis_out.dimension).reshape(-1)
+    p = _record_frequencies(records, superop.n_configs, superop.basis_out.dimension)
     required = superop.basis_in.dimension ** 2
     rank = gramian_rank(superop, rel_threshold).rank
     if rank < required:
         raise IncompleteConfigurationsError(rank=rank, required=required)
-    bases, p = superop._bases, p.reshape(superop.n_configs, -1)
+    bases = superop._bases
     t = bases.rotation  # each setting's outcomes rotated by T, then split by level
     levels = np.split(p if t is None else p @ t.T, np.cumsum(bases.sizes)[:-1], axis=1)
     solutions, tails = [], []
@@ -641,29 +593,13 @@ def sample_shots(
     return np.reshape(counts, p.shape)
 
 
-def sample_records(
-    laws: Sequence[np.ndarray], shots: int = 0, seed: int = 0
-) -> list[MeasurementRecord]:
-    """Exact (shots=0) or finite-shot records of each setting's outcome law.
-
-    Setting j draws its counts from the j-th child of
-    ``np.random.SeedSequence(seed).spawn(len(laws))``, so every (seed,
-    setting) pair has a stream of its own.  The laws, all of one length, are
-    sampled as one stack.
-    """
-    if shots == 0:
-        return [MeasurementRecord.exact(j, p) for j, p in enumerate(laws)]
-    counts = sample_shots(laws, shots, np.random.SeedSequence(seed).spawn(len(laws)))
-    return [MeasurementRecord.sampled(j, c, shots) for j, c in enumerate(counts)]
-
-
 def sweep_frequencies(laws: np.ndarray, shots: Sequence[int], seed: int = 0) -> np.ndarray:
     """Every shot count's frequencies of the (R, K) ``laws`` as one (S, R, K) stack.
 
-    Entry k equals the frequencies of ``sample_records(laws, shots[k], seed)`` bit for
-    bit: the laws themselves at 0 shots, else counts / shots, setting j drawing from the
-    j-th child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep.  The
-    records' checks run on each entry's whole stack, with the records' messages.
+    Entry k is the laws themselves at 0 shots, else counts / shots, setting j drawing
+    from the j-th child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep, so
+    every (seed, setting) pair has a stream of its own.  Each entry's whole stack is checked
+    by ``_record_rows``.
     """
     laws = np.asarray(laws, dtype=float)
     streams = np.random.SeedSequence(seed).spawn(len(laws))
@@ -672,7 +608,7 @@ def sweep_frequencies(laws: np.ndarray, shots: Sequence[int], seed: int = 0) -> 
         if n == 0:
             stack[k] = _record_rows(laws)
         else:
-            stack[k] = _record_rows(sample_shots(laws, n, streams), True, n) / n
+            stack[k] = _record_rows(sample_shots(laws, n, streams), n) / n
     return stack
 
 
@@ -681,9 +617,10 @@ def simulate_records(
     configs: Sequence[InterferometerConfig],
     shots: int = 0,
     seed: int = 0,
-) -> list[MeasurementRecord]:
-    """Exact (shots=0) or finite-shot measurement records for each configuration."""
-    return sample_records(outcome_probabilities(rho, configs), shots, seed)
+) -> np.ndarray:
+    """Exact (shots=0) or finite-shot frequencies, (R, K), one row per configuration:
+    ``sweep_frequencies`` at one shot count."""
+    return sweep_frequencies(outcome_probabilities(rho, configs), [shots], seed)[0]
 
 
 def config_drawer(generator: str, seed: int) -> Callable[[int, int], list[InterferometerConfig]]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,8 +251,7 @@ class TestReconstructM2:
         records = simulate_records(rho, protocol.configs, shots=1000, seed=photons)
         result = m2.reconstruct_m2(records, photons, protocol.theta)
         superop = build_superoperator(protocol.configs, photons, 2)
-        data = np.concatenate([r.frequencies() for r in records])
-        full = np.linalg.norm(superop.apply(result.raw) - data)
+        full = np.linalg.norm(superop.apply(result.raw) - records.reshape(-1))
         assert result.residual == pytest.approx(full, rel=1e-10, abs=1e-12)
 
     def test_single_photon_superposition_lives_in_side_harmonics(self):
@@ -283,6 +283,15 @@ class TestReconstructM2:
         photons = 2
         with pytest.raises(ValueError, match=r"shape \(5, 4\), expected \(5, 3\)"):
             m2.reconstruct_m2(np.full((5, 4), 0.25), photons, m2.choose_theta(photons))
-        records = [tg.MeasurementRecord.exact(j, np.full(4, 0.25)) for j in range(5)]
-        with pytest.raises(ValueError, match=r"shape \(5, 4\), expected \(5, 3\)"):
-            m2.reconstruct_m2(records, photons, m2.choose_theta(photons))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_record_is_named_before_the_solve(self, bad):
+        photons = 2
+        protocol = m2.newton_young_configs(photons)
+        rho = tg.random_density_matrix(enumerate_fock_basis(photons, 2), 5)
+        records = simulate_records(rho, protocol.configs)
+        records[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no solve runs to warn
+            with pytest.raises(ValueError, match="^frequencies of setting 2 are not finite$"):
+                m2.reconstruct_m2(records, photons, protocol.theta)

@@ -248,7 +248,7 @@ class TestReconstructCommand:
 
     def test_detector_sweep_matches_the_library_route(self, tmp_path):
         # README's stream rule: the CLI samples every shot count from its law stack,
-        # which must give what sample_records gives for the same laws and seed.
+        # which must give what sweep_frequencies gives for each count, laws and seed.
         state = tmp_path / "state.json"
         rho = write_state(state, photons=2, modes=3)
         out = tmp_path / "result.json"
@@ -263,8 +263,7 @@ class TestReconstructCommand:
         laws = imp.embed_sector(tg.outcome_probabilities(rho, configs), 2, basis)
         detected = imp.detector_response(laws, basis, model)
         for entry, shots in zip(document["sweep"], (0, 1000, 100_000)):
-            records = tg.sample_records(detected, shots, 7)
-            frequencies = tg._record_frequencies(records, len(configs))
+            frequencies = tg.sweep_frequencies(detected, [shots], 7)[0]
             inverted = imp.invert_detector_response(frequencies, basis, model)
             conditionals, masses = imp.postselect_total(inverted, basis, 2)
             library = tg.reconstruct(superop, conditionals)
@@ -480,6 +479,7 @@ class TestBadInput:
         [
             ({"photons": 1, "modes": 2, "matrix": [[1, 0], [0, 0]]}, "[re, im] pairs"),
             ([[[1, 0]]], "a state must be a JSON object, got list"),
+            ({"photons": 1, "modes": 2}, "state field 'matrix' is missing"),
             (
                 {"photons": 1, "modes": 0, "matrix": [[[1, 0]]]},
                 "mode count must be positive, got 0",

@@ -87,6 +87,10 @@ class TestPhotonNumberMixture:
             ({}, "a mixture must be a JSON object with a 'components' list"),
             ({"components": [1.0]}, "a component must be a JSON object, got float"),
             ({"components": [[0.5]]}, "a component must be a JSON object, got list"),
+            (
+                {"components": [{"weight": 1.0, "photons": 1, "modes": 2}]},
+                "state field 'matrix' is missing",
+            ),
         ],
     )
     def test_json_records_and_components_must_be_objects(self, record, message):
@@ -394,6 +398,17 @@ class TestReconstructMixture:
         assert np.array_equal(state.projected.matrix, [[1.0]])
         assert state.raw == pytest.approx(np.ones((1, 1)), abs=1e-14)
         assert state.residual < 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_record_is_named_before_the_solve(self, bad):
+        mixture, _, _ = two_component_mixture(seed=5)
+        configs = haar_configs(2, 5, seed=33)
+        records = imp.mixture_joint_probabilities(mixture, configs)[1]
+        records[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no solve runs to warn
+            with pytest.raises(ValueError, match="^frequencies of setting 1 are not finite$"):
+                imp.reconstruct_mixture(records, configs, 2, 2)
 
     def test_empty_input_is_named(self):
         with pytest.raises(ValueError, match="at least one configuration"):

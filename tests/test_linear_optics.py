@@ -445,6 +445,13 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="a provenance must be a JSON object"):
             lo.InterferometerConfig.from_json_dict({**good, "provenance": record})
 
+    @pytest.mark.parametrize("field", ["matrix", "provenance"])
+    def test_json_config_fields_must_be_present(self, field):
+        record = lo.haar_random_unitary(2, 0).to_json_dict()
+        del record[field]
+        with pytest.raises(ValueError, match=f"^config field '{field}' is missing$"):
+            lo.InterferometerConfig.from_json_dict(record)
+
     @pytest.mark.parametrize("modes", [2.7, 2.0, "2", True, None])
     def test_json_modes_must_be_an_integer(self, modes):
         record = {**lo.haar_random_unitary(2, 0).to_json_dict(), "modes": modes}

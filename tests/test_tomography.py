@@ -1,8 +1,10 @@
 import functools
 import itertools
 import math
+import re
 import traceback
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -79,6 +81,10 @@ class TestDensityMatrix:
         rho = tg.random_density_matrix(basis, 8)
         restored = tg.DensityMatrix.from_json_dict(rho.to_json_dict())
         np.testing.assert_array_equal(restored.matrix, rho.matrix)
+
+    def test_json_matrix_must_be_present(self):
+        with pytest.raises(ValueError, match="^state field 'matrix' is missing$"):
+            tg.DensityMatrix.from_json_dict({"photons": 1, "modes": 2})
 
 
 class TestTraceDistance:
@@ -686,18 +692,13 @@ class TestReconstruct:
         )
         basis = imp.truncated_basis(3, 3)
         model = imp.DetectorModel.uniform(0.8, 3)
-        detected = [
-            imp.detector_response(imp.mixture_joint_probabilities(source, c)[1], basis, model)
-            for c in configs
-        ]
-        inverted = np.concatenate(
-            [
-                imp.postselect_total(
-                    imp.invert_detector_response(r.frequencies(), basis, model), basis, 2
-                )[0]
-                for r in tg.sample_records(detected, 1000, seed=0)
-            ]
+        detected = imp.detector_response(
+            imp.mixture_joint_probabilities(source, configs)[1], basis, model
         )
+        sampled = tg.sweep_frequencies(detected, [1000], seed=0)[0]
+        inverted = imp.postselect_total(
+            imp.invert_detector_response(sampled, basis, model), basis, 2
+        )[0].reshape(-1)
         assert -0.05 < inverted.min() < 0.0
         rows = oracles.complex_rows(superop)
         for p in (exact, inverted):
@@ -729,22 +730,16 @@ class TestReconstruct:
         assert err.value.required == 9
         assert err.value.deficit >= 1
 
-    def test_a_nan_record_is_named_before_the_solve(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nan_record_is_named_before_the_solve(self, bad):
         configs = haar_configs(2, 5, seed=41)
         superop = tg.build_superoperator(configs, 2, 2)
         laws = superop.laws(tg.random_density_matrix(enumerate_fock_basis(2, 2), 2))
-        laws[3, 1] = np.nan
-        with pytest.raises(ValueError, match="negative probability nan"):
-            tg.reconstruct(superop, [tg.MeasurementRecord.exact(j, p) for j, p in enumerate(laws)])
-
-    def test_rejects_misordered_records(self):
-        configs = haar_configs(2, 5, seed=41)
-        superop = tg.build_superoperator(configs, 2, 2)
-        rho = tg.random_density_matrix(enumerate_fock_basis(2, 2), 2)
-        records = tg.simulate_records(rho, configs)
-        records[0], records[1] = records[1], records[0]
-        with pytest.raises(ValueError):
-            tg.reconstruct(superop, records)
+        laws[3, 1], laws[4, 0] = bad, bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no solve runs to warn
+            with pytest.raises(ValueError, match="^frequencies of setting 3 are not finite$"):
+                tg.reconstruct(superop, laws)
 
 
 class TestProjectToState:
@@ -1570,23 +1565,22 @@ class TestSampleShots:
             tg.sample_shots(laws[:2], 10, [0])
 
 
-class TestSampleRecords:
+class TestSimulateRecords:
     def test_setting_j_uses_the_jth_spawned_stream(self):
-        laws = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.4, 0.0])]
-        records = tg.sample_records(laws, 1000, seed=4)
+        laws = np.array([[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+        frequencies = tg.sweep_frequencies(laws, [1000], seed=4)[0]
         streams = np.random.SeedSequence(4).spawn(2)
-        for record, law, stream in zip(records, laws, streams):
-            np.testing.assert_array_equal(record.counts, tg.sample_shots(law, 1000, stream))
-        exact = tg.sample_records(laws)
-        np.testing.assert_array_equal(exact[1].probabilities, laws[1])
+        for row, law, stream in zip(frequencies, laws, streams):
+            np.testing.assert_array_equal(row, tg.sample_shots(law, 1000, stream) / 1000)
+        np.testing.assert_array_equal(tg.sweep_frequencies(laws, [0])[0], laws)
 
     def test_neighbouring_seeds_do_not_share_streams(self):
-        laws = [np.full(6, 1.0 / 6.0)] * 4
+        laws = np.full((4, 6), 1.0 / 6.0)
         for seed in range(5):
-            here = tg.sample_records(laws, 1000, seed)
-            next_seed = tg.sample_records(laws, 1000, seed + 1)
+            here = tg.sweep_frequencies(laws, [1000], seed)[0]
+            next_seed = tg.sweep_frequencies(laws, [1000], seed + 1)[0]
             for j in range(3):
-                assert not np.array_equal(here[j + 1].counts, next_seed[j].counts)
+                assert not np.array_equal(here[j + 1], next_seed[j])
 
     @given(
         photons=st.integers(1, 3),
@@ -1603,74 +1597,46 @@ class TestSampleRecords:
         search = tg.find_min_configs(photons, modes, meas_modes, seed=seed)
         assert search.found is not None
         rho = tg.random_density_matrix(enumerate_fock_basis(photons, modes), seed)
-        for record in tg.simulate_records(rho, search.configs, shots, seed):
-            assert record.shots == shots and int(record.counts.sum()) == shots
+        scaled = tg.simulate_records(rho, search.configs, shots, seed) * shots
+        counts = np.rint(scaled)
+        assert np.abs(scaled - counts).max() < 1e-9 and counts.min() >= 0
+        np.testing.assert_array_equal(counts.sum(axis=1), shots)
+        exact = tg.simulate_records(rho, search.configs)
+        np.testing.assert_array_equal(exact, tg.outcome_probabilities(rho, search.configs))
         superop = tg.build_superoperator(search.configs, photons, modes)
-        result = tg.reconstruct(superop, tg.simulate_records(rho, search.configs))
+        result = tg.reconstruct(superop, exact)
         assert tg.trace_distance(result.projected, rho) < 1e-8
 
 
 class TestSweepFrequencies:
     @pytest.mark.parametrize("shots", [(0, 1000, 100_000), (500, 0), (7,)])
-    def test_each_entry_is_its_records_frequencies(self, shots):
+    def test_each_entry_is_simulate_records_at_its_shot_count(self, shots):
         configs = haar_configs(3, 6, seed=8)
         rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 3)
         laws = tg.outcome_probabilities(rho, configs)
         stack = tg.sweep_frequencies(laws, shots, seed=11)
         assert stack.shape == (len(shots), *laws.shape)
         for entry, count in zip(stack, shots):
-            records = tg.sample_records(laws, count, seed=11)
-            np.testing.assert_array_equal(entry, tg._record_frequencies(records, len(configs)))
+            np.testing.assert_array_equal(entry, tg.simulate_records(rho, configs, count, 11))
 
     @pytest.mark.parametrize(
-        "bad_row", [[0.6, 0.5, -1e-9], [0.6, 0.5, 0.0], [np.nan, 0.5, 0.5]]
+        "bad_row, message",
+        [
+            ([0.6, 0.5, -1e-9], "negative probability -1.000e-09"),
+            ([0.6, 0.5, 0.0], "probabilities sum to 1.1 > 1"),
+            ([np.nan, 0.5, 0.5], "negative probability nan"),
+        ],
     )
-    def test_a_bad_law_raises_its_records_message(self, bad_row):
+    def test_a_bad_law_raises_its_message(self, bad_row, message):
         laws = np.full((4, 3), 1.0 / 3.0)
         laws[2] = bad_row
-        with pytest.raises(ValueError) as record_error:
-            tg.MeasurementRecord.exact(2, laws[2])
-        with pytest.raises(ValueError) as stack_error:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tg.sweep_frequencies(laws, [0, 1000])
-        assert str(stack_error.value) == str(record_error.value)
 
-    def test_an_empty_law_and_bad_counts_raise_the_records_messages(self):
+    def test_an_empty_law_and_bad_counts_raise_their_messages(self):
         with pytest.raises(ValueError, match="^record 0 has an empty outcome law$"):
             tg.sweep_frequencies(np.empty((3, 0)), [0])
-        counts = np.array([[3, 7], [4, 5]])
-        with pytest.raises(ValueError) as record_error:
-            tg.MeasurementRecord.sampled(1, counts[1], 10)
-        with pytest.raises(ValueError) as stack_error:
-            tg._record_rows(counts, True, 10)
-        assert str(stack_error.value) == str(record_error.value)
+        with pytest.raises(ValueError, match="^counts sum to 9, not the declared 10 shots$"):
+            tg._record_rows(np.array([[3, 7], [4, 5]]), 10)
         with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
-            tg._record_rows(np.array([[3.0, 7.0]]), True, 10)
-
-
-class TestMeasurementRecord:
-    def test_exact_and_sampled_validation(self):
-        record = tg.MeasurementRecord.exact(0, np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(record.frequencies(), [0.5, 0.5])
-        sampled = tg.MeasurementRecord.sampled(1, np.array([3, 7]))
-        assert sampled.shots == 10
-        np.testing.assert_allclose(sampled.frequencies(), [0.3, 0.7])
-        empty = tg.MeasurementRecord.sampled(0, np.zeros(2, dtype=np.int64), 0)
-        np.testing.assert_array_equal(empty.frequencies(), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            tg.MeasurementRecord.exact(0, np.array([0.9, 0.2]))
-        with pytest.raises(ValueError):
-            tg.MeasurementRecord.sampled(0, np.array([3, 7]), shots=11)
-        with pytest.raises(ValueError):
-            tg.MeasurementRecord(0)
-
-    def test_nan_probabilities_are_rejected(self):
-        with pytest.raises(ValueError, match="negative probability nan"):
-            tg.MeasurementRecord.exact(0, np.array([np.nan, 1.0]))
-
-    def test_empty_probabilities_are_rejected(self):
-        with pytest.raises(ValueError, match="record 4 has an empty outcome law"):
-            tg.MeasurementRecord.exact(4, np.array([]))
-
-    def test_empty_counts_are_rejected(self):
-        with pytest.raises(ValueError, match="record 2 has an empty outcome law"):
-            tg.MeasurementRecord.sampled(2, np.array([], dtype=np.int64))
+            tg._record_rows(np.array([[3.0, 7.0]]), 10)

@@ -60,6 +60,7 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 NEGATIVE_PROBABILITY_TOL = 1e-12
+LAW_SUM_TOL = 1e-9
 # A certificate keeps a direction only above KEEP_MARGIN tau_hi (``_projector_bounds``).
 KEEP_MARGIN = 16.0
 # Level rows are formed from lifts one run of settings at a time, the half form that a run's
@@ -188,30 +189,6 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
     mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
     return 0.5 * float(np.linalg.svd(ma - mb, compute_uv=False).sum())
-
-
-def _record_rows(rows: np.ndarray, shots: int | None = None) -> np.ndarray:
-    """``rows``, a stack of outcome laws (as floats) or, given ``shots``, of counts summing
-    to ``shots``, once each row passes its checks; the first to fail raises its ``ValueError``."""
-    rows = np.asarray(rows, dtype=float if shots is None else None)
-    if rows.size == 0:
-        raise ValueError("record 0 has an empty outcome law")
-    if shots is not None:
-        if np.any(rows < 0) or not np.issubdtype(rows.dtype, np.integer):
-            raise ValueError("counts must be non-negative integers")
-        totals = rows.sum(axis=-1)
-        if (wrong := totals[totals != shots]).size:
-            raise ValueError(f"counts sum to {int(wrong[0])}, not the declared {shots} shots")
-        return rows
-    low, total = rows.min(axis=-1), rows.sum(axis=-1)
-    good = (low >= -NEGATIVE_PROBABILITY_TOL) & (total <= 1.0 + PROBABILITY_SUM_TOL)  # NaN fails
-    if not good.all():
-        j = np.argmin(np.atleast_1d(good))
-        low, total = np.atleast_1d(low)[j], np.atleast_1d(total)[j]
-        if not low >= -NEGATIVE_PROBABILITY_TOL:
-            raise ValueError(f"negative probability {low:.3e}")
-        raise ValueError(f"probabilities sum to {total} > 1")
-    return rows
 
 
 def _restricted_lift(configs, photons: int, modes: int) -> np.ndarray:
@@ -559,28 +536,36 @@ def reconstruct(
     return ReconstructionResult(raw=raw, projected=projected, residual=residual, rank=rank)
 
 
+def _law_rows(p: np.ndarray) -> np.ndarray:
+    """A stack of outcome laws as (-1, K) rows, once it passes the sampler's checks: it is
+    not empty, no entry lies below -NEGATIVE_PROBABILITY_TOL and each law sums to 1 within
+    LAW_SUM_TOL; the first check to fail raises its ``ValueError``."""
+    if p.size == 0:
+        raise ValueError("cannot sample shots from an empty outcome law")
+    if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
+        raise ValueError(f"probability entry {p.min():.3e} is negative")
+    rows = p.reshape(-1, p.shape[-1])
+    totals = rows.sum(axis=1)
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
+    if not abs(worst - 1.0) <= LAW_SUM_TOL:
+        raise ValueError(f"probabilities sum to {worst}, not 1")
+    return rows
+
+
 def sample_shots(
     p: np.ndarray, shots: int, seed: int | np.random.SeedSequence | Sequence
 ) -> np.ndarray:
     """Multinomial counts for a probability vector, deterministic per seed.
 
     An (R, K) stack of laws takes a sequence of R seeds and gives (R, K) counts,
-    row r equal to law r's own counts with seed r.  Entries more negative than
-    -1e-12 are rejected; tiny negative roundoff is clipped to zero (and each law
-    renormalized) before drawing.
+    row r equal to law r's own counts with seed r.  ``shots`` must be a non-negative
+    integer (not a bool), and the laws pass ``_law_rows``; tiny negative roundoff is
+    clipped to zero (and each law renormalized) before drawing.
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
+        raise ValueError(f"shot count must be a non-negative integer, got {shots}")
     p = np.asarray(p, dtype=float)
-    if shots < 0:
-        raise ValueError(f"shot count must be non-negative, got {shots}")
-    if p.size == 0:
-        raise ValueError("cannot sample shots from an empty outcome law")
-    if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
-        raise ValueError(f"probability entry {p.min():.3e} is negative")
-    laws = p.reshape(-1, p.shape[-1])
-    totals = laws.sum(axis=1)
-    worst = totals[np.argmax(np.abs(totals - 1.0))]
-    if not abs(worst - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {worst}, not 1")
+    laws = _law_rows(p)
     if shots == 0:
         return np.zeros(p.shape, dtype=np.int64)
     clipped = np.clip(laws, 0.0, None)
@@ -594,32 +579,32 @@ def sample_shots(
 
 
 def sweep_frequencies(laws: np.ndarray, shots: Sequence[int], seed: int = 0) -> np.ndarray:
-    """Every shot count's frequencies of the (R, K) ``laws`` as one (S, R, K) stack.
+    """Every shot count's frequencies of ``laws`` as one (S, *laws.shape) stack.
 
+    The laws are read as (-1, K) rows, one setting a row, so a single (K,) law is one
+    setting, and are checked once by ``_law_rows``, the same way at every shot count.
     Entry k is the laws themselves at 0 shots, else counts / shots, setting j drawing
     from the j-th child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep, so
-    every (seed, setting) pair has a stream of its own.  Each entry's whole stack is checked
-    by ``_record_rows``.
+    every (seed, setting) pair has a stream of its own.
     """
     laws = np.asarray(laws, dtype=float)
-    streams = np.random.SeedSequence(seed).spawn(len(laws))
-    stack = np.empty((len(shots), *laws.shape))
+    rows = _law_rows(laws)
+    streams = np.random.SeedSequence(seed).spawn(len(rows))
+    stack = np.empty((len(shots), *rows.shape))
     for k, n in enumerate(shots):
-        if n == 0:
-            stack[k] = _record_rows(laws)
-        else:
-            stack[k] = _record_rows(sample_shots(laws, n, streams), n) / n
-    return stack
+        stack[k] = rows if n == 0 else sample_shots(rows, n, streams) / n
+    return stack.reshape(len(shots), *laws.shape)
 
 
 def simulate_records(
     rho: DensityMatrix,
-    configs: Sequence[InterferometerConfig],
+    configs: InterferometerConfig | Sequence[InterferometerConfig],
     shots: int = 0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Exact (shots=0) or finite-shot frequencies, (R, K), one row per configuration:
-    ``sweep_frequencies`` at one shot count."""
+    """Exact (shots=0) or finite-shot frequencies, ``sweep_frequencies`` at one shot count:
+    (R, K), one row per configuration, or (K,) for one configuration, equal to row 0 of
+    the same call on ``[config]``."""
     return sweep_frequencies(outcome_probabilities(rho, configs), [shots], seed)[0]
 
 

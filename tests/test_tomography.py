@@ -1537,6 +1537,9 @@ class TestSampleShots:
         np.testing.assert_array_equal(
             tg.sample_shots(p, 1000, seed=9), tg.sample_shots(p, 1000, seed=9)
         )
+        np.testing.assert_array_equal(
+            tg.sample_shots(p, np.int64(1000), seed=9), tg.sample_shots(p, 1000, seed=9)
+        )
         with pytest.raises(ValueError):
             tg.sample_shots(np.array([0.5, 0.4]), 10, seed=0)
         with pytest.raises(ValueError):
@@ -1556,6 +1559,12 @@ class TestSampleShots:
             np.testing.assert_array_equal(row, direct)
         np.testing.assert_array_equal(tg.sample_shots(laws, 0, streams), np.zeros((5, 35)))
 
+    @pytest.mark.parametrize("shots", [10.5, True, -1])
+    def test_a_bad_shot_count_is_refused_before_drawing(self, shots):
+        message = f"shot count must be a non-negative integer, got {shots}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tg.sample_shots([0.5, 0.5], shots, 0)
+
     def test_a_stack_is_checked_row_by_row_and_needs_a_seed_per_row(self):
         laws = np.full((3, 4), 0.25)
         laws[2] = [0.5, 0.4, 0.0, 0.0]
@@ -1573,6 +1582,14 @@ class TestSimulateRecords:
         for row, law, stream in zip(frequencies, laws, streams):
             np.testing.assert_array_equal(row, tg.sample_shots(law, 1000, stream) / 1000)
         np.testing.assert_array_equal(tg.sweep_frequencies(laws, [0])[0], laws)
+
+    def test_one_config_is_one_setting(self):
+        configs = haar_configs(3, 2, seed=5)
+        rho = tg.random_density_matrix(enumerate_fock_basis(2, 3), 1)
+        for shots in (0, 1000):
+            one = tg.simulate_records(rho, configs[0], shots, 6)
+            assert one.shape == (6,)
+            np.testing.assert_array_equal(one, tg.simulate_records(rho, [configs[0]], shots, 6)[0])
 
     def test_neighbouring_seeds_do_not_share_streams(self):
         laws = np.full((4, 6), 1.0 / 6.0)
@@ -1622,9 +1639,9 @@ class TestSweepFrequencies:
     @pytest.mark.parametrize(
         "bad_row, message",
         [
-            ([0.6, 0.5, -1e-9], "negative probability -1.000e-09"),
-            ([0.6, 0.5, 0.0], "probabilities sum to 1.1 > 1"),
-            ([np.nan, 0.5, 0.5], "negative probability nan"),
+            ([0.6, 0.5, -1e-9], "probability entry -1.000e-09 is negative"),
+            ([0.6, 0.5, 0.0], "probabilities sum to 1.1, not 1"),
+            ([np.nan, 0.5, 0.5], "probability entry nan is negative"),
         ],
     )
     def test_a_bad_law_raises_its_message(self, bad_row, message):
@@ -1634,9 +1651,34 @@ class TestSweepFrequencies:
             tg.sweep_frequencies(laws, [0, 1000])
 
     def test_an_empty_law_and_bad_counts_raise_their_messages(self):
-        with pytest.raises(ValueError, match="^record 0 has an empty outcome law$"):
+        with pytest.raises(ValueError, match="^cannot sample shots from an empty outcome law$"):
             tg.sweep_frequencies(np.empty((3, 0)), [0])
-        with pytest.raises(ValueError, match="^counts sum to 9, not the declared 10 shots$"):
-            tg._record_rows(np.array([[3, 7], [4, 5]]), 10)
-        with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
-            tg._record_rows(np.array([[3.0, 7.0]]), 10)
+        for shots in (10.5, True, -1):
+            message = f"shot count must be a non-negative integer, got {shots}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                tg.sweep_frequencies(np.full((3, 2), 0.5), [0, shots])
+
+    @pytest.mark.parametrize("shots", [(0,), (1000,), (0, 1000)])
+    def test_every_shot_count_checks_a_law_by_one_rule(self, shots):
+        laws = np.full((3, 4), 0.25)
+        laws[1] = [0.25, 0.25, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0\.5, not 1$"):
+            tg.sweep_frequencies(laws, shots)
+        laws[1] = [0.25, 0.25, 0.25, 0.25 + 5e-10]
+        stack = tg.sweep_frequencies(laws, shots)
+        for entry, count in zip(stack, shots):
+            if count == 0:
+                np.testing.assert_array_equal(entry, laws)
+            else:
+                np.testing.assert_allclose(entry.sum(axis=1), 1.0)
+
+    def test_a_single_law_is_one_setting(self):
+        laws = np.random.default_rng(1).random((2, 3, 5))
+        laws /= laws.sum(axis=-1, keepdims=True)
+        stack = tg.sweep_frequencies(laws, [0, 1000], seed=2)
+        assert stack.shape == (2, *laws.shape)
+        np.testing.assert_array_equal(
+            stack, tg.sweep_frequencies(laws.reshape(6, 5), [0, 1000], seed=2).reshape(stack.shape)
+        )
+        one = tg.sweep_frequencies(laws[0, 0], [0, 1000], seed=2)
+        np.testing.assert_array_equal(one, stack[:, 0, 0])

@@ -43,13 +43,9 @@ from .linear_optics import (
     FockUnitary,
     InterferometerConfig,
     Provenance,
-    build_submatrix,
-    fock_amplitude,
     haar_random_unitary,
     lift_unitary,
     mesh_unitary,
-    pad_with_vacuum,
-    permanent,
     random_mesh_unitary,
 )
 from .tomography import (

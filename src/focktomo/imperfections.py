@@ -128,7 +128,7 @@ class PhotonNumberMixture:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         total = sum(weight for weight, _ in self.components)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
             raise ValueError(f"weights sum to {total}, not 1")
         photon_numbers = [rho.photons for _, rho in self.components]
         if len(set(photon_numbers)) != len(photon_numbers):
@@ -137,7 +137,7 @@ class PhotonNumberMixture:
         if len(modes) != 1:
             raise ValueError("all components must share the same mode count")
         for weight, _ in self.components:
-            if weight < 0.0:
+            if not weight >= 0.0:
                 raise ValueError(f"negative weight {weight}")
 
     @property

@@ -1,13 +1,13 @@
 """Interferometer configurations and their lift to multimode Fock space.
 
 A configuration is an M'xM' unitary acting on mode operators.  Its action on
-the N-photon sector is a D_{N,M'} x D_{N,M'} unitary whose entries are matrix
-permanents of row/column-repeated submatrices; ``lift_unitary`` builds it by
-creation operators, and ``fock_amplitude`` gives single entries as an
-independent cross-check, with permanents by Glynn's formula.  A stack of R
-settings is lifted in one pass.  Configurations can be drawn Haar-randomly,
-built from a rectangular beamsplitter mesh, or given explicitly; they
-serialize to JSON with a bit-exact round trip.
+the N-photon sector is a D_{N,M'} x D_{N,M'} unitary whose entry (alpha, beta)
+is per(g_{alpha,beta}) / sqrt(alpha! beta!), the permanent of g with row i
+repeated alpha_i times and column j repeated beta_j times; ``lift_unitary``
+builds it by creation operators.  A stack of R settings is lifted in one pass.
+Configurations can be drawn Haar-randomly, built from a rectangular
+beamsplitter mesh, or given explicitly; they serialize to JSON with a
+bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from .combinatorics import FockBasis, enumerate_fock_basis, fock_dimension
 
 UNITARITY_TOL = 1e-12
 LIFT_UNITARITY_TOL = 1e-9
-PERMANENT_SIZE_CAP = 24
-# Sign patterns per vectorised block of Glynn's sum.
-_GLYNN_CHUNK = 1 << 12
 
 PROVENANCE_KINDS = ("haar", "mesh", "newton_young", "explicit")
 
@@ -228,86 +225,6 @@ def random_mesh_unitary(
     return mesh_unitary(modes, taus, phis, Provenance("mesh", seed=int(seed)))
 
 
-def pad_with_vacuum(state: Sequence[int], meas_modes: int) -> tuple[int, ...]:
-    """Append vacuum modes so the occupation vector covers M' >= M modes."""
-    state = tuple(int(k) for k in state)
-    if meas_modes < len(state):
-        raise ValueError(
-            f"cannot pad {len(state)}-mode state down to {meas_modes} modes"
-        )
-    return state + (0,) * (meas_modes - len(state))
-
-
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square complex matrix by Glynn's formula.
-
-    per(A) = 2^(1-n) sum_d (prod_k d_k) prod_j sum_i d_i a_ij over the sign
-    vectors d in {+1, -1}^n with d_0 = +1 (Glynn, Eur. J. Combin. 31:1887
-    (2010)), for O(2^(n-1) n^2) operations, evaluated on blocks of sign
-    vectors at once.  The empty matrix has permanent 1.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > PERMANENT_SIZE_CAP:
-        raise ValueError(f"matrix size {n} exceeds the cap of {PERMANENT_SIZE_CAP}")
-
-    patterns = 1 << (n - 1)
-    bits = np.arange(n - 1)
-    total = 0.0 + 0.0j
-    for start in range(0, patterns, _GLYNN_CHUNK):
-        # Bit b of k flips the sign of row b + 1.
-        k = np.arange(start, min(start + _GLYNN_CHUNK, patterns))
-        flipped = (k[:, None] >> bits) & 1
-        signs = np.ones((len(k), n))
-        signs[:, 1:] -= 2 * flipped
-        parity = 1 - 2 * (flipped.sum(axis=1) & 1)
-        total += complex((parity * (signs @ a).prod(axis=1)).sum())
-    return total / patterns
-
-
-def _factorial_product(occupation: Sequence[int]) -> int:
-    out = 1
-    for k in occupation:
-        out *= math.factorial(k)
-    return out
-
-
-def build_submatrix(
-    g: np.ndarray, alpha: Sequence[int], beta: Sequence[int]
-) -> np.ndarray:
-    """Row/column-repeated submatrix whose permanent gives <alpha|U(g)|beta>.
-
-    Row i of g is repeated alpha_i times and column j is repeated beta_j
-    times, in ascending mode order (alpha labels the detected state, beta the
-    input one).
-    """
-    g = np.asarray(g)
-    alpha = tuple(int(k) for k in alpha)
-    beta = tuple(int(k) for k in beta)
-    if len(alpha) != g.shape[0] or len(beta) != g.shape[1]:
-        raise ValueError("occupation vectors do not match the matrix dimensions")
-    if sum(alpha) != sum(beta):
-        raise ValueError(
-            f"photon numbers differ: sum(alpha)={sum(alpha)}, sum(beta)={sum(beta)}"
-        )
-    rows = np.repeat(np.arange(g.shape[0]), alpha)
-    cols = np.repeat(np.arange(g.shape[1]), beta)
-    return g[np.ix_(rows, cols)]
-
-
-def fock_amplitude(
-    g: np.ndarray, alpha: Sequence[int], beta: Sequence[int]
-) -> complex:
-    """Transition amplitude <alpha|U(g)|beta> = per(g_{alpha,beta}) / sqrt(alpha! beta!)."""
-    sub = build_submatrix(g, alpha, beta)
-    norm = math.sqrt(_factorial_product(alpha) * _factorial_product(beta))
-    return permanent(sub) / norm
-
-
 @dataclass
 class FockUnitary:
     """The N-photon action of a mode unitary, in the canonical Fock order.
@@ -385,7 +302,7 @@ def lift_unitary(
 ) -> FockUnitary:
     """Lift a mode unitary, or an (R, M', M') stack of them, to the N-photon Fock space.
 
-    Entry (alpha, beta) is ``fock_amplitude(g, alpha, beta)``.  Column beta is
+    Entry (alpha, beta) is per(g_{alpha,beta}) / sqrt(alpha! beta!).  Column beta is
     built from the creation-operator identity
     U|beta> = prod_j (sum_i g_ij a_i^dag)^beta_j |0> / sqrt(beta!), one photon
     at a time, for about N M' D' operations per column.  ``in_modes`` keeps

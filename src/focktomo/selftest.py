@@ -55,12 +55,13 @@ def check_config_count_closed_forms() -> None:
                     assert value == combinatorics.min_configs(photons, modes)
 
 
-def check_permanent_hom_oracle() -> None:
+def check_lift_hom_oracle() -> None:
     # Two photons on a 50:50 beamsplitter: coincidences cancel exactly and
     # the bunched amplitude is +1/sqrt(2), sign included.
     g = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    coincidence = linear_optics.fock_amplitude(g, (1, 1), (1, 1))
-    bunched = linear_optics.fock_amplitude(g, (2, 0), (1, 1))
+    lifted = linear_optics.lift_unitary(g, 2)
+    pair, bunch = lifted.basis.index_of((1, 1)), lifted.basis.index_of((2, 0))
+    coincidence, bunched = lifted.matrix[[pair, bunch], pair]
     assert abs(coincidence) < 1e-12, f"coincidence amplitude {coincidence}"
     assert abs(bunched - 1.0 / math.sqrt(2.0)) < 1e-12, f"bunched amplitude {bunched}"
 
@@ -252,7 +253,7 @@ def check_level_split() -> None:
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("fock-dimension-identities", check_fock_dimension_identities),
     ("config-count-closed-forms", check_config_count_closed_forms),
-    ("permanent-hom-oracle", check_permanent_hom_oracle),
+    ("lift-hom-oracle", check_lift_hom_oracle),
     ("lift-unitarity", check_lift_unitarity),
     ("lift-homomorphism", check_lift_homomorphism),
     ("superoperator-consistency", check_superoperator_consistency),

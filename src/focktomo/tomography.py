@@ -537,9 +537,11 @@ def reconstruct(
 
 
 def _law_rows(p: np.ndarray) -> np.ndarray:
-    """A stack of outcome laws as (-1, K) rows, once it passes the sampler's checks: it is
-    not empty, no entry lies below -NEGATIVE_PROBABILITY_TOL and each law sums to 1 within
-    LAW_SUM_TOL; the first check to fail raises its ``ValueError``."""
+    """A stack of outcome laws as (-1, K) rows, once it passes the sampler's checks: it
+    is an array, not empty, no entry lies below -NEGATIVE_PROBABILITY_TOL and each law
+    sums to 1 within LAW_SUM_TOL; the first check to fail raises its ``ValueError``."""
+    if p.ndim == 0:
+        raise ValueError("cannot sample shots from a scalar; an outcome law is an array")
     if p.size == 0:
         raise ValueError("cannot sample shots from an empty outcome law")
     if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
@@ -552,18 +554,23 @@ def _law_rows(p: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _check_shots(shots: int) -> None:
+    """``ValueError`` unless ``shots`` is a non-negative integer, and not a bool."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
+        raise ValueError(f"shot count must be a non-negative integer, got {shots}")
+
+
 def sample_shots(
     p: np.ndarray, shots: int, seed: int | np.random.SeedSequence | Sequence
 ) -> np.ndarray:
     """Multinomial counts for a probability vector, deterministic per seed.
 
     An (R, K) stack of laws takes a sequence of R seeds and gives (R, K) counts,
-    row r equal to law r's own counts with seed r.  ``shots`` must be a non-negative
-    integer (not a bool), and the laws pass ``_law_rows``; tiny negative roundoff is
-    clipped to zero (and each law renormalized) before drawing.
+    row r equal to law r's own counts with seed r.  ``shots`` passes ``_check_shots``
+    and the laws pass ``_law_rows``; tiny negative roundoff is clipped to zero (and
+    each law renormalized) before drawing.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
-        raise ValueError(f"shot count must be a non-negative integer, got {shots}")
+    _check_shots(shots)
     p = np.asarray(p, dtype=float)
     laws = _law_rows(p)
     if shots == 0:
@@ -582,13 +589,16 @@ def sweep_frequencies(laws: np.ndarray, shots: Sequence[int], seed: int = 0) -> 
     """Every shot count's frequencies of ``laws`` as one (S, *laws.shape) stack.
 
     The laws are read as (-1, K) rows, one setting a row, so a single (K,) law is one
-    setting, and are checked once by ``_law_rows``, the same way at every shot count.
-    Entry k is the laws themselves at 0 shots, else counts / shots, setting j drawing
-    from the j-th child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep, so
-    every (seed, setting) pair has a stream of its own.
+    setting, and are checked once by ``_law_rows``, the same way at every shot count;
+    every shot count passes ``_check_shots`` before anything is drawn.  Entry k is the
+    laws themselves at 0 shots, else counts / shots, setting j drawing from the j-th
+    child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep, so every
+    (seed, setting) pair has a stream of its own.
     """
     laws = np.asarray(laws, dtype=float)
     rows = _law_rows(laws)
+    for n in shots:
+        _check_shots(n)
     streams = np.random.SeedSequence(seed).spawn(len(rows))
     stack = np.empty((len(shots), *rows.shape))
     for k, n in enumerate(shots):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,23 +29,14 @@ def permanent_by_permutations(matrix: np.ndarray) -> complex:
     return total
 
 
-def permanent_by_expansion(matrix: np.ndarray) -> complex:
-    """Laplace expansion over the first rows with column-subset memoization."""
-    a = np.asarray(matrix)
-    n = a.shape[0]
-
-    @lru_cache(maxsize=None)
-    def expand(row: int, remaining: int) -> complex:
-        if row == n:
-            return 1.0 + 0.0j
-        total = 0.0 + 0.0j
-        for j in range(n):
-            bit = 1 << j
-            if remaining & bit:
-                total += a[row, j] * expand(row + 1, remaining & ~bit)
-        return total
-
-    return expand(0, (1 << n) - 1)
+def amplitude_by_permanent(g: np.ndarray, alpha, beta) -> complex:
+    """<alpha|U(g)|beta> = per(g_{alpha,beta}) / sqrt(alpha! beta!), where row i of g is
+    repeated alpha_i times and column j beta_j times, by the permutation-sum permanent."""
+    rows = [i for i, count in enumerate(alpha) for _ in range(count)]
+    cols = [j for j, count in enumerate(beta) for _ in range(count)]
+    sub = np.asarray(g)[np.ix_(rows, cols)]
+    norm = math.prod(math.factorial(k) for k in (*alpha, *beta))
+    return permanent_by_permutations(sub) / math.sqrt(norm)
 
 
 def enumerate_occupations(photons: int, modes: int) -> set[tuple[int, ...]]:

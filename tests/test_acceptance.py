@@ -98,14 +98,17 @@ def test_criterion_2_identity_suite():
                 )
 
 
-def test_criterion_3_permanent_oracle():
-    with _Budget("criterion 3: permanent vs permutation sum", 10.0):
+def test_criterion_3_lift_amplitude_oracle():
+    with _Budget("criterion 3: lift amplitudes vs permutation-sum permanents", 10.0):
         rng = np.random.default_rng(2024)
         for trial in range(200):
             n = int(rng.integers(1, 7))
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            reference = oracles.permanent_by_permutations(a)
-            value = lo.permanent(a)
+            g = lo.haar_random_unitary(int(rng.integers(2, 5)), int(rng.integers(2**63))).matrix
+            lifted = lo.lift_unitary(g, n)
+            i, j = (int(k) for k in rng.integers(lifted.dimension, size=2))
+            alpha, beta = lifted.basis.state_at(i), lifted.basis.state_at(j)
+            reference = oracles.amplitude_by_permanent(g, alpha, beta)  # permutation sum
+            value = lifted.matrix[i, j]
             assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 

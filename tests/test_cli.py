@@ -613,19 +613,19 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == len(selftest.CHECKS)
 
-    def test_sign_error_in_permanent_is_named_by_the_hom_oracle(
+    def test_sign_error_in_the_lift_is_named_by_the_hom_oracle(
         self, monkeypatch, capsys
     ):
-        true_permanent = lo.permanent
+        true_columns = lo._lift_columns
 
-        def flipped(matrix):
-            return -true_permanent(matrix)
+        def flipped(*args):
+            return -true_columns(*args)
 
-        monkeypatch.setattr(lo, "permanent", flipped)
+        monkeypatch.setattr(lo, "_lift_columns", flipped)
         code = cli.main(["selftest"])
         out = capsys.readouterr().out
         assert code == 3
-        assert "FAIL permanent-hom-oracle" in out
+        assert "FAIL lift-hom-oracle" in out
 
 
 class TestCommandsAcceptOnlyTheOutputsTheyWrite:

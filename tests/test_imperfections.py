@@ -61,6 +61,21 @@ class TestPhotonNumberMixture:
         with pytest.raises(ValueError):
             imp.PhotonNumberMixture(((0.5, rho1), (0.5, rho3)))
 
+    def test_nan_weights_are_refused(self):
+        rho1 = tg.maximally_mixed(enumerate_fock_basis(1, 2))
+        rho2 = tg.maximally_mixed(enumerate_fock_basis(2, 2))
+        for components in [((np.nan, rho1),), ((np.nan, rho1), (1.0, rho2))]:
+            with pytest.raises(ValueError, match="^weights sum to nan, not 1$"):
+                imp.PhotonNumberMixture(components)
+
+    def test_a_json_nan_weight_is_refused(self):
+        # Python's json reads the bare token NaN as a float.
+        rho = tg.maximally_mixed(enumerate_fock_basis(1, 2))
+        text = json.dumps({"components": [{"weight": float("nan"), **rho.to_json_dict()}]})
+        assert '"weight": NaN' in text
+        with pytest.raises(ValueError, match="^weights sum to nan, not 1$"):
+            imp.PhotonNumberMixture.from_json_dict(json.loads(text))
+
     def test_json_round_trip(self):
         mixture, _, _ = two_component_mixture()
         payload = json.dumps(mixture.to_json_dict())

@@ -13,115 +13,7 @@ from focktomo.combinatorics import enumerate_fock_basis
 import oracles
 
 
-def random_complex_matrix(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 BS_5050 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
-class TestPermanent:
-    def test_scalar_and_two_by_two(self):
-        assert lo.permanent(np.array([[3.5 + 1j]])) == pytest.approx(3.5 + 1j)
-        a, b, c, d = 1.3, -0.2 + 1j, 2.0j, 0.7
-        assert lo.permanent(np.array([[a, b], [c, d]])) == pytest.approx(a * d + b * c)
-
-    def test_empty_matrix_convention(self):
-        assert lo.permanent(np.zeros((0, 0))) == 1.0 + 0.0j
-
-    def test_rejects_oversized_and_non_square(self):
-        with pytest.raises(ValueError):
-            lo.permanent(np.zeros((25, 25)))
-        with pytest.raises(ValueError):
-            lo.permanent(np.zeros((2, 3)))
-
-    def test_against_permutation_expansion(self):
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            n = int(rng.integers(1, 7))
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            expected = oracles.permanent_by_permutations(a)
-            got = lo.permanent(a)
-            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
-
-    def test_compensated_path_against_expansion(self):
-        # n = 12 exercises the compensated accumulator.
-        a = random_complex_matrix(12, 3)
-        expected = oracles.permanent_by_expansion(a)
-        assert abs(lo.permanent(a) - expected) <= 1e-9 * abs(expected)
-
-    def test_zero_row_gives_zero(self):
-        a = random_complex_matrix(5, 7)
-        a[2, :] = 0.0
-        assert abs(lo.permanent(a)) < 1e-12
-
-    @given(st.integers(0, 1_000_000), st.integers(2, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_invariant_under_row_and_column_permutations(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        reference = lo.permanent(a)
-        perm = rng.permutation(n)
-        assert lo.permanent(a[perm, :]) == pytest.approx(reference, rel=1e-10, abs=1e-12)
-        assert lo.permanent(a[:, perm]) == pytest.approx(reference, rel=1e-10, abs=1e-12)
-
-
-class TestBuildSubmatrix:
-    def test_identity_occupations_return_the_matrix(self):
-        g = random_complex_matrix(3, 1)
-        np.testing.assert_array_equal(lo.build_submatrix(g, (1, 1, 1), (1, 1, 1)), g)
-
-    def test_row_and_column_repetition(self):
-        g = random_complex_matrix(2, 2)
-        # alpha repeats rows (detected state), beta repeats columns (input).
-        np.testing.assert_array_equal(
-            lo.build_submatrix(g, (2, 0), (1, 1)),
-            np.array([[g[0, 0], g[0, 1]], [g[0, 0], g[0, 1]]]),
-        )
-        np.testing.assert_array_equal(
-            lo.build_submatrix(g, (1, 1), (2, 0)),
-            np.array([[g[0, 0], g[0, 0]], [g[1, 0], g[1, 0]]]),
-        )
-
-    def test_condensed_occupations_give_constant_matrix(self):
-        g = random_complex_matrix(3, 3)
-        sub = lo.build_submatrix(g, (2, 0, 0), (2, 0, 0))
-        np.testing.assert_array_equal(sub, np.full((2, 2), g[0, 0]))
-
-    def test_rejects_photon_number_mismatch(self):
-        g = random_complex_matrix(2, 4)
-        with pytest.raises(ValueError):
-            lo.build_submatrix(g, (1, 0), (1, 1))
-
-
-class TestFockAmplitude:
-    def test_single_photon_amplitudes_are_matrix_entries(self):
-        g = lo.haar_random_unitary(3, 5).matrix
-        for i in range(3):
-            for j in range(3):
-                alpha = tuple(int(i == k) for k in range(3))
-                beta = tuple(int(j == k) for k in range(3))
-                assert lo.fock_amplitude(g, alpha, beta) == pytest.approx(g[i, j])
-
-    def test_hong_ou_mandel_cancellation(self):
-        assert lo.fock_amplitude(BS_5050, (1, 1), (1, 1)) == pytest.approx(0.0, abs=1e-14)
-        assert lo.fock_amplitude(BS_5050, (2, 0), (1, 1)) == pytest.approx(
-            1.0 / math.sqrt(2.0)
-        )
-        assert lo.fock_amplitude(BS_5050, (1, 1), (2, 0)) == pytest.approx(
-            1.0 / math.sqrt(2.0)
-        )
-
-    def test_against_state_vector_expansion(self):
-        g = lo.haar_random_unitary(3, 11).matrix
-        basis = enumerate_fock_basis(2, 3)
-        for alpha in basis:
-            for beta in basis:
-                expected = oracles.amplitude_by_state_vector(g, alpha, beta)
-                assert lo.fock_amplitude(g, alpha, beta) == pytest.approx(
-                    expected, abs=1e-12
-                )
 
 
 class TestLiftUnitary:
@@ -145,8 +37,24 @@ class TestLiftUnitary:
         for i, alpha in enumerate(basis):
             for j, beta in enumerate(basis):
                 assert lifted.matrix[i, j] == pytest.approx(
-                    lo.fock_amplitude(config.matrix, alpha, beta), abs=1e-12
+                    oracles.amplitude_by_permanent(config.matrix, alpha, beta), abs=1e-12
                 )
+
+    def test_hong_ou_mandel_cancellation(self):
+        lifted = lo.lift_unitary(BS_5050, 2)
+        pair, bunch = lifted.basis.index_of((1, 1)), lifted.basis.index_of((2, 0))
+        assert lifted.matrix[pair, pair] == pytest.approx(0.0, abs=1e-14)
+        assert lifted.matrix[bunch, pair] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert lifted.matrix[pair, bunch] == pytest.approx(1.0 / math.sqrt(2.0))
+
+    def test_against_state_vector_expansion(self):
+        g = lo.haar_random_unitary(3, 11).matrix
+        basis = enumerate_fock_basis(2, 3)
+        lifted = lo.lift_unitary(g, 2)
+        for i, alpha in enumerate(basis):
+            for j, beta in enumerate(basis):
+                expected = oracles.amplitude_by_state_vector(g, alpha, beta)
+                assert lifted.matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_unitarity_and_homomorphism(self):
         for photons, modes, seed in [(2, 3, 0), (3, 2, 1), (2, 4, 2)]:
@@ -164,13 +72,10 @@ class TestLiftUnitary:
         norms = np.linalg.norm(lifted.matrix, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
-    def test_lift_takes_more_photons_than_the_permanent_cap(self):
-        # The lift computes no permanent; only ``permanent`` keeps the cap.
-        photons = lo.PERMANENT_SIZE_CAP + 1
-        lifted = lo.lift_unitary(lo.haar_random_unitary(2, 7), photons)  # checked orthonormal
-        assert lifted.matrix.shape == (photons + 1, photons + 1)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            lo.permanent(np.ones((photons, photons)))
+    def test_lift_takes_25_photons(self):
+        # The lift computes no permanent, so no matrix-size cap applies.
+        lifted = lo.lift_unitary(lo.haar_random_unitary(2, 7), 25)  # checked orthonormal
+        assert lifted.matrix.shape == (26, 26)
 
     def test_input_modes_must_lie_within_the_configuration(self):
         for in_modes in (0, 4):
@@ -220,7 +125,7 @@ class TestBatchedLift:
 def padded_rows(photons, modes, meas_modes):
     basis_out = enumerate_fock_basis(photons, meas_modes)
     return [
-        basis_out.index_of(lo.pad_with_vacuum(state, meas_modes))
+        basis_out.index_of(state + (0,) * (meas_modes - modes))
         for state in enumerate_fock_basis(photons, modes)
     ]
 
@@ -236,9 +141,9 @@ class TestCreationOperatorLift:
             rows = tg._restricted_lift(config, photons, modes)
             basis_out = enumerate_fock_basis(photons, meas_modes)
             for a, alpha in enumerate(enumerate_fock_basis(photons, modes)):
-                padded = lo.pad_with_vacuum(alpha, meas_modes)
+                padded = alpha + (0,) * (meas_modes - modes)
                 for b in rng.choice(basis_out.dimension, size=4):
-                    expected = lo.fock_amplitude(
+                    expected = oracles.amplitude_by_permanent(
                         config.matrix, padded, basis_out.state_at(int(b))
                     )
                     assert abs(rows[a, b] - expected) <= 1e-12
@@ -365,17 +270,6 @@ class TestMesh:
                 phis = rng.uniform(0.0, 2.0 * math.pi, size=blocks)
                 expected = oracles.mesh_by_embedded_products(modes, taus, phis)
                 np.testing.assert_array_equal(lo.random_mesh_unitary(modes, seed).matrix, expected)
-
-
-class TestPadWithVacuum:
-    def test_examples(self):
-        assert lo.pad_with_vacuum((1, 1), 4) == (1, 1, 0, 0)
-        assert lo.pad_with_vacuum((2, 0), 2) == (2, 0)
-        assert lo.pad_with_vacuum((0, 0), 3) == (0, 0, 0)
-
-    def test_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            lo.pad_with_vacuum((1, 0, 0), 2)
 
 
 class TestConfigSerialization:

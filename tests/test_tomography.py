@@ -1532,6 +1532,13 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="empty outcome law"):
             tg.sample_shots(np.array([]), 10, seed=0)
 
+    def test_a_scalar_law_is_refused_by_name(self):
+        message = "^cannot sample shots from a scalar; an outcome law is an array$"
+        with pytest.raises(ValueError, match=message):
+            tg.sample_shots(1.0, 10, 0)
+        with pytest.raises(ValueError, match=message):
+            tg.sweep_frequencies(1.0, [0])
+
     def test_determinism_and_validation(self):
         p = np.array([0.25, 0.75])
         np.testing.assert_array_equal(
@@ -1657,6 +1664,23 @@ class TestSweepFrequencies:
             message = f"shot count must be a non-negative integer, got {shots}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 tg.sweep_frequencies(np.full((3, 2), 0.5), [0, shots])
+
+    @pytest.mark.parametrize("shots", [False, 0.0, -0.0, True, 10.5, -1])
+    def test_every_shot_count_is_checked_before_anything_is_drawn(self, shots, monkeypatch):
+        # Zero-like counts that are not integers are refused as sample_shots refuses them,
+        # and a bad count late in the sweep stops it before its first draw.
+        draws = []
+        monkeypatch.setattr(tg, "sample_shots", lambda *args: draws.append(args))
+        message = f"shot count must be a non-negative integer, got {shots}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tg.sweep_frequencies(np.full((3, 2), 0.5), [1000, 0, shots])
+        assert draws == []
+
+    def test_integer_zeros_return_the_laws_bit_for_bit(self):
+        laws = np.random.default_rng(6).random((4, 7))
+        laws /= laws.sum(axis=1, keepdims=True)
+        stack = tg.sweep_frequencies(laws, [0, np.int64(0)])
+        assert stack.tobytes() == np.stack([laws, laws]).tobytes()
 
     @pytest.mark.parametrize("shots", [(0,), (1000,), (0, 1000)])
     def test_every_shot_count_checks_a_law_by_one_rule(self, shots):

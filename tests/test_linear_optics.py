@@ -47,6 +47,66 @@ class TestLiftUnitary:
         assert lifted.matrix[bunch, pair] == pytest.approx(1.0 / math.sqrt(2.0))
         assert lifted.matrix[pair, bunch] == pytest.approx(1.0 / math.sqrt(2.0))
 
+    def test_condensed_entry_is_a_power(self):
+        # All N photons in and out of mode 0: the submatrix is constant g00.
+        g = lo.haar_random_unitary(3, 3).matrix
+        for photons in range(1, 6):
+            lifted = lo.lift_unitary(g, photons)
+            k = lifted.basis.index_of((photons, 0, 0))
+            assert lifted.matrix[k, k] == pytest.approx(g[0, 0] ** photons, abs=1e-12)
+
+    def test_bunched_entries_repeat_one_row_or_column(self):
+        # per of N copies of row 0 over columns 0..N-1 is N! prod_j g0j.
+        g = lo.haar_random_unitary(4, 2).matrix
+        for photons in range(1, 5):
+            lifted = lo.lift_unitary(g, photons)
+            spread = lifted.basis.index_of((1,) * photons + (0,) * (4 - photons))
+            bunched = lifted.basis.index_of((photons, 0, 0, 0))
+            scale = math.sqrt(math.factorial(photons))
+            assert lifted.matrix[bunched, spread] == pytest.approx(
+                scale * np.prod(g[0, :photons]), abs=1e-12
+            )
+            assert lifted.matrix[spread, bunched] == pytest.approx(
+                scale * np.prod(g[:photons, 0]), abs=1e-12
+            )
+
+    @given(st.integers(0, 1_000_000), st.integers(2, 4), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_mode_permutations_permute_the_lift(self, seed, modes, photons):
+        # Rows of g permuted by p relabel the outputs, columns by q the inputs.
+        rng = np.random.default_rng(seed)
+        g = lo.haar_random_unitary(modes, seed).matrix
+        p, q = rng.permutation(modes), rng.permutation(modes)
+        lifted = lo.lift_unitary(g, photons)
+        moved = lo.lift_unitary(g[p][:, q], photons)
+        for i, alpha in enumerate(lifted.basis):
+            for j, beta in enumerate(lifted.basis):
+                a, b = [0] * modes, [0] * modes
+                for k in range(modes):
+                    a[p[k]], b[q[k]] = alpha[k], beta[k]
+                row, col = lifted.basis.index_of(tuple(a)), lifted.basis.index_of(tuple(b))
+                assert moved.matrix[i, j] == pytest.approx(lifted.matrix[row, col], abs=1e-12)
+
+    def test_untouched_vacuum_modes_keep_the_amplitudes(self):
+        # g on 2 modes beside 2 idle modes: <alpha,0,0|U|beta,0,0> = <alpha|U(g)|beta>.
+        g = lo.haar_random_unitary(2, 13).matrix
+        padded = np.eye(4, dtype=complex)
+        padded[:2, :2] = g
+        small, large = lo.lift_unitary(g, 3), lo.lift_unitary(padded, 3)
+        rows = [large.basis.index_of(alpha + (0, 0)) for alpha in small.basis]
+        np.testing.assert_allclose(large.matrix[np.ix_(rows, rows)], small.matrix, atol=1e-12)
+
+    def test_a_block_diagonal_setting_conserves_each_blocks_photons(self):
+        # Modes {0} and {1, 2} do not mix, so entries moving a photon between them vanish.
+        g = np.zeros((3, 3), dtype=complex)
+        g[0, 0] = np.exp(0.4j)
+        g[1:, 1:] = lo.haar_random_unitary(2, 4).matrix
+        lifted = lo.lift_unitary(g, 3)
+        for i, alpha in enumerate(lifted.basis):
+            for j, beta in enumerate(lifted.basis):
+                if alpha[0] != beta[0]:
+                    assert lifted.matrix[i, j] == 0.0
+
     def test_against_state_vector_expansion(self):
         g = lo.haar_random_unitary(3, 11).matrix
         basis = enumerate_fock_basis(2, 3)

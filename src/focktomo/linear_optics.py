@@ -60,6 +60,17 @@ def json_number(record: dict, name: str, owner: str, kind: type = int, optional:
     return kind(value)
 
 
+def _check_unitary(g: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
+    """The one unitarity rule: the residuals max |g^dag g - I| of the (R, M', M') stack ``g``,
+    or ``ValueError`` naming the first over ``UNITARITY_TOL`` (or NaN), by index and seed."""
+    residuals = np.abs(g.conj().swapaxes(1, 2) @ g - np.eye(g.shape[-1])).max(axis=(1, 2))
+    if not (unitary := residuals <= UNITARITY_TOL).all():  # NaN fails too
+        k = int(np.argmin(unitary))
+        which = "matrix" if seeds is None else f"matrix {k} (seed {seeds[k]})"
+        raise ValueError(f"{which} is not unitary (residual {residuals[k]:.3e})")
+    return residuals
+
+
 def _json_field(record: dict, name: str, owner: str):
     """``record[name]`` of the JSON object ``record``; ``ValueError`` if it is missing."""
     if name not in record:
@@ -105,14 +116,13 @@ class InterferometerConfig:
         g = np.array(self.matrix, dtype=complex)
         if g.shape != (self.modes, self.modes):
             raise ValueError(f"matrix shape {g.shape} does not match {self.modes} modes")
+        _check_unitary(g[None])
         g.flags.writeable = False
         self.matrix = g
-        if not (residual := self.unitarity_residual) <= UNITARITY_TOL:  # NaN fails too
-            raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
 
     @property
     def unitarity_residual(self) -> float:
-        return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.modes)).max())
+        return float(_check_unitary(self.matrix[None])[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,24 +147,23 @@ def haar_random_unitary(
 
     Ginibre matrix + QR, with the R-diagonal phases pushed back into Q so the
     distribution is exactly Haar rather than merely unitary.  A sequence of
-    seeds gives a list, member k equal bit for bit to the draw of seed k: each
-    Ginibre matrix comes from its own seed's generator, and one QR takes them all.
+    seeds gives a list, member k equal bit for bit to the draw of seed k: each Ginibre
+    pair comes from its own seed's generator, and one QR and one check take them all.
     """
     if modes < 1:
         raise ValueError(f"mode count must be positive, got {modes}")
     seeds = np.atleast_1d(seed)
-    z = np.empty((len(seeds), modes, modes), dtype=complex)
-    for k, each in enumerate(seeds):
-        rng = np.random.default_rng(each)
-        z[k] = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    pairs = np.empty((len(seeds), 2, modes, modes))  # each seed's real and imaginary draws
+    for each, pair in zip(seeds, pairs):
+        np.random.default_rng(each).standard_normal(out=pair)
+    q, r = np.linalg.qr((pairs[:, 0] + 1j * pairs[:, 1]) / math.sqrt(2.0))
     d = np.diagonal(r, axis1=1, axis2=2)
     q *= (d / np.abs(d))[:, None, :]
-    configs = [
-        InterferometerConfig(modes, g, Provenance("haar", seed=int(each)))
-        for g, each in zip(q, seeds)
-    ]
+    _check_unitary(q, seeds)  # once for the stack, so its members skip __post_init__'s check
+    q.flags.writeable = False
+    configs = [InterferometerConfig.__new__(InterferometerConfig) for _ in seeds]
+    for config, g, each in zip(configs, q, seeds.tolist()):
+        vars(config).update(modes=modes, matrix=g, provenance=Provenance("haar", each))
     return configs if np.ndim(seed) else configs[0]
 
 

@@ -370,22 +370,22 @@ def _direct_sum_sigma(union: list[np.ndarray], shape: tuple[int, int]) -> np.nda
     return sigma
 
 
-def _threshold_scale(shape: tuple[int, ...], rel_threshold: float | None) -> float:
+def _threshold_scale(shape: tuple, rel_threshold: float | None) -> float | np.ndarray:
     """The rank threshold over sigma_max: max(rows, cols) * eps, or ``rel_threshold``."""
     if rel_threshold is None:
-        return max(shape) * np.finfo(float).eps
+        return np.maximum(*shape) * np.finfo(float).eps
     if not 0.0 < rel_threshold < 1.0:  # at 1 or above no sigma could pass
         raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     return rel_threshold
 
 
-def _projector_bounds(r: int, d: int, d_out: int, scale: float) -> tuple[float, ...]:
+def _projector_bounds(r: int | np.ndarray, d: int, d_out: int, scale: float | np.ndarray) -> tuple:
     """tau_hi = scale sqrt(R), the cushion c = sqrt(D^2) eps sqrt(R D) and sqrt(R D / D') for
-    a map of R = ``r`` settings, D = ``d`` inputs and D' = ``d_out`` outcomes.  A setting's
-    outcome projectors u_v u_v^dag sum to the identity on the inputs, so sum_v (u_v^dag H
-    u_v)^2 <= tr H^2: sigma_max^2 <= R, equal at M' = M, and ||L||_F^2 = sum ||u_v||^4 <= R D;
-    the trace direction vec(I) / sqrt(D) gives sigma_max^2 >= R D / D'."""
-    return scale * r**0.5, d * np.finfo(float).eps * (r * d) ** 0.5, (r * d / d_out) ** 0.5
+    a map (or maps) of R = ``r`` settings, D = ``d`` inputs and D' = ``d_out`` outcomes.  A
+    setting's outcome projectors u_v u_v^dag sum to the identity on the inputs, so sum_v
+    (u_v^dag H u_v)^2 <= tr H^2: sigma_max^2 <= R, equal at M' = M, and ||L||_F^2 = sum
+    ||u_v||^4 <= R D; the trace direction vec(I) / sqrt(D) gives sigma_max^2 >= R D / D'."""
+    return scale * np.sqrt(r), d * np.finfo(float).eps * np.sqrt(r * d), np.sqrt(r * d / d_out)
 
 
 def gramian_rank(
@@ -803,6 +803,11 @@ def _upper(a: np.ndarray) -> np.ndarray:
     return a * np.tri(*a.shape[::-1], dtype=bool).T
 
 
+def _diagonal_blocks(a: np.ndarray, z: int, m: int) -> np.ndarray:
+    """The z x z diagonal blocks of the leading m x m block of ``a``, (m / z, z, z), a view."""
+    return np.diagonal(a[:m, :m].reshape(m // z, z, m // z, z), axis1=0, axis2=2).transpose(2, 0, 1)
+
+
 def _invert_upper(r: np.ndarray) -> int:
     """Invert the upper triangle of the square ``r`` in place, as ``dtrtri`` does, and
     return its ``info``: 0, or the first zero pivot from 1, which leaves ``r`` as it was.
@@ -900,15 +905,17 @@ class _LevelFactor:
         k, m = self.rank, len(rows)
         c, z = self._rotate(rows, self.reflectors[:, k : k + m]), m // len(tau_hi)
         qr, tau, _, _ = dgeqrf(c[k:], lwork=64 * m, overwrite_a=1)
-        cut = np.arange(m).reshape(-1, z, 1), np.arange(m).reshape(-1, 1, z)  # diagonal blocks
-        diagonal, bar, complete = np.triu(qr[cut]), KEEP_MARGIN * tau_hi, k + m == self.dim
+        diagonal = _diagonal_blocks(qr, z, m).copy()  # T_jj, before R^-1 may overwrite them
+        bar, complete = KEEP_MARGIN * tau_hi, k + m == self.dim
         inverse = qr if complete else _upper(qr[:m, :m])  # R in F order, inverted in place
         info = _invert_upper(inverse)
-        low = 0.0 if info else np.linalg.norm(np.triu(inverse[cut]), axis=(1, 2)) ** -1.0
+        blocks = _diagonal_blocks(inverse, z, m)
+        low = 0.0 if info else np.einsum("jab,jab,ab->j", blocks, blocks, np.tri(z).T) ** -0.5
         passed = low > 2.0 * bar
         if not passed.all():  # the SVD settles the blocks the bound leaves in doubt
             doubt = ~passed
-            passed[doubt] = np.linalg.svd(diagonal[doubt], compute_uv=False)[:, -1] > bar[doubt]
+            sigma = np.linalg.svd(np.triu(diagonal[doubt]), compute_uv=False)
+            passed[doubt] = sigma[:, -1] > bar[doubt]
         m = z * (accepted := len(passed) if passed.all() else int(np.argmin(passed)))
         if accepted:
             self.tau[k : k + m] = tau[:m]
@@ -920,10 +927,11 @@ class _LevelFactor:
                     if info := _invert_upper(inverse):
                         raise np.linalg.LinAlgError(f"singular factor (info {info})")
                 inverse = np.triu(inverse[:m, :m])
-            elif complete:  # the reflectors under R^-1, a panel of columns at a time
+            elif complete:  # the reflectors under R^-1, a panel of columns at a time, in place
+                lower = np.tri(64, k=-1, dtype=bool)
                 for j in range(0, m, 64):
                     inverse[j + 64 :, j : j + 64] = 0.0
-                    inverse[j : j + 64, j : j + 64] = np.triu(inverse[j : j + 64, j : j + 64])
+                    np.copyto(inverse[j : j + 64, j : j + 64], 0.0, where=lower[: m - j, : m - j])
             lows = self._border(c[:k, :m].T, inverse.T)[z - 1 :: z] ** -0.5
             self.records += zip(k + z * np.arange(1, accepted + 1), lows, [0.0] * accepted)
         return accepted
@@ -973,33 +981,36 @@ class _RankScan:
 
     def extend(self, rows: Sequence[np.ndarray]) -> list[int | None]:
         """Take the next blocks, as each level's rows; each step's certified rank or None."""
-        d, d_out = round(self.width**0.5), sum(self.sizes)
-        settings = self.steps + np.arange(1, len(rows[0]) // self.sizes[0] + 1)
-        scales = [_threshold_scale((r * d_out, self.width), self.rel_threshold) for r in settings]
-        bounds = np.array([_projector_bounds(r, d, d_out, s) for r, s in zip(settings, scales)])
+        d, d_out, start = round(self.width**0.5), sum(self.sizes), self.steps
+        settings = start + np.arange(1, len(rows[0]) // self.sizes[0] + 1)
+        scales = _threshold_scale((settings * d_out, self.width), self.rel_threshold)
+        tau_hi, cushion, sigma_low = _projector_bounds(settings, d, d_out, scales)
         for level, level_rows in zip(self.levels, rows):
-            level.take(level_rows, bounds[:, 0])
-        return [self._certify(scale, *step) for scale, step in zip(scales, bounds)]
+            level.take(level_rows, tau_hi)
+        ranks, lows, drops = np.array([level.records[start:] for level in self.levels]).T
+        dropped_sq = np.cumsum(np.r_[self.dropped_sq, np.cumsum(drops, axis=1)[:, -1]])[1:]
+        self.steps, self.dropped_sq = int(settings[-1]), dropped_sq[-1]
+        dropped = np.sqrt(dropped_sq)
+        settled = dropped + cushion < scales * (sigma_low - dropped)
+        bars, ceilings = KEEP_MARGIN * tau_hi + dropped + cushion, tau_hi + cushion
+        steps = settings, settled, ranks.astype(int), lows, bars, ceilings, dropped
+        return [self._certify(*step) for step in zip(*(each.tolist() for each in steps))]
 
-    def _certify(self, scale: float, tau_hi: float, cushion: float, sigma_low: float) -> int | None:
-        step, self.steps = self.steps, self.steps + 1
-        open_levels = [l for l, floor in enumerate(self.floors) if not floor]
-        self.dropped_sq += sum(self.levels[l].records[step][2] for l in open_levels)
-        dropped = self.dropped_sq**0.5
-        if dropped + cushion >= scale * (sigma_low - dropped):
+    def _certify(self, step, settled, ranks, lows, bar, ceiling, dropped) -> int | None:
+        """Step ``step``'s rank sum_l k_l if e + c < tau_lo (``settled``), no frozen floor is at
+        most tau_hi + c and every open level's 1 / ||L||_F, or its sigma_k + e, exceeds ``bar``."""
+        if not settled or any(0.0 < floor <= ceiling for floor in self.floors):
             return None
-        if any(0.0 < floor <= tau_hi + cushion for floor in self.floors):
-            return None
-        bar = KEEP_MARGIN * tau_hi + dropped + cushion
-        for l in open_levels:
-            level, (rank, low, _) = self.levels[l], self.levels[l].records[step]
+        for l, (level, rank, low) in enumerate(zip(self.levels, ranks, lows)):
+            if self.floors[l]:
+                continue
             if low <= bar:  # sigma_k(A_l) + e >= sigma_k(P): the rows' own sigma_k
-                low = level.sigma(self.steps * self.sizes[l])[rank - 1] + dropped
+                low = level.sigma(step * self.sizes[l])[rank - 1] + dropped
             if low <= bar:
                 return None
             if rank == level.dim:  # sigma_{d_l}(A_l) >= low - e
                 self.floors[l] = low - dropped
-        return int(sum(level.records[step][0] for level in self.levels))
+        return sum(ranks)
 
 
 class _LevelStack:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -268,6 +269,24 @@ class TestBatchedDraws:
                 assert config.matrix.tobytes() == oracles.haar_by_one_qr(modes, seed).tobytes()
         assert make(modes, []) == []
 
+    @pytest.mark.parametrize("count", [1, 2, 30])
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_each_member_of_a_stacked_draw_is_its_seeds_own_draw(self, modes, count):
+        # One stack of Ginibre pairs, one QR and one check for the batch, whatever its size.
+        seeds = np.random.default_rng(10 * modes + count).integers(2**63, size=count)
+        for config, seed in zip(lo.haar_random_unitary(modes, seeds), seeds, strict=True):
+            assert config.matrix.tobytes() == lo.haar_random_unitary(modes, seed).matrix.tobytes()
+            assert config.matrix.tobytes() == oracles.haar_by_one_qr(modes, seed).tobytes()
+            assert config.provenance == lo.Provenance("haar", int(seed))
+            assert not config.matrix.flags.writeable and config.modes == modes
+
+    def test_thirty_draws_match_their_pinned_digest(self):
+        # SHA-256 of the matrices of seeds 0..29 as drawn when each seed's generator
+        # filled its real and imaginary parts in two calls, before the pairs were stacked.
+        configs = lo.haar_random_unitary(4, range(30))
+        digest = hashlib.sha256(b"".join(c.matrix.tobytes() for c in configs)).hexdigest()
+        assert digest == "46e68bbb3699dcfeb9224b91b5a00f7db6fa7c84ea6f50fd75500f51deca1b90"
+
     @pytest.mark.parametrize("generator", sorted(tg.GENERATORS))
     def test_drawer_counts_split_one_run_of_scalar_seeds(self, generator):
         # The k-th setting drawn is seeded by the k-th scalar draw below 2**63, however
@@ -330,6 +349,54 @@ class TestMesh:
                 phis = rng.uniform(0.0, 2.0 * math.pi, size=blocks)
                 expected = oracles.mesh_by_embedded_products(modes, taus, phis)
                 np.testing.assert_array_equal(lo.random_mesh_unitary(modes, seed).matrix, expected)
+
+
+class TestUnitarityRule:
+    """A config and a stack of Haar draws are held to one rule, ``_check_unitary``."""
+
+    @staticmethod
+    def refuses(check) -> bool:
+        try:
+            check()
+        except ValueError:
+            return True
+        return False
+
+    def test_a_config_and_a_stack_refuse_the_same_matrices(self):
+        # ||(1 + t)^2 g^dag g - I|| is about 2t: t brackets UNITARITY_TOL from both sides.
+        g = lo.haar_random_unitary(3, 5).matrix
+        candidates = [g * (1.0 + t) for t in (0.0, 0.25e-12, 0.45e-12, 0.55e-12, 1e-9)]
+        candidates += [np.where(np.eye(3, dtype=bool), np.nan, g), np.triu(np.ones((3, 3)))]
+        verdicts = []
+        for h in candidates:
+            by_config = self.refuses(lambda: lo.InterferometerConfig(3, h))
+            stack = np.stack([g, h, g])
+            assert self.refuses(lambda: lo._check_unitary(stack, np.array([7, 8, 9]))) == by_config
+            assert self.refuses(lambda: lo._check_unitary(h[None])) == by_config
+            verdicts.append(by_config)
+        assert lo.UNITARITY_TOL == 1e-12
+        assert verdicts == [False, False, False, True, True, True, True]
+
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_the_stacks_error_names_the_member_and_its_seed(self, member):
+        seeds = np.array([4, 5, 6])
+        stack = np.stack([c.matrix for c in lo.haar_random_unitary(2, seeds)])
+        stack[member, 1, 0] = np.nan
+        pattern = rf"matrix {member} \(seed {seeds[member]}\) is not unitary \(residual nan\)"
+        with pytest.raises(ValueError, match=pattern):
+            lo._check_unitary(stack, seeds)
+
+    def test_a_batch_is_checked_once_as_one_stack(self, monkeypatch):
+        shapes, check = [], lo._check_unitary
+
+        def record(g, *seeds):
+            shapes.append(g.shape)
+            return check(g, *seeds)
+
+        monkeypatch.setattr(lo, "_check_unitary", record)
+        configs = lo.haar_random_unitary(4, range(30))
+        assert shapes == [(30, 4, 4)] and len(configs) == 30
+        assert all(c.unitarity_residual <= lo.UNITARITY_TOL for c in configs)
 
 
 class TestConfigSerialization:

@@ -1475,6 +1475,35 @@ class TestProjectorBounds:
         assert frobenius_sq <= total * (1 + 1e-12)
 
 
+    @pytest.mark.parametrize("rel_threshold", [None, 1e-3])
+    @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 4, 6), (1, 2, 2)])
+    def test_a_batchs_bounds_are_the_scalar_ones_bit_for_bit(
+        self, monkeypatch, photons, modes, meas_modes, rel_threshold
+    ):
+        # A scan takes every step's scale, bounds and bars from arrays over its batch;
+        # each equals what the scalar calls give that step alone, so no certificate moves.
+        steps, taken = [], []
+        certify, take = tg._RankScan._certify, tg._LevelFactor.take
+        monkeypatch.setattr(
+            tg._RankScan, "_certify", lambda scan, *step: steps.append(step) or certify(scan, *step)
+        )
+        monkeypatch.setattr(
+            tg._LevelFactor, "take", lambda level, *a: taken.append(a[1]) or take(level, *a)
+        )
+        search = tg.find_min_configs(photons, modes, meas_modes, rel_threshold=rel_threshold)
+        d, d_out = fock_dimension(photons, modes), fock_dimension(photons, meas_modes)
+        levels = len(tg._level_bases(photons, modes, meas_modes).dims)
+        assert [step[0] for step in steps] == list(range(1, len(search.configs) + 1))
+        batch_tau_hi = np.concatenate(taken[::levels])
+        assert len(batch_tau_hi) == len(steps) and len(taken) % levels == 0
+        for (step, settled, _, _, bar, ceiling, dropped), batch_tau in zip(steps, batch_tau_hi):
+            scale = tg._threshold_scale((step * d_out, d * d), rel_threshold)
+            tau_hi, cushion, sigma_low = tg._projector_bounds(step, d, d_out, scale)
+            assert batch_tau == tau_hi and ceiling == tau_hi + cushion
+            assert bar == tg.KEEP_MARGIN * tau_hi + dropped + cushion
+            assert settled == (dropped + cushion < scale * (sigma_low - dropped))
+
+
 class TestPeakMemory:
     """Peaks traced by ``tracemalloc`` (numpy's buffers) against the arrays a run must hold."""
 

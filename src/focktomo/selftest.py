@@ -209,15 +209,14 @@ def check_incremental_rank_scan() -> None:
     # A certified full rank stands unread; reading its report's sigma checks it.
     configs = tomography.find_min_configs(2, 3, seed=0).configs
     bases = tomography._level_bases(2, 3, 3)
-    scan = tomography._RankScan(bases.sizes, bases.dims, None)
-    lifted = tomography._restricted_lift(configs, 2, 3)
-    rank = scan.extend(tomography._level_rows(bases, lifted))[-1]
+    scan = tomography._RankScan(bases, None)
+    rank = scan.extend(tomography._restricted_lift(configs, 2, 3))[-1]
     report = tomography.gramian_rank(tomography._LevelStack(scan, len(configs), rank))
     assert rank == 36 and report.singular_values[35] > report.threshold
     bases = tomography._level_bases(3, 4, 5)  # one group: no level split
-    scan = tomography._RankScan(bases.sizes, bases.dims, None)
+    scan = tomography._RankScan(bases, None)
     for config in tomography.find_min_configs(3, 4, 5, seed=0).configs:
-        scan.extend(tomography._level_rows(bases, tomography._restricted_lift([config], 3, 4)))
+        scan.extend(tomography._restricted_lift([config], 3, 4))
     assert scan.dropped_sq < 400 * np.finfo(float).eps ** 2 * scan.steps * 20  # ||A||_F^2 <= R D
 
 

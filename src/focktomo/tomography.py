@@ -18,14 +18,16 @@ written to, and its rank, the levels' direct sum's, comes by certificate, min_l 
 ||R_l^-1||_F <= sigma_min; singular values are computed only when read or when the
 certificate fails.  The minimal-R scan takes the same coordinates and certifies each
 step's rank from one d_l x d_l Householder factor per level, with no SVD or Gram matrix
-per step, and lets a certified full rank stand as a map's does.
+per step, and lets a certified full rank stand as a map's does.  It writes each batch's
+rows straight into the free columns of its factors' buffers, holding no second copy, and
+keeps the batch's lifts instead: the SVD fallback re-forms from them the level it reads.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -555,9 +557,12 @@ def _law_rows(p: np.ndarray) -> np.ndarray:
 
 
 def _check_shots(shots: int) -> None:
-    """``ValueError`` unless ``shots`` is a non-negative integer, and not a bool."""
+    """``ValueError`` unless ``shots`` is a non-negative integer, not a bool, that the
+    sampler's int64 holds."""
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
         raise ValueError(f"shot count must be a non-negative integer, got {shots}")
+    if int(shots) > (largest := np.iinfo(np.int64).max):  # exact for numpy integers too
+        raise ValueError(f"shot count must be at most {largest}, got {shots}")
 
 
 def sample_shots(
@@ -566,18 +571,24 @@ def sample_shots(
     """Multinomial counts for a probability vector, deterministic per seed.
 
     An (R, K) stack of laws takes a sequence of R seeds and gives (R, K) counts,
-    row r equal to law r's own counts with seed r.  ``shots`` passes ``_check_shots``
-    and the laws pass ``_law_rows``; tiny negative roundoff is clipped to zero (and
-    each law renormalized) before drawing.
+    row r equal to law r's own counts with seed r.  ``shots`` passes ``_check_shots``,
+    the laws pass ``_law_rows`` and a stack's seeds are one a law, or ``ValueError``
+    says which failed; tiny negative roundoff is clipped to zero (and each law
+    renormalized) before drawing.
     """
     _check_shots(shots)
     p = np.asarray(p, dtype=float)
     laws = _law_rows(p)
+    seeds = [seed] if p.ndim == 1 else seed
+    sized = isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, str)
+    if p.ndim > 1 and not (sized and len(seed) == len(laws)):
+        got = f"{len(seed)} seeds" if sized else type(seed).__name__
+        count = len(laws)
+        raise ValueError(f"a stack of {count} laws takes a sequence of {count} seeds, got {got}")
     if shots == 0:
         return np.zeros(p.shape, dtype=np.int64)
     clipped = np.clip(laws, 0.0, None)
     clipped /= clipped.sum(axis=1, keepdims=True)
-    seeds = [seed] if p.ndim == 1 else seed
     counts = [
         np.random.default_rng(s).multinomial(shots, law)
         for s, law in zip(seeds, clipped, strict=True)
@@ -764,18 +775,28 @@ def _runs(lift: np.ndarray) -> list[slice]:
     return [slice(start, start + step) for start in range(0, len(lift), step)]
 
 
-def _write_level_rows(bases: _LevelBases, lifted: np.ndarray, levels: list[np.ndarray]) -> None:
-    """``_level_rows``, written run by run into ``levels``, (R z_l, d_l) buffers of either
-    layout.  A run forms only H's half form entries-major, conj(<s|U|v>) <t|U|v> at
-    ``entries`` by outcome v, (r, E, D'), in one buffer that every run reuses; each level is
-    then one gather at its ``picks`` and one product by its row group of T, formed row-major
-    and stored: BLAS rounds a product written column-major differently, and both layouts
-    must hold the same bits."""
-    rotation, (count, d, d_out) = bases.rotation, lifted.shape
+def _write_level_rows(
+    bases: _LevelBases, lifted: np.ndarray, levels: list[np.ndarray | None]
+) -> None:
+    """``_level_rows``, written run by run into ``levels``: buffers of either layout, each
+    holding its level's rows of the first R_l <= R settings, (R_l z_l, d_l), or None for a
+    level not formed.  A run forms only H's half form entries-major, conj(<s|U|v>) <t|U|v>
+    at ``entries`` by outcome v, (r, E, D'), in one buffer that every run reuses; each level
+    is then one gather at its ``picks`` and one product by its row group of T, formed
+    row-major and stored: BLAS rounds a product written column-major differently, and both
+    layouts must hold the same bits.  Each setting's rows have the same bits whatever the
+    run, the other settings and the levels formed beside them."""
+    rotation, d, d_out = bases.rotation, lifted.shape[1], lifted.shape[2]
+    levels = [  # views, (R_l, z_l, d_l)
+        None if rows is None else rows.reshape(-1, z, rows.shape[1])
+        for rows, z in zip(levels, bases.sizes)
+    ]
+    lifted = lifted[: max((len(rows) for rows in levels if rows is not None), default=0)]
+    if not len(lifted):
+        return
     s, t = np.divmod(bases.entries, d)
     groups = [None] if rotation is None else np.split(rotation, np.cumsum(bases.sizes)[:-1])
     picks = [np.divmod(p, 2) for p in bases.picks]  # (entry, Re 0 or Im 1)
-    levels = [rows.reshape(count, -1, rows.shape[1]) for rows in levels]  # views, (R, z_l, d_l)
     runs = _runs(lifted)
     buffer = np.empty((len(lifted[runs[0]]), len(s), d_out), dtype=complex)
     step = max(1, RUN_BYTES // (16 * len(buffer) * d_out))  # entries per product
@@ -793,9 +814,10 @@ def _write_level_rows(bases: _LevelBases, lifted: np.ndarray, levels: list[np.nd
             np.matmul(vectors.transpose(0, 2, 1), block, out=block)
         real = real.reshape(len(v), len(s), d_out, 2)
         for rows, (entry, part), group in zip(levels, picks, groups):
-            x = real[:, entry, :, part].transpose(1, 2, 0)  # (r, D', d_l)
-            rows[run] = x if group is None else np.matmul(group, x)
-        del x  # no temporary outlives its run
+            if rows is not None and len(out := rows[run]):
+                x = real[: len(out), entry, :, part].transpose(1, 2, 0)  # (r, D', d_l)
+                out[:] = x if group is None else np.matmul(group, x)
+                del x  # no temporary outlives its run
 
 
 def _upper(a: np.ndarray) -> np.ndarray:
@@ -848,25 +870,37 @@ class _LevelFactor:
     bordered as [[L, 0], [-Y^+ X L, Y^+]] by rows [X, Y], gives sigma_min(P) >= 1 / ||L||_F.
     KEEP_MARGIN lets its computed value (R inverted by halves, ``_invert_upper``, with an
     error bound of ``dtrtri``'s form; the bordering) be off by a relative 15/17, the
-    rounding allowance that ``gramian_rank`` names.  P itself is not kept: the
-    stored rows' ``sigma`` stand in for it.  Once k_l = d_l, later blocks add no direction
-    and no mass, so they are recorded unrotated and Q is released.
+    rounding allowance that ``gramian_rank`` names.  Neither P nor A_l is kept:
+    ``form(start, stop, out)`` writes the level's rows of settings [start, stop) into
+    ``out``, row-major, from the scan's lifts.  A batch's first blocks that fit in the free
+    columns of ``reflectors`` (``free``) are written there before ``take``, F order d_l x n
+    being n rows row-major; a block past them, or one that a cut run overwrote, is formed
+    when ``take`` reaches it, and ``sigma``'s rows on its first read.  Once k_l = d_l,
+    later blocks add no direction and no mass, so they are recorded, never formed, and Q
+    is released.
     """
 
-    def __init__(self, dim: int):
-        self.dim, self.rank, self.inverse_norm_sq = dim, 0, 0.0
+    def __init__(self, dim: int, size: int, form: Callable[[int, int, np.ndarray], None]):
+        self.dim, self.size, self.form, self.rank, self.inverse_norm_sq = dim, size, form, 0, 0.0
         self.reflectors, self.tau = np.zeros((dim, dim), order="F"), np.zeros(dim)
         self.inverse = np.zeros((0, 0))  # L, less the zero columns of rows adding no direction
-        self.rows: list[np.ndarray] = []  # the rows taken, which ``sigma`` reads
         self.records: list[tuple] = []  # per block: rank, 1 / ||L||_F, ||E_j||_2^2
+        self.formed: list[np.ndarray] = []  # the rows that ``sigma`` formed, in blocks of rows
 
-    def _rotate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Householder Q's transpose on rows^T in ``out`` (d_l x n, F order)."""
-        out[:] = rows.T
+    def free(self, count: int) -> np.ndarray | None:
+        """The free columns that the next min(``count``, (d_l - k_l) / z_l) blocks fill, as
+        their rows, row-major (a view); None once the level is complete."""
+        if self.rank == self.dim:
+            return None
+        blocks = min(count, (self.dim - self.rank) // self.size)
+        return self.reflectors[:, self.rank : self.rank + blocks * self.size].T
+
+    def _rotate(self, c: np.ndarray) -> np.ndarray:
+        """Householder Q's transpose on ``c``, rows^T (d_l x n, F order), in place."""
         if self.rank:
-            args = ("L", "T", self.reflectors[:, : self.rank], self.tau[: self.rank], out)
-            out[:] = dormqr(*args, 64 * out.shape[1] + 4160, overwrite_c=1)[0]
-        return out
+            args = ("L", "T", self.reflectors[:, : self.rank], self.tau[: self.rank], c)
+            c[:] = dormqr(*args, 64 * c.shape[1] + 4160, overwrite_c=1)[0]
+        return c
 
     def _border(self, x: np.ndarray, y_inverse: np.ndarray) -> np.ndarray:
         """Append P's rows [x, y] given y's left inverse: ||L||_F^2 as each direction enters."""
@@ -878,32 +912,39 @@ class _LevelFactor:
         self.inverse = None if complete else np.block([[self.inverse, zero], [-g, y_inverse]])
         return norms
 
-    def take(self, rows: np.ndarray, tau_hi: np.ndarray) -> None:
-        """Factor the next ``len(tau_hi)`` blocks' rows, tau_hi at each one's step."""
-        z, start = len(rows) // len(tau_hi), 0
-        self.rows.append(rows)
+    def take(self, first: int, tau_hi: np.ndarray) -> None:
+        """Factor the blocks of settings ``first``, ``first`` + 1, ..., tau_hi at each one's
+        step; those that ``free`` covered are in their columns already."""
+        z, start, written = self.size, 0, True
         while start < len(tau_hi) and self.rank < self.dim:
             blocks = min(len(tau_hi) - start, (self.dim - self.rank) // z)
-            run = slice(start * z, (start + blocks) * z)
-            accepted = blocks and self._run(rows[run], tau_hi[start : start + blocks])
-            start += accepted
+            accepted = 0
+            if blocks:
+                c = self.reflectors[:, self.rank : self.rank + blocks * z]
+                if not written:  # past the free columns at the batch's start, or overwritten
+                    self.form(first + start, first + start + blocks, c.T)
+                accepted = self._run(c, tau_hi[start : start + blocks])
+            start, written = start + accepted, False
             if accepted < blocks or not blocks:  # the cut block
-                self._drop(rows[start * z : (start + 1) * z], tau_hi[start])
+                c = np.empty((self.dim, z), order="F")
+                self.form(first + start, first + start + 1, c.T)
+                self._drop(c, tau_hi[start])
                 start += 1
         if self.rank == self.dim:  # complete: Q is read no more
             self.reflectors = self.tau = None
             self.records += [(self.dim, self.inverse_norm_sq**-0.5, 0.0)] * (len(tau_hi) - start)
 
-    def _run(self, rows: np.ndarray, tau_hi: np.ndarray) -> int:
-        """The run's blocks up to the first to fail the keep margin: how many were taken.
+    def _run(self, c: np.ndarray, tau_hi: np.ndarray) -> int:
+        """The run's blocks, rows^T in the free columns ``c``, up to the first to fail the
+        keep margin: how many were taken.
         R^-1's diagonal blocks are the inverses of R's, T_jj, so 1 / ||(R^-1)_jj||_F <=
         sigma_min(T_jj) screens them all; only a block whose bound is within twice its bar
         (or a zero pivot, which leaves R as it was) takes T_jj's SVD.  R is inverted by
         halves (``_invert_upper``), with an error bound of ``dtrtri``'s form (Du Croz &
         Higham 1992), reading R's upper triangle alone: a run that completes the level
         inverts R where it lies, above the reflectors, Q being read no more."""
-        k, m = self.rank, len(rows)
-        c, z = self._rotate(rows, self.reflectors[:, k : k + m]), m // len(tau_hi)
+        k, m = self.rank, c.shape[1]
+        c, z = self._rotate(c), m // len(tau_hi)
         qr, tau, _, _ = dgeqrf(c[k:], lwork=64 * m, overwrite_a=1)
         diagonal = _diagonal_blocks(qr, z, m).copy()  # T_jj, before R^-1 may overwrite them
         bar, complete = KEEP_MARGIN * tau_hi, k + m == self.dim
@@ -921,7 +962,7 @@ class _LevelFactor:
             self.tau[k : k + m] = tau[:m]
             if k + m < self.dim and not np.shares_memory(qr, c):  # in place only when k = 0
                 c[k:, :m] = qr[:, :m]
-            if m < len(rows):  # the prefix's inverse, R^-1's leading block
+            if m < c.shape[1]:  # the prefix's inverse, R^-1's leading block
                 if info:  # R as it was: invert its prefix alone
                     inverse = _upper(qr[:m, :m])
                     if info := _invert_upper(inverse):
@@ -936,10 +977,10 @@ class _LevelFactor:
             self.records += zip(k + z * np.arange(1, accepted + 1), lows, [0.0] * accepted)
         return accepted
 
-    def _drop(self, rows: np.ndarray, tau_hi: float) -> None:
-        """One block by its residual's SVD, keeping at most d_l - k directions."""
-        k = self.rank
-        c = self._rotate(rows, np.empty((self.dim, len(rows)), order="F"))
+    def _drop(self, c: np.ndarray, tau_hi: float) -> None:
+        """One block, rows^T in ``c`` (d_l x z_l, F order), by its residual's SVD, keeping
+        at most d_l - k directions."""
+        k, c = self.rank, self._rotate(c)
         w, sigma, vt = np.linalg.svd(c[k:], full_matrices=False)
         keep = int((sigma > KEEP_MARGIN * tau_hi).sum())
         if keep:  # reflectors of the kept directions W, whose R is a sign matrix S
@@ -951,10 +992,34 @@ class _LevelFactor:
         self.records.append((self.rank, low, np.max(sigma[keep:], initial=0.0) ** 2))
 
     def sigma(self, count: int) -> np.ndarray:
-        """The singular values of the first ``count`` stored rows (one values-only SVD)."""
-        covering = np.searchsorted(np.cumsum([len(rows) for rows in self.rows]), count) + 1
-        rows = np.vstack(self.rows[:covering])[:count]  # sigma(X) = sigma(X^T), F order
+        """The singular values of the level's first ``count`` rows (one values-only SVD).
+        A read past the rows formed so far forms those of every setting the level has
+        taken, and ``formed`` keeps them for later reads; only the blocks that hold the
+        first ``count`` rows are stacked.  A scan so forms each setting's rows for ``sigma``
+        at most once, in one kernel pass a read, and one that never reads them keeps none."""
+        have = sum(map(len, self.formed)) // self.size
+        if count > have * self.size:
+            stop = max(-(-count // self.size), len(self.records))  # one record a setting taken
+            rows = np.empty(((stop - have) * self.size, self.dim))
+            self.form(have, stop, rows)
+            self.formed.append(rows)
+        covering = np.searchsorted(np.cumsum([len(rows) for rows in self.formed]), count) + 1
+        rows = np.vstack(self.formed[:covering])[:count]  # sigma(X) = sigma(X^T), F order
         return svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False)
+
+
+def _form_rows(
+    bases: _LevelBases, lifts: list[np.ndarray], level: int, start: int, stop: int, out: np.ndarray
+) -> None:
+    """Level ``level``'s rows of settings [start, stop) of the batches ``lifts`` into
+    ``out``, row-major, through ``_write_level_rows`` with that level alone."""
+    levels, z, offset = [None] * len(bases.dims), bases.sizes[level], 0
+    for lift in lifts:
+        low, high = max(start - offset, 0), min(stop - offset, len(lift))
+        if low < high:
+            levels[level] = out[(offset + low - start) * z : (offset + high - start) * z]
+            _write_level_rows(bases, lift[low:high], levels)
+        offset += len(lift)
 
 
 class _RankScan:
@@ -973,20 +1038,30 @@ class _RankScan:
     needs no SVD to confirm it.
     """
 
-    def __init__(self, sizes: Sequence[int], dims: Sequence[int], rel_threshold: float | None):
-        self.sizes, self.width, self.rel_threshold = sizes, sum(dims), rel_threshold
-        self.levels = [_LevelFactor(dim) for dim in dims]
-        self.floors = [0.0] * len(dims)  # floor > 0: frozen
+    def __init__(self, bases: _LevelBases, rel_threshold: float | None):
+        self.bases, self.rel_threshold = bases, rel_threshold
+        self.sizes, self.width = bases.sizes, sum(bases.dims)
+        self.lifts: list[np.ndarray] = []  # each batch's restricted lifts, which ``form`` reads
+        # ``form`` holds the list, not the scan: no cycle keeps a finished scan alive.
+        self.levels = [
+            _LevelFactor(dim, z, partial(_form_rows, bases, self.lifts, l))
+            for l, (z, dim) in enumerate(zip(bases.sizes, bases.dims))
+        ]
+        self.floors = [0.0] * len(bases.dims)  # floor > 0: frozen
         self.steps, self.dropped_sq = 0, 0.0
 
-    def extend(self, rows: Sequence[np.ndarray]) -> list[int | None]:
-        """Take the next blocks, as each level's rows; each step's certified rank or None."""
+    def extend(self, lift: np.ndarray) -> list[int | None]:
+        """Take the next settings, from their restricted lifts (R, D, D'), which are kept; each
+        step's certified rank or None.  Each open level's first blocks are written into its
+        free columns (``_LevelFactor.free``), every level in one pass of the kernel."""
         d, d_out, start = round(self.width**0.5), sum(self.sizes), self.steps
-        settings = start + np.arange(1, len(rows[0]) // self.sizes[0] + 1)
+        settings = start + np.arange(1, len(lift) + 1)
         scales = _threshold_scale((settings * d_out, self.width), self.rel_threshold)
         tau_hi, cushion, sigma_low = _projector_bounds(settings, d, d_out, scales)
-        for level, level_rows in zip(self.levels, rows):
-            level.take(level_rows, tau_hi)
+        self.lifts.append(lift)
+        _write_level_rows(self.bases, lift, [level.free(len(lift)) for level in self.levels])
+        for level in self.levels:
+            level.take(start, tau_hi)
         ranks, lows, drops = np.array([level.records[start:] for level in self.levels]).T
         dropped_sq = np.cumsum(np.r_[self.dropped_sq, np.cumsum(drops, axis=1)[:, -1]])[1:]
         self.steps, self.dropped_sq = int(settings[-1]), dropped_sq[-1]
@@ -1015,7 +1090,7 @@ class _RankScan:
 
 class _LevelStack:
     """A scan's level direct sum over its first ``steps`` steps: sigma the union of the
-    levels' stored rows' (each level's ``sigma``, on first read), each d_l wide, and then
+    levels' rows' (each level's ``sigma``, on first read), each d_l wide, and then
     the direct sum's exact zeros, to min(R D', D^2); shape the stack's (R D', D^2).
     ``rank`` is the scan's certified rank at that step, or None, at threshold ``scale``."""
 
@@ -1045,9 +1120,10 @@ def find_min_configs(
     Appends one independent configuration at a time and records the rank after each;
     stops at rank D^2 or after ``r_max`` configurations (reporting the best rank
     achieved).  The first min(bound, ``r_max``) are lifted and factored in one call
-    per level.  Each setting's rows are taken to ``_level_rows``, d_l wide, and
-    each rank is ``gramian_rank``'s on their direct sum (``_LevelStack``): the full
-    SVD's, unless a sigma lies within the levels' rounding of the threshold.
+    per level.  Each setting's rows, d_l wide, are written into the levels' factor
+    buffers (``_RankScan.extend``), and each rank is ``gramian_rank``'s on their direct
+    sum (``_LevelStack``): the full SVD's, unless a sigma lies within the levels'
+    rounding of the threshold.
     ``_RankScan`` certifies steps from each level's triangular factor; the levels' SVDs
     settle a step it cannot, and a certified D^2 stands, its sigma left unread.
     The observed minimum is checked against the counting lower bound on every run.
@@ -1063,7 +1139,7 @@ def find_min_configs(
     required = fock_dimension(photons, modes) ** 2
 
     bases = _level_bases(photons, modes, meas_modes)
-    scan = _RankScan(bases.sizes, bases.dims, rel_threshold)
+    scan = _RankScan(bases, rel_threshold)
     configs: list[InterferometerConfig] = []
     certified: list[int | None] = []
     trace: list[tuple[int, int]] = []
@@ -1073,7 +1149,7 @@ def find_min_configs(
         if len(trace) == len(configs):  # the bound's settings in one batch, then one at a time
             drawn = draw(meas_modes, 1 if configs else min(bound, r_max))
             configs += drawn
-            certified += scan.extend(_level_rows(bases, _restricted_lift(drawn, photons, modes)))
+            certified += scan.extend(_restricted_lift(drawn, photons, modes))
         step, rank = len(trace) + 1, certified[len(trace)]
         if rank is None or rank == required:  # the levels' SVDs settle it; a certified D^2 stands
             rank = gramian_rank(_LevelStack(scan, step, rank), rel_threshold).rank

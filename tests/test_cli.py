@@ -511,6 +511,17 @@ class TestBadInput:
         message = f"state field {field!r} must be an integer, got {value!r}"
         assert f"invalid input: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shots", ["100000000000000000000", "0,9223372036854775808"])
+    def test_a_shot_count_past_int64_exits_2(self, shots, tmp_path, capsys):
+        state, out = tmp_path / "state.json", tmp_path / "out.json"
+        write_state(state)
+        argv = ["reconstruct", "--state", str(state), "--shots", shots, "--json", str(out)]
+        assert cli.main(argv) == 2
+        largest = shots.split(",")[-1]
+        message = f"shot count must be at most 9223372036854775807, got {largest}"
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_spec_rejects_an_empty_shot_list(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         write_state(state)

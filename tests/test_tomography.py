@@ -1,10 +1,12 @@
 import functools
+import gc
 import itertools
 import math
 import re
 import traceback
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -941,9 +943,9 @@ class TestSearches:
         reads, sigma = [], tg._LevelFactor.sigma
         monkeypatch.setattr(tg._LevelFactor, "sigma", lambda *a: reads.append(a) or sigma(*a))
         bases = tg._level_bases(photons, modes, meas_modes)
-        scan = tg._RankScan(bases.sizes, bases.dims, rel_threshold)
+        scan = tg._RankScan(bases, rel_threshold)
         lifted = tg._restricted_lift(search.configs, photons, modes)
-        certified = scan.extend(tg._level_rows(bases, lifted))
+        certified = scan.extend(lifted)
         expected = oracles.complex_rank_trace(search.configs, photons, modes, rel_threshold)
         assert bool(reads) == (rel_threshold is not None)
         if rel_threshold is None:
@@ -956,7 +958,8 @@ class TestSearches:
                 k, bound, _ = level.records[step]
                 if not k:
                     continue
-                rows = np.vstack(level.rows)[: (step + 1) * z]
+                rows = np.empty(((step + 1) * z, level.dim))
+                level.form(0, step + 1, rows)  # the rows re-formed from the scan's lifts
                 sigma_k = np.linalg.svd(rows, compute_uv=False)[k - 1]
                 assert bound - scan.dropped_sq**0.5 <= sigma_k * (1 + 1e-12)
 
@@ -1018,11 +1021,10 @@ class TestSearches:
         # The threshold grows with the stack, 80 settings fed one at a time; a level's
         # floor is its certificate's own bound, not the keep margin at its freeze.
         bases = tg._level_bases(photons, modes, modes)
-        scan = tg._RankScan(bases.sizes, bases.dims, None)
+        scan = tg._RankScan(bases, None)
         certified = []
         for config in haar_configs(modes, 80, seed=0):
-            lifted = tg.build_superoperator([config], photons, modes).lift
-            certified += scan.extend(tg._level_rows(bases, lifted))
+            certified += scan.extend(tg.build_superoperator([config], photons, modes).lift)
         assert None not in certified and certified[-1] == fock_dimension(photons, modes) ** 2
         assert all(floor > 0 for floor in scan.floors)
 
@@ -1060,11 +1062,23 @@ class TestSearches:
 
     @pytest.mark.parametrize("count", [1, 7, 8, 9, 20, 24, 30])
     def test_level_sigma_is_the_svd_of_exactly_the_first_rows(self, count, monkeypatch):
-        # Blocks of 8, 4 and 12 rows: counts inside a block and on its boundaries.  Only
-        # the blocks that hold the first count rows are stacked.
-        rng = np.random.default_rng(count)
-        level = tg._LevelFactor(6)
-        level.rows = [rng.standard_normal((n, 6)) for n in (8, 4, 12)]
+        # Settings of 4 rows.  A read past the formed rows forms every setting taken so
+        # far: reads with 2, 3 and 6 settings taken form blocks of 8, 4 and 12 rows.
+        # Counts inside a block and on its boundaries; only the blocks that hold the first
+        # count rows are stacked, and only a count past them forms more (30 rows: two
+        # more settings, the 8th past the 7 taken).
+        source, formed = np.random.default_rng(count).standard_normal((32, 6)), []
+
+        def form(start, stop, out):
+            formed.append((start, stop))
+            out[:] = source[4 * start : 4 * stop]
+
+        level = tg._LevelFactor(6, 4, form)
+        for taken, first in [(2, 1), (3, 9), (6, 13)]:
+            level.records = [()] * taken
+            level.sigma(first)
+        assert formed == [(0, 2), (2, 3), (3, 6)]
+        level.records = [()] * 7
         stacked, vstack = [], np.vstack
 
         def counted(arrays):
@@ -1072,9 +1086,10 @@ class TestSearches:
             return vstack(arrays)
 
         monkeypatch.setattr(np, "vstack", counted)
-        expected = scipy.linalg.svd(vstack(level.rows)[:count].T, compute_uv=False)
+        expected = scipy.linalg.svd(source[:count].T, compute_uv=False)
         np.testing.assert_array_equal(level.sigma(count), expected)
-        assert stacked == [1 + (count > 8) + (count > 12)]
+        assert stacked == [1 + (count > 8) + (count > 12) + (count > 24)]
+        assert formed[3:] == ([(6, 8)] if count > 24 else [])
 
     @pytest.mark.parametrize("spare", [0, 1])  # the run completes the level, or leaves a block
     @pytest.mark.parametrize("case", ["far above", "within twice", "below", "singular"])
@@ -1095,8 +1110,13 @@ class TestSearches:
         svds, taken = record_shapes(monkeypatch, "svd", np.linalg), []
         run = tg._LevelFactor._run
         monkeypatch.setattr(tg._LevelFactor, "_run", lambda *a: taken.append(run(*a)) or taken[-1])
-        level = tg._LevelFactor(dim)
-        level.take(rows, np.full(blocks, tau_hi))
+
+        def form(start, stop, out):
+            out[:] = rows[z * start : z * stop]
+
+        level = tg._LevelFactor(dim, z, form)
+        level.free(blocks)[:] = rows  # as a scan writes a batch's first blocks
+        level.take(0, np.full(blocks, tau_hi))
         assert taken == runs == ([4] if smallest > 1 else [2, 1])
         assert level.rank == records[-1][0] == 12 - (smallest < 1)
         np.testing.assert_allclose(np.array(level.records), records, rtol=1e-12, atol=1e-30)
@@ -1113,9 +1133,9 @@ class TestSearches:
         configs = haar_configs(meas_modes, count, seed=photons + meas_modes)
         maps = [tg.build_superoperator([c], photons, modes) for c in configs]
         blocks = [oracles.hermitian_coordinates(oracles.complex_rows(superop)) for superop in maps]
-        scan = tg._RankScan(bases.sizes, bases.dims, None)
+        scan = tg._RankScan(bases, None)
         for superop in maps:
-            scan.extend(tg._level_rows(bases, superop.lift))
+            scan.extend(superop.lift)
         stack = tg._LevelStack(scan, count)
         full = tg.gramian_rank(np.vstack(blocks))
         report = tg.gramian_rank(stack)
@@ -1128,7 +1148,8 @@ class TestSearches:
     @pytest.mark.parametrize("photons,modes,meas_modes", [(3, 4, 4), (2, 3, 5)])
     def test_the_scan_keeps_no_d2_wide_array(self, monkeypatch, photons, modes, meas_modes):
         # Each level's reflectors are d_l x d_l, released once it is complete, and its
-        # stored rows d_l wide (with one group, d_0 = D^2): nothing is D^2 wide per level.
+        # rows, re-formed from the kept lifts (R, D, D'), d_l wide (with one group,
+        # d_0 = D^2): nothing is D^2 wide per level, and a certified scan keeps no rows.
         scans = []
 
         class Recorded(tg._RankScan):
@@ -1139,14 +1160,61 @@ class TestSearches:
         monkeypatch.setattr(tg, "_RankScan", Recorded)
         search = tg.find_min_configs(photons, modes, meas_modes, seed=0)
         (scan,) = scans
-        dims = tg._level_bases(photons, modes, meas_modes).dims
-        assert search.found is not None and len(scan.levels) == len(dims)
-        for level, dim in zip(scan.levels, dims):
+        bases = tg._level_bases(photons, modes, meas_modes)
+        lift = tg._restricted_lift(search.configs, photons, modes)
+        assert search.found is not None and len(scan.levels) == len(bases.dims)
+        assert sum(map(len, scan.lifts)) == scan.steps == len(search.configs)
+        assert all(kept.shape[1:] == lift.shape[1:] for kept in scan.lifts)
+        levels = zip(scan.levels, bases.sizes, bases.dims, tg._level_rows(bases, lift))
+        for level, z, dim, whole in levels:
             if level.rank == dim:
                 assert level.reflectors is None and level.tau is None
             else:
                 assert level.reflectors.shape == (dim, dim)
-            assert level.rows and all(rows.shape[1] == dim for rows in level.rows)
+            rows = np.empty((scan.steps * z, dim))
+            level.form(0, scan.steps, rows)
+            assert np.array_equal(rows, whole) and level.formed == []
+
+    def test_a_certified_scan_writes_its_rows_once_into_its_factor_buffers(self, monkeypatch):
+        # (3,4): each level fills up with the blocks that fit in its free columns, 1, 5, 14
+        # and all 30 of the batch's, so one kernel pass writes every row the scan takes
+        # straight into the reflector buffers, and the blocks past them are never formed.
+        scans, shared, write = [], [], tg._write_level_rows
+
+        class Recorded(tg._RankScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scans.append(self)
+
+        def spy(bases, lifted, levels):
+            factors = [level.reflectors for level in scans[0].levels]
+            shared.append([np.shares_memory(rows, f) for rows, f in zip(levels, factors)])
+            return write(bases, lifted, levels)
+
+        monkeypatch.setattr(tg, "_RankScan", Recorded)
+        monkeypatch.setattr(tg, "_write_level_rows", spy)
+        search = tg.find_min_configs(3, 4, seed=0)
+        assert search.found == 30 and shared == [[True] * 4]
+        assert [level.records[-1][0] for level in scans[0].levels] == [1, 15, 84, 300]
+
+    @pytest.mark.parametrize("rel_threshold", [None, 1e-3])  # at 1e-3 the levels' sigma are read
+    def test_a_scan_is_freed_when_its_search_returns(self, monkeypatch, rel_threshold):
+        # No reference cycle keeps a scan, its lifts or its factors until a collector pass,
+        # so a process running scan after scan holds one at a time.
+        scans = []
+
+        class Recorded(tg._RankScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scans.append(weakref.ref(self))
+
+        monkeypatch.setattr(tg, "_RankScan", Recorded)
+        gc.disable()
+        try:
+            tg.find_min_configs(3, 4, seed=0, rel_threshold=rel_threshold)
+            assert len(scans) == 1 and scans[0]() is None
+        finally:
+            gc.enable()
 
     @staticmethod
     def confirming_report(monkeypatch, *args, **kwargs):
@@ -1529,6 +1597,21 @@ class TestPeakMemory:
         assert search.found == count == min_configs(5, 4)
         assert peak < 1.1 * (self.level_rows_bytes(bases, count) + buffers + lift)
 
+    def test_a_scan_holds_no_second_copy_of_its_rows(self):
+        # The batch's rows are written into the factor buffers' free columns, and the lifts
+        # are kept in their place: the peak is the buffers, the lifts and a margin for the
+        # lift's own temporaries (about three lifts) and the kernel's (two RUN_BYTES).  A
+        # second copy of the rows, 7.0 MB beside 6.2 MB of buffers, would not fit it.
+        bases, d = tg._level_bases(4, 4, 4), fock_dimension(4, 4)
+        search, peak = self.traced_peak(lambda: tg.find_min_configs(4, 4, seed=0))
+        count = len(search.configs)
+        buffers = sum(8 * dim * (dim + 1) for dim in bases.dims)  # reflectors and tau
+        lift = 16 * count * d * d
+        margin = 3 * lift + 2 * tg.RUN_BYTES
+        assert search.found == count == min_configs(4, 4)
+        assert margin < self.level_rows_bytes(bases, count) / 1.5
+        assert peak < buffers + lift + margin
+
     def test_a_map_is_factored_in_the_memory_of_its_rows(self):
         configs = haar_configs(4, min_configs(5, 4), seed=0)
         superop = tg.build_superoperator(configs, 5, 4)
@@ -1600,6 +1683,29 @@ class TestSampleShots:
         message = f"shot count must be a non-negative integer, got {shots}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tg.sample_shots([0.5, 0.5], shots, 0)
+
+    @pytest.mark.parametrize("shots", [2**63, 10**20, np.uint64(2**63)])
+    def test_a_shot_count_past_int64_is_refused_by_name(self, shots):
+        # The sampler draws in int64: 2**63 - 1 is the largest count it takes.
+        message = f"shot count must be at most {2**63 - 1}, got {shots}"
+        for sample in (lambda: tg.sample_shots([0.5, 0.5], shots, 0),
+                       lambda: tg.sweep_frequencies(np.full((3, 2), 0.5), [0, shots])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample()
+        assert tg.sample_shots([0.0, 1.0], 2**63 - 1, 0).tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "seed,got", [(5, "int"), (np.random.SeedSequence(5), "SeedSequence"), ([0, 1], "2 seeds"),
+                     ((0, 1, 2, 3), "4 seeds"), (np.arange(2), "2 seeds"), ("abc", "str")]
+    )
+    def test_a_stack_refuses_a_bad_seed_by_name_before_drawing(self, seed, got, monkeypatch):
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
+        message = f"a stack of 3 laws takes a sequence of 3 seeds, got {got}"
+        for shots in (0, 10):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                tg.sample_shots(np.full((3, 2), 0.5), shots, seed)
+        assert draws == []
 
     def test_a_stack_is_checked_row_by_row_and_needs_a_seed_per_row(self):
         laws = np.full((3, 4), 0.25)

@@ -50,6 +50,7 @@ from .tomography import (
     GENERATORS,
     DensityMatrix,
     IncompleteConfigurationsError,
+    _check_shots,
     build_superoperator,
     config_drawer,
     find_min_configs,
@@ -116,10 +117,13 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.shots = tuple(self.shots)
-        if not self.shots or any(s < 0 for s in self.shots):
-            raise ValueError("shots must list at least one count, none negative")
-        if self.efficiency is not None and not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.efficiency}")
+        if not self.shots:
+            raise ValueError("shots must list at least one count")
+        # The sampler's and the detector model's own rules, before any setting is drawn.
+        for count in self.shots:
+            _check_shots(count)
+        if self.efficiency is not None:
+            DetectorModel.uniform(self.efficiency, 1)
 
     def to_json_dict(self) -> dict:
         record = dataclasses.asdict(self)

@@ -60,13 +60,17 @@ def json_number(record: dict, name: str, owner: str, kind: type = int, optional:
     return kind(value)
 
 
-def _check_unitary(g: np.ndarray, seeds: np.ndarray | None = None) -> np.ndarray:
-    """The one unitarity rule: the residuals max |g^dag g - I| of the (R, M', M') stack ``g``,
-    or ``ValueError`` naming the first over ``UNITARITY_TOL`` (or NaN), by index and seed."""
+def _check_unitary(
+    g: np.ndarray, seeds: np.ndarray | None = None, tol: float = UNITARITY_TOL
+) -> np.ndarray:
+    """The one unitarity rule: the residuals max |g^dag g - I| of the (R, ., C) stack ``g``,
+    or ``ValueError`` if any is over ``tol`` (or NaN), naming the worst (or the first NaN)
+    by index and seed; an unseeded stack of one is named "matrix"."""
     residuals = np.abs(g.conj().swapaxes(1, 2) @ g - np.eye(g.shape[-1])).max(axis=(1, 2))
-    if not (unitary := residuals <= UNITARITY_TOL).all():  # NaN fails too
-        k = int(np.argmin(unitary))
-        which = "matrix" if seeds is None else f"matrix {k} (seed {seeds[k]})"
+    if not (residuals <= tol).all():  # NaN fails too
+        k = int(np.argmax(residuals))  # the worst, or the first NaN
+        which = "matrix" if seeds is None and len(g) == 1 else f"matrix {k}"
+        which += "" if seeds is None else f" (seed {seeds[k]})"
         raise ValueError(f"{which} is not unitary (residual {residuals[k]:.3e})")
     return residuals
 
@@ -241,7 +245,8 @@ class FockUnitary:
     With ``in_modes`` set, ``matrix`` holds only the columns of the input
     states on the first ``in_modes`` modes (vacuum elsewhere), in the order
     of their own canonical basis.  The lift of an (R, M', M') stack has an
-    (R, D', C) ``matrix``.  Each member's columns must be orthonormal.
+    (R, D', C) ``matrix``.  Each member's columns must be orthonormal: ``_check_unitary``
+    at ``LIFT_UNITARITY_TOL`` D'.
     """
 
     basis: FockBasis
@@ -255,11 +260,7 @@ class FockUnitary:
         columns = fock_dimension(self.basis.photons, inputs)
         if u.ndim not in (2, 3) or u.shape[-2:] != (d, columns) or u.size == 0:
             raise ValueError(f"matrix shape {u.shape}, expected (R,) {(d, columns)}")
-        residual = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(columns)).max()
-        if not residual <= LIFT_UNITARITY_TOL * max(d, 1):  # NaN fails too
-            raise ValueError(
-                f"lifted columns are not orthonormal (residual {residual:.3e})"
-            )
+        _check_unitary(u.reshape(-1, d, columns), tol=LIFT_UNITARITY_TOL * max(d, 1))
         self.matrix = u
 
     @property

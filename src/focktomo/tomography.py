@@ -62,7 +62,6 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 PROBABILITY_SUM_TOL = 1e-10
 NEGATIVE_PROBABILITY_TOL = 1e-12
-LAW_SUM_TOL = 1e-9
 # A certificate keeps a direction only above KEEP_MARGIN tau_hi (``_projector_bounds``).
 KEEP_MARGIN = 16.0
 # Level rows are formed from lifts one run of settings at a time, the half form that a run's
@@ -205,18 +204,6 @@ def _restricted_lift(configs, photons: int, modes: int) -> np.ndarray:
     return lift_unitary(g, photons, in_modes=modes).matrix.swapaxes(-1, -2)  # (R,) D, D'
 
 
-def _checked_laws(laws: np.ndarray) -> np.ndarray:
-    """``laws``, one outcome law per row, once each sums to 1 and lies in [0, 1]."""
-    totals = laws.sum(axis=-1)
-    worst = totals[np.argmax(np.abs(totals - 1.0))]
-    if not abs(worst - 1.0) <= PROBABILITY_SUM_TOL:  # NaN fails too
-        raise RuntimeError(f"outcome probabilities sum to {worst}, not 1")
-    low, high = laws.min(), laws.max()
-    if not (low >= -NEGATIVE_PROBABILITY_TOL and high <= 1.0 + NEGATIVE_PROBABILITY_TOL):
-        raise RuntimeError(f"outcome probabilities leave [0, 1]: min {low:.3e}, max {high:.3e}")
-    return laws
-
-
 def outcome_probabilities(
     rho: DensityMatrix, config: InterferometerConfig | Sequence[InterferometerConfig]
 ) -> np.ndarray:
@@ -226,7 +213,7 @@ def outcome_probabilities(
     from one lift, each diag(V_r^dag rho V_r) of setting r's restricted lift V_r and
     equal bit for bit to setting r's alone; no row of the map is formed.  Entries may carry
     roundoff at the -1e-16 level and are returned unclipped, so callers can see (and
-    report) them; each law must sum to 1 within ``PROBABILITY_SUM_TOL``.
+    report) them; the laws pass ``_law_rows``, or ``RuntimeError`` says which check failed.
     """
     configs = [config] if isinstance(config, InterferometerConfig) else list(config)
     laws = build_superoperator(configs, rho.photons, rho.modes).laws(rho)
@@ -314,8 +301,9 @@ class Superoperator:
         return np.einsum("rav,rav->rv", v.conj(), mat @ v).real.reshape(-1)
 
     def laws(self, rho: np.ndarray | DensityMatrix) -> np.ndarray:
-        """Each setting's outcome law, (R, D'), checked by ``_checked_laws``."""
-        return _checked_laws(self.apply(rho).reshape(self.n_configs, -1))
+        """Each setting's outcome law, (R, D').  The map's own output, so a law that fails
+        ``_law_rows`` is a numerical failure: its message is raised as ``RuntimeError``."""
+        return _law_rows(self.apply(rho).reshape(self.n_configs, -1), RuntimeError)
 
 
 def build_superoperator(
@@ -538,21 +526,26 @@ def reconstruct(
     return ReconstructionResult(raw=raw, projected=projected, residual=residual, rank=rank)
 
 
-def _law_rows(p: np.ndarray) -> np.ndarray:
-    """A stack of outcome laws as (-1, K) rows, once it passes the sampler's checks: it
-    is an array, not empty, no entry lies below -NEGATIVE_PROBABILITY_TOL and each law
-    sums to 1 within LAW_SUM_TOL; the first check to fail raises its ``ValueError``."""
+def _law_rows(p: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """A stack of outcome laws as (-1, K) rows, once it passes the one law rule: it is an
+    array, not empty, every entry lies within [-NEGATIVE_PROBABILITY_TOL, 1 +
+    NEGATIVE_PROBABILITY_TOL] (NaN fails) and each law sums to 1 within PROBABILITY_SUM_TOL.
+    The first check to fail raises its message as ``error``: the caller says whether a bad
+    law is bad input (``ValueError``) or a numerical failure (``RuntimeError``)."""
     if p.ndim == 0:
-        raise ValueError("cannot sample shots from a scalar; an outcome law is an array")
+        raise error("cannot sample shots from a scalar; an outcome law is an array")
     if p.size == 0:
-        raise ValueError("cannot sample shots from an empty outcome law")
-    if not p.min() >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
-        raise ValueError(f"probability entry {p.min():.3e} is negative")
+        raise error("cannot sample shots from an empty outcome law")
+    low, high = p.min(), p.max()
+    if not low >= -NEGATIVE_PROBABILITY_TOL:  # NaN fails too
+        raise error(f"probability entry {low:.3e} is negative")
+    if not high <= 1.0 + NEGATIVE_PROBABILITY_TOL:
+        raise error(f"probability entry {high} exceeds 1")
     rows = p.reshape(-1, p.shape[-1])
     totals = rows.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
-    if not abs(worst - 1.0) <= LAW_SUM_TOL:
-        raise ValueError(f"probabilities sum to {worst}, not 1")
+    if not abs(worst - 1.0) <= PROBABILITY_SUM_TOL:
+        raise error(f"probabilities sum to {worst}, not 1")
     return rows
 
 
@@ -572,13 +565,13 @@ def sample_shots(
 
     An (R, K) stack of laws takes a sequence of R seeds and gives (R, K) counts,
     row r equal to law r's own counts with seed r.  ``shots`` passes ``_check_shots``,
-    the laws pass ``_law_rows`` and a stack's seeds are one a law, or ``ValueError``
-    says which failed; tiny negative roundoff is clipped to zero (and each law
-    renormalized) before drawing.
+    the laws pass ``_law_rows`` (the rule ``Superoperator.laws`` holds its output to) and
+    a stack's seeds are one a law, or ``ValueError`` says which failed; tiny negative
+    roundoff is clipped to zero (and each law renormalized) before drawing.
     """
     _check_shots(shots)
     p = np.asarray(p, dtype=float)
-    laws = _law_rows(p)
+    laws = _law_rows(p, ValueError)
     seeds = [seed] if p.ndim == 1 else seed
     sized = isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, str)
     if p.ndim > 1 and not (sized and len(seed) == len(laws)):
@@ -600,14 +593,15 @@ def sweep_frequencies(laws: np.ndarray, shots: Sequence[int], seed: int = 0) -> 
     """Every shot count's frequencies of ``laws`` as one (S, *laws.shape) stack.
 
     The laws are read as (-1, K) rows, one setting a row, so a single (K,) law is one
-    setting, and are checked once by ``_law_rows``, the same way at every shot count;
+    setting, and are checked once by ``_law_rows`` (the rule ``Superoperator.laws`` holds
+    its output to), the same way at every shot count, a bad law raising ``ValueError``;
     every shot count passes ``_check_shots`` before anything is drawn.  Entry k is the
     laws themselves at 0 shots, else counts / shots, setting j drawing from the j-th
     child of ``SeedSequence(seed).spawn(R)``, spawned once for the sweep, so every
     (seed, setting) pair has a stream of its own.
     """
     laws = np.asarray(laws, dtype=float)
-    rows = _law_rows(laws)
+    rows = _law_rows(laws, ValueError)
     for n in shots:
         _check_shots(n)
     streams = np.random.SeedSequence(seed).spawn(len(rows))

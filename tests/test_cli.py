@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -419,7 +420,7 @@ class TestBadInput:
              "--configs does not apply to newton-young"),
             (["reconstruct", "--invert-detector"], "--invert-detector needs --efficiency"),
             (["reconstruct", "--shots", "1,x"], "bad --shots value '1,x'"),
-            (["reconstruct", "--efficiency", "0"], "efficiency must lie in (0, 1], got 0.0"),
+            (["reconstruct", "--efficiency", "0"], "efficiency 0.0 outside (0, 1]"),
             (["rank-scan", "--photons", "3:2"], "photons range '3:2' is empty"),
             (["rank-scan", "--photons", "1:2"], "photons must be a single integer here, got '1:2'"),
             (["bounds", "--modes", "3", "--meas-modes", "2"],
@@ -521,6 +522,37 @@ class TestBadInput:
         message = f"shot count must be at most 9223372036854775807, got {largest}"
         assert f"invalid input: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_spec_checks_each_shot_count_by_the_samplers_rule(self):
+        message = f"shot count must be at most {2**63 - 1}, got {2**63}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.ExperimentSpec("reconstruct", shots=(2**63,))
+
+    @pytest.mark.parametrize(
+        "option,field,message",
+        [
+            (["--shots", "100000000000000000000"], {"shots": [10**20]},
+             "shot count must be at most 9223372036854775807, got 100000000000000000000"),
+            (["--shots", "0,-1"], {"shots": [0, -1]},
+             "shot count must be a non-negative integer, got -1"),
+            (["--efficiency", "0"], {"efficiency": 0.0}, "efficiency 0.0 outside (0, 1]"),
+        ],
+    )
+    def test_a_bad_count_or_efficiency_exits_2_before_any_setting_is_drawn(
+        self, option, field, message, tmp_path, capsys, monkeypatch
+    ):
+        def draw(*args):
+            raise AssertionError("a setting was drawn")
+
+        monkeypatch.setitem(tg.GENERATORS, "haar", draw)
+        state, spec = tmp_path / "state.json", tmp_path / "spec.json"
+        write_state(state)
+        record = cli.ExperimentSpec("reconstruct", state_path=str(state)).to_json_dict()
+        spec.write_text(json.dumps({**record, **field}))
+        for argv in (["reconstruct", "--state", str(state), *option], ["run-spec", str(spec)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"invalid input: {message}\n" and captured.out == ""
 
     def test_run_spec_rejects_an_empty_shot_list(self, tmp_path, capsys):
         state = tmp_path / "state.json"

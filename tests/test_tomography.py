@@ -205,34 +205,70 @@ class TestBatchedSettings:
             superop.laws(2.0 * rho.matrix)
 
 
-class TestCheckedLaws:
+class TestMapLaws:
+    """``Superoperator.laws`` holds its own output to ``_law_rows`` and raises a failure as
+    ``RuntimeError``; the samplers raise the same message as ``ValueError``."""
+
+    @staticmethod
+    def map_reading(laws, monkeypatch):
+        superop = tg.build_superoperator(haar_configs(2, len(laws), seed=1), 1, 2)
+        monkeypatch.setattr(superop, "apply", lambda rho: laws.reshape(-1))
+        return lambda: superop.laws(np.eye(2) / 2)
+
     def laws(self):
         rng = np.random.default_rng(3)
-        laws = rng.random((4, 6))
+        laws = rng.random((4, 2))
         return laws / laws.sum(axis=1, keepdims=True)
 
-    def test_valid_laws_pass_through(self):
+    def test_valid_laws_pass_through(self, monkeypatch):
         laws = self.laws()
-        assert tg._checked_laws(laws) is laws
+        assert np.array_equal(self.map_reading(laws, monkeypatch)(), laws)
 
-    def test_the_worst_row_sum_is_named(self):
+    def test_the_worst_row_sum_is_named(self, monkeypatch):
         laws = self.laws()
-        laws[2] = [0.5, 0.4, 0.0, 0.0, 0.0, 0.0]
+        laws[2] = [0.5, 0.4]
         laws[1] *= 1.0 + 1e-11  # within tolerance
-        with pytest.raises(RuntimeError, match=r"sum to 0\.9(?!\d)"):
-            tg._checked_laws(laws)
+        with pytest.raises(RuntimeError, match=r"^probabilities sum to 0\.9, not 1$"):
+            self.map_reading(laws, monkeypatch)()
 
-    def test_entries_outside_the_unit_interval_are_named(self):
+    @pytest.mark.parametrize(
+        "row,message",
+        [([-0.2, 1.2], "probability entry -2.000e-01 is negative"),
+         ([1.0 + 5e-11, 0.0], "probability entry 1.00000000005 exceeds 1")],  # sums within 1e-10
+    )
+    def test_entries_outside_the_unit_interval_are_named(self, row, message, monkeypatch):
         laws = self.laws()
-        laws[1] = [-0.2, 1.2, 0.0, 0.0, 0.0, 0.0]
-        with pytest.raises(
-            RuntimeError, match=r"leave \[0, 1\]: min -2\.000e-01, max 1\.200e\+00"
-        ):
-            tg._checked_laws(laws)
+        laws[1] = row
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            self.map_reading(laws, monkeypatch)()
 
-    def test_nan_laws_are_rejected(self):
-        with pytest.raises(RuntimeError, match="sum to nan, not 1"):
-            tg._checked_laws(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+    def test_nan_laws_are_rejected(self, monkeypatch):
+        laws = np.array([[np.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(RuntimeError, match="^probability entry nan is negative$"):
+            self.map_reading(laws, monkeypatch)()
+
+    @pytest.mark.parametrize(
+        "row", [[0.5, 0.5 + 5e-10], [0.5, 0.4], [-1e-11, 1.0], [1.0 + 2e-12, 0.0], [np.nan, 1.0]]
+    )
+    def test_the_map_and_the_samplers_refuse_a_law_with_one_message(self, row, monkeypatch):
+        laws = self.laws()
+        laws[3] = row
+        with pytest.raises(RuntimeError) as by_map:
+            self.map_reading(laws, monkeypatch)()
+        message = f"^{re.escape(str(by_map.value))}$"
+        for shots in (0, 1000):
+            with pytest.raises(ValueError, match=message):
+                tg.sample_shots(laws, shots, range(4))
+            with pytest.raises(ValueError, match=message):
+                tg.sweep_frequencies(laws, [shots])
+
+    def test_a_law_summing_to_one_within_1e_10_is_accepted_by_all_three(self, monkeypatch):
+        laws = self.laws()
+        laws[3] = [0.5, 0.5 + 5e-11]
+        assert tg.PROBABILITY_SUM_TOL == 1e-10
+        assert np.array_equal(self.map_reading(laws, monkeypatch)(), laws)
+        assert tg.sample_shots(laws, 1000, range(4)).sum(axis=1).tolist() == [1000] * 4
+        assert np.array_equal(tg.sweep_frequencies(laws, [0, 1000])[0], laws)
 
 
 class TestSuperoperator:
@@ -1824,6 +1860,9 @@ class TestSweepFrequencies:
         with pytest.raises(ValueError, match=r"^probabilities sum to 0\.5, not 1$"):
             tg.sweep_frequencies(laws, shots)
         laws[1] = [0.25, 0.25, 0.25, 0.25 + 5e-10]
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.0000000005, not 1$"):
+            tg.sweep_frequencies(laws, shots)
+        laws[1] = [0.25, 0.25, 0.25, 0.25 + 5e-11]
         stack = tg.sweep_frequencies(laws, shots)
         for entry, count in zip(stack, shots):
             if count == 0:

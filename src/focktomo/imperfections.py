@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from ._lapack import dtrtrs
 from .combinatorics import IndexedStates, enumerate_fock_basis, fock_dimension
 from .linear_optics import InterferometerConfig, json_number
 from .tomography import (
@@ -273,8 +273,11 @@ def invert_detector_response(
     as-is unless ``project`` asks for the nearest point on the probability
     simplex, row by row.  A warning is emitted when any law has visibly lost mass
     beyond the truncation (detected events above max_total are not represented).
+    A NaN or infinite entry raises ``ValueError`` before anything is solved.
     """
     q = _as_laws(p_detected, len(basis))
+    if not np.isfinite(q).all():
+        raise ValueError("detected laws must be finite, got a NaN or infinite entry")
     deficit = np.max(1.0 - q.sum(axis=-1))
     if deficit > TRUNCATION_MASS_TOL:
         warnings.warn(
@@ -283,8 +286,11 @@ def invert_detector_response(
             RuntimeWarning,
             stacklevel=2,
         )
-    solution = solve_triangular(response_matrix(basis, model), q.T, lower=False).T
-    return simplex_projection(solution) if project else solution
+    # R x = q as scipy's solve_triangular solves it for a C-ordered R: R^T's transposed system
+    solution, info = dtrtrs(response_matrix(basis, model).T, q.T, lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"singular response: resolution failed at diagonal {info - 1}")
+    return simplex_projection(solution.T) if project else solution.T
 
 
 @dataclass

@@ -31,10 +31,8 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import svd
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
 
+from ._lapack import dgeqrf, dgesdd, dgesdd_lwork, dormqr, dtrmm, dtrtri, dtrtrs
 from .combinatorics import (
     FockBasis,
     adjoint_tower_signature,
@@ -824,6 +822,16 @@ def _diagonal_blocks(a: np.ndarray, z: int, m: int) -> np.ndarray:
     return np.diagonal(a[:m, :m].reshape(m // z, z, m // z, z), axis1=0, axis2=2).transpose(2, 0, 1)
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of the float64 matrix ``a``, which may be overwritten, by the
+    ``dgesdd`` call and workspace of ``scipy.linalg.svd(a, compute_uv=False, overwrite_a=True)``."""
+    work, _ = dgesdd_lwork(*a.shape, compute_uv=0)
+    _, sigma, _, info = dgesdd(a, compute_uv=0, lwork=int(work), overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info {info}")
+    return sigma
+
+
 def _invert_upper(r: np.ndarray) -> int:
     """Invert the upper triangle of the square ``r`` in place, as ``dtrtri`` does, and
     return its ``info``: 0, or the first zero pivot from 1, which leaves ``r`` as it was.
@@ -999,7 +1007,7 @@ class _LevelFactor:
             self.formed.append(rows)
         covering = np.searchsorted(np.cumsum([len(rows) for rows in self.formed]), count) + 1
         rows = np.vstack(self.formed[:covering])[:count]  # sigma(X) = sigma(X^T), F order
-        return svd(rows.T, compute_uv=False, overwrite_a=True, check_finite=False)
+        return _singular_values(rows.T)
 
 
 def _form_rows(

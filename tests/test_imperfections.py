@@ -1,5 +1,6 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,6 +273,22 @@ class TestInvertDetectorResponse:
         model = imp.DetectorModel.uniform(0.9, 2)
         with pytest.warns(RuntimeWarning, match="missing"):
             imp.invert_detector_response(np.array([0.5, 0.2, 0.2]), basis, model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_non_finite_entry_is_refused_before_the_solve(self, bad, stacked, monkeypatch):
+        basis = imp.truncated_basis(2, 2)
+        model = imp.DetectorModel.uniform(0.8, 2)
+        q = imp.detector_response(np.full((3, len(basis)), 1.0 / len(basis)), basis, model)
+        q[2, 4] = bad
+        solves = mock.Mock(wraps=imp.dtrtrs)
+        monkeypatch.setattr(imp, "dtrtrs", solves)
+        message = "^detected laws must be finite, got a NaN or infinite entry$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the mass check can warn
+            with pytest.raises(ValueError, match=message):
+                imp.invert_detector_response(q if stacked else q[2], basis, model)
+        assert solves.call_count == 0
 
     def test_simplex_projection_flag(self):
         basis = imp.truncated_basis(1, 2)

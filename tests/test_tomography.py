@@ -598,11 +598,12 @@ def parity_corpus():
 
 
 def count_svds(monkeypatch):
-    """Mocks counting the values-only SVDs of numpy and scipy that the module can take."""
-    numpy_svd, scipy_svd = mock.Mock(wraps=np.linalg.svd), mock.Mock(wraps=tg.svd)
+    """Mocks counting the values-only SVDs of numpy and LAPACK that the module can take."""
+    numpy_svd = mock.Mock(wraps=np.linalg.svd)
+    lapack_svd = mock.Mock(wraps=tg._singular_values)
     monkeypatch.setattr(np.linalg, "svd", numpy_svd)
-    monkeypatch.setattr(tg, "svd", scipy_svd)
-    return lambda: numpy_svd.call_count + scipy_svd.call_count
+    monkeypatch.setattr(tg, "_singular_values", lapack_svd)
+    return lambda: numpy_svd.call_count + lapack_svd.call_count
 
 
 class TestCertifiedRank:
@@ -1009,7 +1010,7 @@ class TestSearches:
         # and no level's rows take a values-only SVD.  The settings arrive in one batch,
         # each level takes them in runs from k = 0, and a level once complete records its
         # later blocks without rotating them: no dormqr at all.
-        stacks, whole, original = record_shapes(monkeypatch, "svd"), [], np.linalg.svd
+        stacks, whole, original = record_shapes(monkeypatch, "_singular_values"), [], np.linalg.svd
         rotations = record_shapes(monkeypatch, "dormqr")
 
         def svd(a, *args, **kwargs):
@@ -1041,7 +1042,7 @@ class TestSearches:
             tg, "config_drawer",
             lambda *args: lambda modes, count: [drawn.pop(0) for _ in range(count)],
         )
-        svds = record_shapes(monkeypatch, "svd")
+        svds = record_shapes(monkeypatch, "_singular_values")
         rank = mock.Mock(wraps=tg.gramian_rank)
         monkeypatch.setattr(tg, "gramian_rank", rank)
         search = tg.find_min_configs(2, 3, r_max=12)
